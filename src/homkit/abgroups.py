@@ -25,6 +25,7 @@ from .intlinalg import (
     in_lattice,
     kernel_basis,
     lattice_basis,
+    lattice_contains,
     lattice_quotient,
     lattices_equal,
     preimage_gens,
@@ -151,9 +152,9 @@ class GroupElement:
         return self.owner.coords_are_zero(self.coords)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GroupElement) or not self._compatible(other):
+        if not isinstance(other, GroupElement):
             return NotImplemented
-        return (self - other).is_zero()
+        return (self - other).is_zero()  # __add__ rejects elements of other groups
 
     def __hash__(self):  # elements compare modulo relations; no stable hash
         raise TypeError("GroupElement is unhashable")
@@ -214,7 +215,7 @@ class GroupHom:
         return GroupHom(self.source, self.target, self.matrix - other.matrix, check=False)
 
     def is_zero(self) -> bool:
-        return lattice_contains_matrix(self.target.presentation, self.matrix)
+        return lattice_contains(self.target.presentation, self.matrix)
 
     def image_gens(self) -> IntMatrix:
         """Generators of the preimage in Z^{target gens} of the image subgroup."""
@@ -252,10 +253,6 @@ class GroupHom:
             raise InputError("homomorphism is not invertible")
         return IntMatrix(self.source.ngens, self.target.ngens,
                          tuple(lifted.data[i] for i in range(self.source.ngens)))
-
-
-def lattice_contains_matrix(gens: IntMatrix, cols: IntMatrix) -> bool:
-    return solve_matrix(gens, cols) is not None
 
 
 def is_exact_pair(f: GroupHom, g: GroupHom) -> bool:
@@ -312,6 +309,21 @@ class _PairSubquotientGroup(FgAbGroup):
         super().__init__(sq.presentation)
 
 
+def _kronecker_pair_subquotient(x: IntMatrix, mb: IntMatrix) -> Subquotient:
+    """Pairs (Y, Z) with Y @ X^T = M_B @ Z, modulo the pairs (M_B @ W, W @ X^T)
+    and (0, K @ V) for a kernel basis K of M_B; vectorized as vec(Y) + vec(Z).
+
+    Hom(A, B) takes X = M_A^T and Tor_1(A, B) a lattice basis of M_A's columns.
+    """
+    m, k = x.cols, x.rows
+    gb, rb = mb.rows, mb.cols
+    kb = kernel_basis(mb)
+    l = hstack(x.kron(IntMatrix.identity(gb)), -(IntMatrix.identity(k).kron(mb)))
+    n1 = vstack(IntMatrix.identity(m).kron(mb), x.kron(IntMatrix.identity(rb)))
+    n2 = vstack(IntMatrix.zero(gb * m, k * kb.cols), IntMatrix.identity(k).kron(kb))
+    return subquotient(l, hstack(n1, n2))
+
+
 class HomGroup(_PairSubquotientGroup):
     """Hom(A, B) with per-class matrix certificates and evaluation pairing.
 
@@ -320,16 +332,8 @@ class HomGroup(_PairSubquotientGroup):
     """
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup):
-        ma, mb = source.presentation, target.presentation
-        ga, ra = ma.rows, ma.cols
-        gb, rb = mb.rows, mb.cols
-        ia, ira = IntMatrix.identity(ga), IntMatrix.identity(ra)
-        igb, irb = IntMatrix.identity(gb), IntMatrix.identity(rb)
-        l = hstack(ma.transpose().kron(igb), -(ira.kron(mb)))
-        n1 = vstack(ia.kron(mb), ma.transpose().kron(irb))
-        n2 = vstack(IntMatrix.zero(gb * ga, ra * kernel_basis(mb).cols),
-                    ira.kron(kernel_basis(mb)))
-        super().__init__(subquotient(l, hstack(n1, n2)))
+        super().__init__(_kronecker_pair_subquotient(source.presentation.transpose(),
+                                                     target.presentation))
         self.source = source
         self.target = target
 
@@ -410,16 +414,7 @@ class Tor1Group(_PairSubquotientGroup):
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup):
         self.resolution = lattice_basis(source.presentation)
-        mprime, mb = self.resolution, target.presentation
-        ga, m = mprime.rows, mprime.cols
-        gb, rb = mb.rows, mb.cols
-        iga, im = IntMatrix.identity(ga), IntMatrix.identity(m)
-        igb, irb = IntMatrix.identity(gb), IntMatrix.identity(rb)
-        l = hstack(mprime.kron(igb), -(iga.kron(mb)))
-        n1 = vstack(im.kron(mb), mprime.kron(irb))
-        n2 = vstack(IntMatrix.zero(gb * m, ga * kernel_basis(mb).cols),
-                    iga.kron(kernel_basis(mb)))
-        super().__init__(subquotient(l, hstack(n1, n2)))
+        super().__init__(_kronecker_pair_subquotient(self.resolution, target.presentation))
         self.source = source
         self.target = target
 

@@ -6,6 +6,9 @@ canonical (sorted keys, two-space indent, big integers as decimal strings),
 so identical inputs produce byte-identical documents.  Exit status: 0 on
 success, 2 on validation failure, 1 on internal error; failures also emit a
 single document {"error": {"code", "message"}}.
+
+Every command is declared once, in `COMMANDS`; the argument parser is built
+from that table.
 """
 
 from __future__ import annotations
@@ -15,9 +18,11 @@ import hashlib
 import json
 import random
 import sys
-from typing import Optional, Sequence
+from functools import cache
+from math import gcd
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, InternalCheckError
 from . import abgroups, jsonio, randgen, relhom, repmod
 from .intlinalg import snf
 from .percomplex import (
@@ -66,17 +71,35 @@ def _load_group(path: str):
     return jsonio.group_from_json(_load_json(path), what=path)
 
 
-def _cmd_snf(args) -> dict:
-    m = jsonio.matrix_from_json(_load_json(args.matrix), what=args.matrix)
-    dec = snf(m)
+def _load_rmodule(path: str):
+    return jsonio.rmodule_from_json(_load_json(path), what=path)
+
+
+def _load_object(path: str) -> dict:
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: expected a JSON object")
+    return doc
+
+
+def _load_chain_map(a_path: str, b_path: str, map_path: str):
+    a = _load_complex(a_path)
+    b = _load_complex(b_path)
+    return jsonio.chain_map_from_json(_load_json(map_path), a, b, what=map_path)
+
+
+# Handlers take the parsed options and the input paths, in the table's order.
+
+def _cmd_snf(args, matrix: str) -> dict:
+    dec = snf(jsonio.matrix_from_json(_load_json(matrix), what=matrix))
     return {"diagonal": [str(d) for d in dec.diagonal],
             "u": jsonio.matrix_to_json(dec.u),
             "s": jsonio.matrix_to_json(dec.s),
             "v": jsonio.matrix_to_json(dec.v)}
 
 
-def _cmd_group_op(args) -> dict:
-    a, b = _load_group(args.a), _load_group(args.b)
+def _cmd_group_op(args, a_path: str, b_path: str) -> dict:
+    a, b = _load_group(a_path), _load_group(b_path)
     if args.op == "is-isomorphic":
         return {"isomorphic": abgroups.is_isomorphic(a, b)}
     op = {"hom": abgroups.hom, "ext1": abgroups.ext1,
@@ -84,29 +107,23 @@ def _cmd_group_op(args) -> dict:
     return jsonio.group_to_json(op(a, b))
 
 
-def _cmd_homology(args) -> dict:
-    return jsonio.graded_group_to_json(homology(_load_complex(args.complex)))
+def _cmd_homology(args, complex_path: str) -> dict:
+    return jsonio.graded_group_to_json(homology(_load_complex(complex_path)))
 
 
-def _cmd_hoclasses(args) -> dict:
-    hc = homotopy_classes(_load_complex(args.a), _load_complex(args.b))
+def _cmd_hoclasses(args, a_path: str, b_path: str) -> dict:
+    hc = homotopy_classes(_load_complex(a_path), _load_complex(b_path))
     return jsonio.group_to_json(hc.group)
 
 
-def _load_chain_map(args):
-    a = _load_complex(args.a)
-    b = _load_complex(args.b)
-    return jsonio.chain_map_from_json(_load_json(args.map), a, b, what=args.map)
-
-
-def _cmd_cone(args) -> dict:
-    cone, _, _ = mapping_cone(_load_chain_map(args))
+def _cmd_cone(args, *paths: str) -> dict:
+    cone, _, _ = mapping_cone(_load_chain_map(*paths))
     return {"cone": jsonio.complex_to_json(cone),
             "homology": jsonio.graded_group_to_json(homology(cone))}
 
 
-def _cmd_uct(args) -> dict:
-    report = relhom.uct_sequence(_load_complex(args.a), _load_complex(args.b))
+def _cmd_uct(args, a_path: str, b_path: str) -> dict:
+    report = relhom.uct_sequence(_load_complex(a_path), _load_complex(b_path))
     return {"hom_part": jsonio.group_to_json(report.hom_part),
             "ext_part": jsonio.group_to_json(report.ext_part),
             "middle": jsonio.group_to_json(report.middle),
@@ -114,61 +131,55 @@ def _cmd_uct(args) -> dict:
             "kernel_isomorphic_to_ext_part": True}
 
 
-def _cmd_ext(args) -> dict:
+def _cmd_ext(args, a_path: str, b_path: str) -> dict:
     return jsonio.group_to_json(
-        relhom.ideal_ext(_load_complex(args.a), _load_complex(args.b), args.n))
+        relhom.ideal_ext(_load_complex(a_path), _load_complex(b_path), args.n))
 
 
-def _cmd_resolve(args) -> dict:
-    res = relhom.projective_resolution(_load_complex(args.a))
+def _cmd_resolve(args, a_path: str) -> dict:
+    res = relhom.projective_resolution(_load_complex(a_path))
     return {"p0": jsonio.complex_to_json(res.p0),
             "p1": jsonio.complex_to_json(res.p1),
             "delta0": jsonio.chain_map_to_json(res.delta0),
             "delta1": jsonio.chain_map_to_json(res.delta1)}
 
 
-def _cmd_classify(args) -> dict:
-    flags = relhom.classify(_load_chain_map(args))
+def _cmd_classify(args, *paths: str) -> dict:
+    flags = relhom.classify(_load_chain_map(*paths))
     return {"phantom": flags.phantom, "monic": flags.monic,
             "epic": flags.epic, "equivalence": flags.equivalence}
 
 
-def _cmd_kappa(args) -> dict:
-    el = relhom.kappa(_load_chain_map(args))
+def _cmd_kappa(args, *paths: str) -> dict:
+    el = relhom.kappa(_load_chain_map(*paths))
     return {"ext_part": jsonio.group_to_json(el.owner),
             "coords": [str(c) for c in el.coords],
             "is_zero": el.is_zero()}
 
 
-def _cmd_ring_ext(args) -> dict:
-    m = jsonio.rmodule_from_json(_load_json(args.m), what=args.m)
-    n = jsonio.rmodule_from_json(_load_json(args.n_module), what=args.n_module)
-    return jsonio.group_to_json(repmod.ext_over_r(m, n, args.n))
+def _cmd_ring_ext(args, m_path: str, n_path: str) -> dict:
+    return jsonio.group_to_json(
+        repmod.ext_over_r(_load_rmodule(m_path), _load_rmodule(n_path), args.n))
 
 
-def _cmd_ring_tor(args) -> dict:
-    m = jsonio.rmodule_from_json(_load_json(args.m), what=args.m)
-    n = jsonio.rmodule_from_json(_load_json(args.n_module), what=args.n_module)
-    return jsonio.group_to_json(repmod.tor_over_r(m, n, args.n))
+def _cmd_ring_tor(args, m_path: str, n_path: str) -> dict:
+    return jsonio.group_to_json(
+        repmod.tor_over_r(_load_rmodule(m_path), _load_rmodule(n_path), args.n))
 
 
-def _cmd_hh(args) -> dict:
-    doc = _load_json(args.input)
-    if not isinstance(doc, dict):
-        raise InputError(f"{args.input}: expected a JSON object")
-    group = jsonio.group_from_json(doc.get("group"), f"{args.input}.group")
-    lam = jsonio.matrix_from_json(doc.get("lambda"), f"{args.input}.lambda")
-    rho = jsonio.matrix_from_json(doc.get("rho"), f"{args.input}.rho")
+def _cmd_hh(args, path: str) -> dict:
+    doc = _load_object(path)
+    group = jsonio.group_from_json(doc.get("group"), f"{path}.group")
+    lam = jsonio.matrix_from_json(doc.get("lambda"), f"{path}.lambda")
+    rho = jsonio.matrix_from_json(doc.get("rho"), f"{path}.rho")
     return jsonio.group_to_json(repmod.hochschild(group, lam, rho, args.n, args.variant))
 
 
-def _cmd_pv(args) -> dict:
-    doc = _load_json(args.input)
-    if not isinstance(doc, dict):
-        raise InputError(f"{args.input}: expected a JSON object")
-    k = jsonio.graded_group_from_json(doc, what=args.input)
-    alpha_even = jsonio.matrix_from_json(doc.get("alpha_even"), f"{args.input}.alpha_even")
-    alpha_odd = jsonio.matrix_from_json(doc.get("alpha_odd"), f"{args.input}.alpha_odd")
+def _cmd_pv(args, path: str) -> dict:
+    doc = _load_object(path)
+    k = jsonio.graded_group_from_json(doc, what=path)
+    alpha_even = jsonio.matrix_from_json(doc.get("alpha_even"), f"{path}.alpha_even")
+    alpha_odd = jsonio.matrix_from_json(doc.get("alpha_odd"), f"{path}.alpha_odd")
     report = repmod.pv_sequence(k, alpha_even, alpha_odd)
     return {"degree0": {"coker_end": jsonio.group_to_json(report.degree0.coker_end),
                         "ker_end": jsonio.group_to_json(report.degree0.ker_end)},
@@ -177,13 +188,19 @@ def _cmd_pv(args) -> dict:
             "exact": True}
 
 
-def _cmd_kunneth_check(args) -> dict:
-    a, b = _load_complex(args.a), _load_complex(args.b)
+def _cmd_kunneth_check(args, a_path: str, b_path: str) -> dict:
+    a, b = _load_complex(a_path), _load_complex(b_path)
     computed = homology(tensor_complex(a, b))
     predicted = relhom.kunneth_prediction(homology(a), homology(b))
     return {"computed": jsonio.graded_group_to_json(computed),
             "predicted": jsonio.graded_group_to_json(predicted),
             "match": computed.is_isomorphic_to(predicted)}
+
+
+def _check(ok: bool, what: str) -> None:
+    # Not an assert: the checks must also run under `python -O`.
+    if not ok:
+        raise InternalCheckError(f"selftest: {what}")
 
 
 def _cmd_selftest(args) -> dict:
@@ -193,19 +210,21 @@ def _cmd_selftest(args) -> dict:
     for _ in range(100):
         m = randgen.random_matrix(rng, rng.randint(0, 4), rng.randint(0, 4))
         dec = snf(m)
-        assert dec.u @ m @ dec.v == dec.s
+        _check(dec.u @ m @ dec.v == dec.s, "U A V != S")
         diag = dec.diagonal
-        assert all(d >= 0 for d in diag)
-        assert all(b % a == 0 for a, b in zip(diag, diag[1:]) if a)
+        _check(all(d >= 0 for d in diag), "negative Smith diagonal entry")
+        _check(all(b % a == 0 for a, b in zip(diag, diag[1:]) if a),
+               "Smith diagonal out of divisibility order")
     checks["snf_identities"] = 100
 
     for _ in range(20):
         d, e = rng.randint(2, 9), rng.randint(2, 9)
-        g = _gcd(d, e)
+        g = gcd(d, e)
         zd, ze = abgroups.FgAbGroup.cyclic(d), abgroups.FgAbGroup.cyclic(e)
         for op in (abgroups.hom, abgroups.ext1, abgroups.tensor, abgroups.tor1):
             expected = (0, (g,)) if g > 1 else (0, ())
-            assert op(zd, ze).canonical == expected
+            _check(op(zd, ze).canonical == expected,
+                   f"{op.__name__}(Z/{d}, Z/{e}) is not Z/{g}")
     checks["cyclic_closed_forms"] = 20
 
     for _ in range(8):
@@ -215,12 +234,14 @@ def _cmd_selftest(args) -> dict:
     for _ in range(8):
         a, b = randgen.random_complex(rng, 2), randgen.random_complex(rng, 2)
         computed = homology(tensor_complex(a, b))
-        assert computed.is_isomorphic_to(relhom.kunneth_prediction(homology(a), homology(b)))
+        _check(computed.is_isomorphic_to(relhom.kunneth_prediction(homology(a), homology(b))),
+               "tensor homology differs from the Kunneth prediction")
     checks["kunneth"] = 8
 
     for _ in range(8):
         x = randgen.random_acyclic_complex(rng)
-        assert homotopy_classes(x, x).group.is_trivial()
+        _check(homotopy_classes(x, x).group.is_trivial(),
+               "acyclic complex has a nonzero self-map class")
     checks["acyclic_self_maps"] = 8
 
     for _ in range(8):
@@ -232,126 +253,68 @@ def _cmd_selftest(args) -> dict:
     return {"seed": args.seed, "checks": checks, "all_passed": True}
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+class Command(NamedTuple):
+    """One CLI command: what runs, its help line, its input files and options."""
+
+    name: str
+    handler: Callable[..., dict]
+    help: str
+    inputs: tuple[str, ...] = ()  # positional input files, in digest order
+    options: tuple[tuple[str, dict], ...] = ()  # (flag, add_argument keywords)
 
 
-_INPUT_ATTRS = {
-    "snf": ("matrix",),
-    "group-op": ("a", "b"),
-    "homology": ("complex",),
-    "hoclasses": ("a", "b"),
-    "cone": ("a", "b", "map"),
-    "uct": ("a", "b"),
-    "ext": ("a", "b"),
-    "resolve": ("a",),
-    "classify": ("a", "b", "map"),
-    "kappa": ("a", "b", "map"),
-    "ring-ext": ("m", "n_module"),
-    "ring-tor": ("m", "n_module"),
-    "hh": ("input",),
-    "pv": ("input",),
-    "kunneth-check": ("a", "b"),
-    "selftest": (),
-}
+_DEGREE = ("--n", {"type": int, "required": True})
 
-_HANDLERS = {
-    "snf": _cmd_snf,
-    "group-op": _cmd_group_op,
-    "homology": _cmd_homology,
-    "hoclasses": _cmd_hoclasses,
-    "cone": _cmd_cone,
-    "uct": _cmd_uct,
-    "ext": _cmd_ext,
-    "resolve": _cmd_resolve,
-    "classify": _cmd_classify,
-    "kappa": _cmd_kappa,
-    "ring-ext": _cmd_ring_ext,
-    "ring-tor": _cmd_ring_tor,
-    "hh": _cmd_hh,
-    "pv": _cmd_pv,
-    "kunneth-check": _cmd_kunneth_check,
-    "selftest": _cmd_selftest,
-}
+COMMANDS = (
+    Command("snf", _cmd_snf, "Smith normal form of an integer matrix", ("matrix",)),
+    Command("group-op", _cmd_group_op, "binary operation on two groups", ("a", "b"),
+            (("--op", {"required": True,
+                       "choices": ["hom", "ext1", "tensor", "tor1", "is-isomorphic"]}),)),
+    Command("homology", _cmd_homology, "graded homology of a periodic complex", ("complex",)),
+    Command("hoclasses", _cmd_hoclasses, "group of homotopy classes [A, B]", ("a", "b")),
+    Command("cone", _cmd_cone, "mapping cone of a chain map and its homology",
+            ("a", "b", "map")),
+    Command("uct", _cmd_uct, "universal-coefficient report for a pair of complexes",
+            ("a", "b")),
+    Command("ext", _cmd_ext, "derived Ext^n between complexes", ("a", "b"),
+            (("--n", {"type": int, "required": True, "help": "derived-functor degree"}),)),
+    Command("resolve", _cmd_resolve, "length-1 projective resolution of a complex", ("a",)),
+    Command("classify", _cmd_classify, "phantom/monic/epic/equivalence flags of a chain map",
+            ("a", "b", "map")),
+    Command("kappa", _cmd_kappa, "secondary invariant of a phantom chain map",
+            ("a", "b", "map")),
+    Command("ring-ext", _cmd_ring_ext, "Ext^n over Z[t]/(p) or the Laurent ring", ("m", "n"),
+            (_DEGREE,)),
+    Command("ring-tor", _cmd_ring_tor, "Tor_n over Z[t]/(p) or the Laurent ring", ("m", "n"),
+            (_DEGREE,)),
+    Command("hh", _cmd_hh, "Hochschild (co)homology of the Laurent ring", ("input",),
+            (_DEGREE, ("--variant", {"choices": ["homology", "cohomology"],
+                                     "default": "homology"}))),
+    Command("pv", _cmd_pv, "Pimsner-Voiculescu six-term report", ("input",)),
+    Command("kunneth-check", _cmd_kunneth_check,
+            "compare tensor homology with the Kunneth prediction", ("a", "b")),
+    Command("selftest", _cmd_selftest, "seeded randomized self-checks",
+            options=(("--seed", {"type": int, "default": 0}),)),
+)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser for every command in COMMANDS, built once per process."""
     parser = argparse.ArgumentParser(
         prog="homkit",
         description="Batch computations on groups, periodic complexes and ring modules.")
     parser.add_argument("--out", help="write the result document to this path instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("snf", help="Smith normal form of an integer matrix")
-    p.add_argument("matrix")
-
-    p = sub.add_parser("group-op", help="binary operation on two groups")
-    p.add_argument("--op", required=True,
-                   choices=["hom", "ext1", "tensor", "tor1", "is-isomorphic"])
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = sub.add_parser("homology", help="graded homology of a periodic complex")
-    p.add_argument("complex")
-
-    p = sub.add_parser("hoclasses", help="group of homotopy classes [A, B]")
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = sub.add_parser("cone", help="mapping cone of a chain map and its homology")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("map")
-
-    p = sub.add_parser("uct", help="universal-coefficient report for a pair of complexes")
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = sub.add_parser("ext", help="derived Ext^n between complexes")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--n", type=int, required=True, help="derived-functor degree")
-
-    p = sub.add_parser("resolve", help="length-1 projective resolution of a complex")
-    p.add_argument("a")
-
-    p = sub.add_parser("classify", help="phantom/monic/epic/equivalence flags of a chain map")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("map")
-
-    p = sub.add_parser("kappa", help="secondary invariant of a phantom chain map")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("map")
-
-    p = sub.add_parser("ring-ext", help="Ext^n over Z[t]/(p) or the Laurent ring")
-    p.add_argument("m")
-    p.add_argument("n_module", metavar="n")
-    p.add_argument("--n", type=int, required=True, dest="n")
-
-    p = sub.add_parser("ring-tor", help="Tor_n over Z[t]/(p) or the Laurent ring")
-    p.add_argument("m")
-    p.add_argument("n_module", metavar="n")
-    p.add_argument("--n", type=int, required=True, dest="n")
-
-    p = sub.add_parser("hh", help="Hochschild (co)homology of the Laurent ring")
-    p.add_argument("input")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--variant", choices=["homology", "cohomology"], default="homology")
-
-    p = sub.add_parser("pv", help="Pimsner-Voiculescu six-term report")
-    p.add_argument("input")
-
-    p = sub.add_parser("kunneth-check", help="compare tensor homology with the Kunneth prediction")
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = sub.add_parser("selftest", help="seeded randomized self-checks")
-    p.add_argument("--seed", type=int, default=0)
-
+    for cmd in COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        for name in cmd.inputs:
+            # Each input is appended to args.paths (a fresh list per parse),
+            # so the paths arrive in the table's order.
+            p.add_argument("paths", metavar=name, action="append")
+        for flag, kwargs in cmd.options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=cmd.handler, paths=[])
     return parser
 
 
@@ -365,14 +328,12 @@ def _emit(doc: dict, out: Optional[str]) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     out = args.out
     _raw_inputs.clear()
     try:
-        inputs = [getattr(args, attr) for attr in _INPUT_ATTRS[args.command]]
-        digest = _digest(inputs)
-        result = _HANDLERS[args.command](args)
+        digest = _digest(args.paths)
+        result = args.handler(args, *args.paths)
     except InputError as exc:
         _emit({"error": {"code": "validation", "message": str(exc)}}, out)
         return 2

@@ -345,12 +345,17 @@ def solve_matrix(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     return IntMatrix.from_columns(cols, rows=a.cols)
 
 
+def lattice_basis_with_witness(gens: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Basis M of the lattice spanned by the columns of `gens`, and T with
+    M = gens @ T; both come from a single Smith decomposition."""
+    dec = snf(gens)
+    t = IntMatrix.from_columns([dec.v.column(j) for j in range(dec.rank)], rows=gens.cols)
+    return gens @ t, t
+
+
 def lattice_basis(gens: IntMatrix) -> IntMatrix:
     """Basis of the lattice spanned by the columns of `gens`."""
-    dec = snf(gens)
-    av = gens @ dec.v
-    cols = [av.column(j) for j in range(dec.rank)]
-    return IntMatrix.from_columns(cols, rows=gens.rows)
+    return lattice_basis_with_witness(gens)[0]
 
 
 def in_lattice(gens: IntMatrix, vec_: Sequence[int]) -> bool:

@@ -119,12 +119,14 @@ class ChainMap:
         return self + (-other)
 
 
-@lru_cache(maxsize=None)
+# Bounded: the keys are whole complexes, and a process that runs many jobs
+# sees new ones on every job.
+@lru_cache(maxsize=128)
 def _homology_subquotients(x: PeriodicComplex) -> tuple[Subquotient, Subquotient]:
     return subquotient(x.d, x.e), subquotient(x.e, x.d)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _homology_groups(x: PeriodicComplex) -> tuple[FgAbGroup, FgAbGroup]:
     sq0, sq1 = _homology_subquotients(x)
     return FgAbGroup(sq0.presentation), FgAbGroup(sq1.presentation)

@@ -8,6 +8,9 @@ stated bound; groups and automorphisms come out in canonical presentations.
 from __future__ import annotations
 
 import random
+from math import gcd
+
+from .errors import InputError
 from .abgroups import FgAbGroup, GradedAbGroup
 from .intlinalg import IntMatrix, unvec
 from .percomplex import (
@@ -34,12 +37,6 @@ def random_group(rng: random.Random, max_rank: int = 2, factors=(2, 2, 3, 4)) ->
         d *= rng.choice(factors)  # each entry multiplies the previous: chain holds
         torsion.append(d)
     return FgAbGroup.from_invariants(rank, torsion)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def random_graded_group(rng: random.Random, max_rank: int = 2) -> GradedAbGroup:
@@ -133,7 +130,7 @@ def random_automorphism(rng: random.Random, group: FgAbGroup, steps: int = 5) ->
         step = None
         if kind == 0 and t:
             i = rng.randrange(t)
-            units = [u for u in range(1, torsion[i]) if _gcd(u, torsion[i]) == 1]
+            units = [u for u in range(1, torsion[i]) if gcd(u, torsion[i]) == 1]
             u = rng.choice(units)
             step = [[u if r == c == i else (1 if r == c else 0) for c in range(n)]
                     for r in range(n)]
@@ -183,7 +180,8 @@ def random_rmodule(rng: random.Random, ring, max_free_rank: int = 2,
     """
     from .repmod import QuotientRing, RModule
 
-    assert isinstance(ring, QuotientRing)
+    if not isinstance(ring, QuotientRing):
+        raise InputError("random modules are built over quotient rings only")
     d = ring.degree
     k = rng.randint(1, max_free_rank)
     n = d * k

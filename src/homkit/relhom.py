@@ -27,7 +27,7 @@ from .abgroups import (
     tensor,
     tor1,
 )
-from .intlinalg import IntMatrix, hstack, snf, solve
+from .intlinalg import IntMatrix, hstack, lattice_basis_with_witness, solve
 from .percomplex import (
     ChainMap,
     HomotopyClasses,
@@ -104,16 +104,6 @@ class Resolution:
     nullhomotopy: tuple[IntMatrix, IntMatrix]  # witnesses delta0 o delta1 ~ 0
 
 
-def _relation_lattice_with_witness(presentation: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Basis M of the column lattice of `presentation` and T with M = pres @ T."""
-    dec = snf(presentation)
-    av = presentation @ dec.v
-    cols = [av.column(j) for j in range(dec.rank)]
-    tcols = [dec.v.column(j) for j in range(dec.rank)]
-    return (IntMatrix.from_columns(cols, rows=presentation.rows),
-            IntMatrix.from_columns(tcols, rows=presentation.cols))
-
-
 def projective_resolution(a: PeriodicComplex) -> Resolution:
     """Fold a length-1 free resolution of H(A) into complexes over A.
 
@@ -124,8 +114,8 @@ def projective_resolution(a: PeriodicComplex) -> Resolution:
     """
     sq0 = homology_cycles(a, 0)
     sq1 = homology_cycles(a, 1)
-    m0, t0 = _relation_lattice_with_witness(sq0.presentation)
-    m1, t1 = _relation_lattice_with_witness(sq1.presentation)
+    m0, t0 = lattice_basis_with_witness(sq0.presentation)
+    m1, t1 = lattice_basis_with_witness(sq1.presentation)
     p0 = PeriodicComplex.zero_diff(sq0.ngens, sq1.ngens)
     p1 = PeriodicComplex.zero_diff(m0.cols, m1.cols)
     delta0 = ChainMap(p0, a, sq0.basis, sq1.basis)
@@ -286,12 +276,12 @@ def cone_triangle_is_exact(f: ChainMap) -> bool:
     return all(is_exact_pair(maps[i - 1], maps[i]) for i in range(6))
 
 
-def _lift_through(surj: GroupHom, target_el_coords: Sequence[int]) -> tuple[int, ...]:
-    """One preimage (as source coordinates) under a surjective GroupHom."""
-    sol = solve(hstack(surj.matrix, surj.target.presentation), target_el_coords)
+def _lift_through(f: GroupHom, target_el_coords: Sequence[int]) -> tuple[int, ...]:
+    """One preimage (as source coordinates) of an element in the image of f."""
+    sol = solve(hstack(f.matrix, f.target.presentation), target_el_coords)
     if sol is None:
-        raise InternalCheckError("expected-surjective homomorphism failed to lift")
-    return sol[:surj.source.ngens]
+        raise InternalCheckError("element expected in the image failed to lift")
+    return sol[:f.source.ngens]
 
 
 def _extension_class(alpha: GroupHom, beta: GroupHom, ext_group) -> GroupElement:
@@ -302,16 +292,10 @@ def _extension_class(alpha: GroupHom, beta: GroupHom, ext_group) -> GroupElement
     ker beta = im alpha, and pulls them back through alpha.
     """
     resolution = ext_group.resolution  # Z^m -> Z^{gens of A}
-    lifted = [_lift_through(beta, tuple(1 if i == j else 0 for i in range(beta.target.ngens)))
-              for j in range(beta.target.ngens)]
+    lifted = [_lift_through(beta, e) for e in IntMatrix.identity(beta.target.ngens).columns()]
     lam = IntMatrix.from_columns(lifted, rows=beta.source.ngens)
     relations_in_c = lam @ resolution
-    cocycle_cols = []
-    for j in range(relations_in_c.cols):
-        sol = solve(hstack(alpha.matrix, alpha.target.presentation), relations_in_c.column(j))
-        if sol is None:
-            raise InternalCheckError("extension class: relation does not pull back")
-        cocycle_cols.append(sol[:alpha.source.ngens])
+    cocycle_cols = [_lift_through(alpha, col) for col in relations_in_c.columns()]
     return ext_group.from_cocycle(
         IntMatrix.from_columns(cocycle_cols, rows=alpha.source.ngens))
 

@@ -221,36 +221,23 @@ def _transfer_block(ring: QuotientRing, delta: IntMatrix, a: int, i: int,
     return acc
 
 
-def _cochain_matrix(ring: QuotientRing, delta: IntMatrix, rank_lo: int, rank_hi: int,
-                    coeff: RModule) -> IntMatrix:
-    """Matrix of Hom(F_lo, N) -> Hom(F_hi, N) induced by delta: F_hi -> F_lo."""
-    g = coeff.ngens
-    powers = _t_power_blocks(coeff.t_action, ring.degree)
-    rows = []
-    for a in range(rank_hi):
-        col_block_rows = [[0] * (g * rank_lo) for _ in range(g)]
-        for i in range(rank_lo):
-            acc = _transfer_block(ring, delta, a, i, powers, g)
-            for r in range(g):
-                for s in range(g):
-                    col_block_rows[r][i * g + s] = acc.data[r][s]
-        rows.extend(col_block_rows)
-    return IntMatrix.from_rows(rows, cols=g * rank_lo)
+def _coefficient_matrix(res: FreeResolutionR, k: int, coeff: RModule, cochain: bool) -> IntMatrix:
+    """Matrix induced on coefficients in N by delta_k: F_(k+1) -> F_k.
 
-
-def _chain_matrix(ring: QuotientRing, delta: IntMatrix, rank_hi: int, rank_lo: int,
-                  coeff: RModule) -> IntMatrix:
-    """Matrix of F_hi tensor N -> F_lo tensor N induced by delta: F_hi -> F_lo."""
+    Block (i, a) of F_(k+1) tensor N -> F_k tensor N is the action on N of
+    delta_k's (i, a) entry; Hom(F_k, N) -> Hom(F_(k+1), N) (cochain=True) is
+    its block transpose.  Either rank may be 0.
+    """
     g = coeff.ngens
-    powers = _t_power_blocks(coeff.t_action, ring.degree)
-    rows = [[0] * (g * rank_hi) for _ in range(g * rank_lo)]
-    for a in range(rank_hi):
-        for i in range(rank_lo):
-            acc = _transfer_block(ring, delta, a, i, powers, g)
-            for r in range(g):
-                for s in range(g):
-                    rows[i * g + r][a * g + s] = acc.data[r][s]
-    return IntMatrix.from_rows(rows, cols=g * rank_hi)
+    powers = _t_power_blocks(coeff.t_action, res.ring.degree)
+    lo, hi = res.ranks[k], res.ranks[k + 1]
+    grid = [[_transfer_block(res.ring, res.deltas[k], a, i, powers, g) for a in range(hi)]
+            for i in range(lo)]
+    if cochain:
+        grid = [[grid[i][a] for i in range(lo)] for a in range(hi)]
+    return IntMatrix.from_rows([[x for blk in row for x in blk.data[r]]
+                                for row in grid for r in range(g)],
+                               cols=g * (lo if cochain else hi))
 
 
 def _free_power_group(coeff: RModule, k: int) -> FgAbGroup:
@@ -297,19 +284,17 @@ def ext_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
             return FgAbGroup.trivial()
         endo, _ = _laurent_hom_endo(m, n)
         return endo.kernel_group() if degree == 0 else endo.cokernel_group()
-    ring = _check_same_quotient_ring(m, n)
+    _check_same_quotient_ring(m, n)
     res = free_resolution_over_r(m, degree + 1)
     groups = [_free_power_group(n, k) for k in res.ranks]
     if degree == 0:
         incoming = GroupHom.zero(FgAbGroup.trivial(), groups[0])
     else:
         incoming = GroupHom(groups[degree - 1], groups[degree],
-                            _cochain_matrix(ring, res.deltas[degree - 1],
-                                            res.ranks[degree - 1], res.ranks[degree], n),
+                            _coefficient_matrix(res, degree - 1, n, cochain=True),
                             check=False)
     outgoing = GroupHom(groups[degree], groups[degree + 1],
-                        _cochain_matrix(ring, res.deltas[degree],
-                                        res.ranks[degree], res.ranks[degree + 1], n),
+                        _coefficient_matrix(res, degree, n, cochain=True),
                         check=False)
     group, _ = homology_of_pair(incoming, outgoing)
     return group
@@ -329,18 +314,16 @@ def tor_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
                          m.t_inverse_matrix().kron(n.t_action) - IntMatrix.identity(tens.ngens),
                          check=False)
         return theta.kernel_group() if degree == 1 else theta.cokernel_group()
-    ring = _check_same_quotient_ring(m, n)
+    _check_same_quotient_ring(m, n)
     res = free_resolution_over_r(m, degree + 1)
     groups = [_free_power_group(n, k) for k in res.ranks]
-    outgoing_mat = _chain_matrix(ring, res.deltas[degree - 1],
-                                 res.ranks[degree], res.ranks[degree - 1], n) if degree >= 1 \
+    outgoing_mat = _coefficient_matrix(res, degree - 1, n, cochain=False) if degree >= 1 \
         else IntMatrix.zero(0, groups[0].ngens)
     outgoing = GroupHom(groups[degree],
                         groups[degree - 1] if degree >= 1 else FgAbGroup.trivial(),
                         outgoing_mat, check=False)
     incoming = GroupHom(groups[degree + 1], groups[degree],
-                        _chain_matrix(ring, res.deltas[degree],
-                                      res.ranks[degree + 1], res.ranks[degree], n),
+                        _coefficient_matrix(res, degree, n, cochain=False),
                         check=False)
     group, _ = homology_of_pair(incoming, outgoing)
     return group

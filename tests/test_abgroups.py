@@ -68,6 +68,12 @@ class TestElements:
     def test_cross_group_rejected(self):
         with pytest.raises(InputError):
             Z2.element((1,)) + Z3.element((1,))
+        with pytest.raises(InputError):
+            Z2.element((1,)) == Z3.element((1,))
+        with pytest.raises(InputError):
+            Z2.element((1,)) != Z3.element((1,))
+        # Comparing with a non-element is not an error, just unequal.
+        assert Z2.element((1,)) != (1,)
 
 
 class TestBinaryOps:

@@ -1,7 +1,16 @@
+import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
+from homkit import cli
 from homkit.cli import main
 from homkit.jsonio import group_from_json
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MOORE_Z2 = {
     "even_rank": 1, "odd_rank": 1,
@@ -199,3 +208,64 @@ class TestFailureModes:
         assert code == 2
         doc = json.loads(out)  # parses as a single document
         assert set(doc) == {"error"}
+
+
+class TestCommandTable:
+    def test_parser_is_shared_without_leaking_options(self, tmp_path, capsys):
+        hh = write(tmp_path, "hh.json", {
+            "group": {"rank": 1, "torsion": []},
+            "lambda": {"rows": 1, "cols": 1, "data": [["1"]]},
+            "rho": {"rows": 1, "cols": 1, "data": [["-1"]]}})
+        code, doc = run(capsys, "hh", hh, "--n", "0", "--variant", "cohomology")
+        assert code == 0 and doc["result"] == {"rank": 0, "torsion": []}
+        # Same process, same parser object: the default variant is back.
+        code, doc = run(capsys, "hh", hh, "--n", "0")
+        assert code == 0 and doc["result"] == {"rank": 0, "torsion": ["2"]}
+        assert cli._parser() is cli._parser()
+
+    def test_inputs_digested_in_table_order(self, tmp_path, capsys):
+        a = write(tmp_path, "a.json", MOORE_Z2)
+        b = write(tmp_path, "b.json", SUSP_MOORE_Z2)
+        _, doc = run(capsys, "hoclasses", a, b)
+        expected = hashlib.sha256(
+            (tmp_path / "a.json").read_bytes() + (tmp_path / "b.json").read_bytes()).hexdigest()
+        assert doc["inputs_digest"] == expected
+
+    def test_readme_lists_exactly_the_table(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        listing = readme.split("\nCommands: ", 1)[1].split("\n\n", 1)[0]
+        named = [item.split()[0] for item in re.findall(r"`([^`]+)`", listing)]
+        assert named == [cmd.name for cmd in cli.COMMANDS]
+
+    def test_readme_usage_line_matches_the_parser(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        usage = next(line for line in readme.splitlines() if line.startswith("homkit ["))
+        flags = set(re.findall(r"--[a-z-]+", usage))
+        known = {"--out"} | {flag for cmd in cli.COMMANDS for flag, _ in cmd.options}
+        assert flags == known
+        # Global options come before the command, as argparse requires.
+        assert usage.index("--out") < usage.index("<command>")
+
+
+class TestSelftestUnderOptimize:
+    def test_sabotaged_check_fails_under_python_O(self):
+        # Under -O every assert is stripped; the selftest must still catch a
+        # wrong Smith form and report an internal error.
+        script = (
+            "import sys\n"
+            "import homkit.cli as cli\n"
+            "from homkit.intlinalg import SmithDecomposition, snf\n"
+            "def broken(m):\n"
+            "    dec = snf(m)\n"
+            "    return SmithDecomposition(dec.u, dec.s.scale(2), dec.v)\n"
+            "cli.snf = broken\n"
+            "sys.exit(cli.main(['selftest', '--seed', '0']))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["error"]["code"] == "internal"
+        assert "InternalCheckError" in doc["error"]["message"]
