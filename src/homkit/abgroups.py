@@ -22,13 +22,13 @@ from .intlinalg import (
     block_diag,
     cokernel_invariants,
     hstack,
-    in_lattice,
     kernel_basis,
     lattice_basis,
     lattice_contains,
     lattice_quotient,
     lattices_equal,
     preimage_gens,
+    solve,
     solve_matrix,
     subquotient,
     unvec,
@@ -105,7 +105,7 @@ class FgAbGroup:
         return GroupElement(self, (0,) * self.ngens)
 
     def coords_are_zero(self, coords: Sequence[int]) -> bool:
-        return in_lattice(self.presentation, coords)
+        return solve(self.presentation, coords) is not None
 
     def __repr__(self) -> str:
         rank, torsion = self.canonical
@@ -119,6 +119,11 @@ def is_isomorphic(a: FgAbGroup, b: FgAbGroup) -> bool:
     return a.canonical == b.canonical
 
 
+def _same_coords(a: FgAbGroup, b: FgAbGroup) -> bool:
+    """True iff coordinates over a's generators mean the same in b."""
+    return a is b or a.presentation == b.presentation
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """Element of an FgAbGroup, stored as coordinates over its generators.
@@ -130,12 +135,8 @@ class GroupElement:
     owner: FgAbGroup
     coords: Vector
 
-    def _compatible(self, other: "GroupElement") -> bool:
-        return (other.owner is self.owner
-                or other.owner.presentation == self.owner.presentation)
-
     def __add__(self, other: "GroupElement") -> "GroupElement":
-        if not self._compatible(other):
+        if not _same_coords(self.owner, other.owner):
             raise InputError("elements belong to different groups")
         return GroupElement(self.owner, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
@@ -186,7 +187,7 @@ class GroupHom:
         self.source = source
         self.target = target
         self.matrix = matrix
-        if check and solve_matrix(target.presentation, matrix @ source.presentation) is None:
+        if check and not lattice_contains(target.presentation, matrix @ source.presentation):
             raise InputError("matrix does not map relations into relations")
 
     @classmethod
@@ -198,21 +199,24 @@ class GroupHom:
         return cls(source, target, IntMatrix.zero(target.ngens, source.ngens), check=False)
 
     def apply(self, el: GroupElement) -> GroupElement:
-        if el.owner is not self.source and el.owner.presentation != self.source.presentation:
+        if not _same_coords(el.owner, self.source):
             raise InputError("element does not belong to the source group")
         return self.target.element(self.matrix.apply(el.coords))
 
     def compose(self, first: "GroupHom") -> "GroupHom":
         """self o first; endpoint groups must share a presentation."""
-        if first.target is not self.source and first.target.presentation != self.source.presentation:
+        if not _same_coords(first.target, self.source):
             raise InputError("homomorphisms are not composable")
         return GroupHom(first.source, self.target, self.matrix @ first.matrix, check=False)
 
     def __add__(self, other: "GroupHom") -> "GroupHom":
+        if not (_same_coords(self.source, other.source)
+                and _same_coords(self.target, other.target)):
+            raise InputError("homomorphisms have different endpoints")
         return GroupHom(self.source, self.target, self.matrix + other.matrix, check=False)
 
     def __sub__(self, other: "GroupHom") -> "GroupHom":
-        return GroupHom(self.source, self.target, self.matrix - other.matrix, check=False)
+        return self + GroupHom(other.source, other.target, -other.matrix, check=False)
 
     def is_zero(self) -> bool:
         return lattice_contains(self.target.presentation, self.matrix)
@@ -244,15 +248,20 @@ class GroupHom:
     def is_isomorphism(self) -> bool:
         return self.is_surjective() and self.is_injective()
 
+    def lift(self, targets: IntMatrix) -> Optional[IntMatrix]:
+        """Source coordinates of one preimage of each column of `targets`
+        (target coordinates), or None if some column is not in the image."""
+        sol = solve_matrix(self.image_gens(), targets)
+        if sol is None:
+            return None
+        return IntMatrix(self.source.ngens, sol.cols, sol.data[:self.source.ngens])
+
     def inverse_matrix(self) -> IntMatrix:
         """A matrix inducing the inverse homomorphism; requires bijectivity."""
-        lifted = solve_matrix(
-            hstack(self.matrix, self.target.presentation),
-            IntMatrix.identity(self.target.ngens))
+        lifted = self.lift(IntMatrix.identity(self.target.ngens))
         if lifted is None or not self.is_injective():
             raise InputError("homomorphism is not invertible")
-        return IntMatrix(self.source.ngens, self.target.ngens,
-                         tuple(lifted.data[i] for i in range(self.source.ngens)))
+        return lifted
 
 
 def is_exact_pair(f: GroupHom, g: GroupHom) -> bool:
@@ -261,7 +270,7 @@ def is_exact_pair(f: GroupHom, g: GroupHom) -> bool:
     Requires g o f = 0; compares image of f and kernel of g as sublattices of
     the middle group's generator space.
     """
-    if f.target is not g.source and f.target.presentation != g.source.presentation:
+    if not _same_coords(f.target, g.source):
         raise InputError("is_exact_pair: maps are not consecutive")
     if not g.compose(f).is_zero():
         raise InputError("is_exact_pair: composite is not zero")
@@ -287,7 +296,7 @@ class DirectSum(FgAbGroup):
 
     def inject(self, index: int, el: GroupElement) -> GroupElement:
         part = self.parts[index]
-        if el.owner is not part and el.owner.presentation != part.presentation:
+        if not _same_coords(el.owner, part):
             raise InputError("element does not belong to the requested summand")
         coords = [0] * self.ngens
         off = self._offsets[index]
@@ -307,6 +316,16 @@ class _PairSubquotientGroup(FgAbGroup):
     def __init__(self, sq: Subquotient):
         self._sq = sq
         super().__init__(sq.presentation)
+
+    def _ambient(self, el: GroupElement) -> Vector:
+        """Ambient vector of an element of this very group object."""
+        if el.owner is not self:
+            raise InputError("element does not belong to this group")
+        return self._sq.from_coords(el.coords)
+
+    def _element_at(self, ambient: Vector) -> GroupElement:
+        """Element whose ambient vector is `ambient`."""
+        return self.element(self._sq.to_coords(IntMatrix.from_columns([ambient])).column(0))
 
 
 def _kronecker_pair_subquotient(x: IntMatrix, mb: IntMatrix) -> Subquotient:
@@ -345,10 +364,10 @@ class HomGroup(_PairSubquotientGroup):
         y = solve_matrix(mb, x @ ma)
         if y is None:
             raise InputError("matrix does not define a homomorphism")
-        return self.element(self._sq.to_coords(vec(x) + vec(y)))
+        return self._element_at(vec(x) + vec(y))
 
     def to_matrix(self, el: GroupElement) -> IntMatrix:
-        amb = self._sq.from_coords(el.coords)
+        amb = self._ambient(el)
         gb, ga = self.target.ngens, self.source.ngens
         return unvec(amb[:gb * ga], gb, ga)
 
@@ -383,11 +402,10 @@ class Ext1Group(_PairSubquotientGroup):
     def from_cocycle(self, x: IntMatrix) -> GroupElement:
         if x.rows != self.target.ngens or x.cols != self.resolution.cols:
             raise InputError("cocycle matrix has wrong shape")
-        return self.element(self._sq.to_coords(vec(x)))
+        return self._element_at(vec(x))
 
     def to_cocycle(self, el: GroupElement) -> IntMatrix:
-        return unvec(self._sq.from_coords(el.coords),
-                     self.target.ngens, self.resolution.cols)
+        return unvec(self._ambient(el), self.target.ngens, self.resolution.cols)
 
 
 class TensorGroup(FgAbGroup):
@@ -403,10 +421,6 @@ class TensorGroup(FgAbGroup):
     def pure(self, a: GroupElement, b: GroupElement) -> GroupElement:
         coords = tuple(x * y for x in a.coords for y in b.coords)
         return self.element(coords)
-
-    def induced_endo(self, alpha: GroupHom, beta: GroupHom) -> GroupHom:
-        """The endomorphism alpha tensor beta for endomorphisms of the factors."""
-        return GroupHom(self, self, alpha.matrix.kron(beta.matrix), check=False)
 
 
 class Tor1Group(_PairSubquotientGroup):

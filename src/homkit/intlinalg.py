@@ -6,6 +6,9 @@ are exact; Smith-form coefficient growth is absorbed by arbitrary precision.
 Orientation convention used throughout homkit: a presentation matrix has one
 ROW per generator and one COLUMN per relation, and matrices act on column
 vectors.  A vector is a plain tuple of ints.
+
+Lattice systems go through `solve_matrix`, with one right-hand side per
+column of a matrix; `solve` is its one-column form.
 """
 
 from __future__ import annotations
@@ -358,10 +361,6 @@ def lattice_basis(gens: IntMatrix) -> IntMatrix:
     return lattice_basis_with_witness(gens)[0]
 
 
-def in_lattice(gens: IntMatrix, vec_: Sequence[int]) -> bool:
-    return solve(gens, vec_) is not None
-
-
 def lattice_contains(outer: IntMatrix, inner: IntMatrix) -> bool:
     """True if every column of `inner` lies in the column lattice of `outer`."""
     return solve_matrix(outer, inner) is not None
@@ -407,9 +406,9 @@ class Subquotient:
         """Ambient representative of the element with the given coordinates."""
         return self.basis.apply(coords)
 
-    def to_coords(self, ambient: Sequence[int]) -> Vector:
-        """Coordinates of an ambient vector; it must lie in the sublattice."""
-        x = solve(self.basis, ambient)
+    def to_coords(self, ambient: IntMatrix) -> IntMatrix:
+        """Coordinates of each ambient column; all must lie in the sublattice."""
+        x = solve_matrix(self.basis, ambient)
         if x is None:
             raise InputError("vector does not lie in the subgroup")
         return x

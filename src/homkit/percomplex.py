@@ -30,8 +30,6 @@ from .intlinalg import (
     block,
     block_diag,
     hstack,
-    kernel_basis,
-    solve_matrix,
     subquotient,
     unvec,
     vec,
@@ -233,7 +231,8 @@ class HomotopyClasses:
     def class_of(self, f: ChainMap) -> GroupElement:
         if f.source != self.source or f.target != self.target:
             raise InputError("chain map has the wrong endpoints")
-        return self.group.element(self._sq.to_coords(vec(f.f0) + vec(f.f1)))
+        coords = self._sq.to_coords(IntMatrix.from_columns([vec(f.f0) + vec(f.f1)]))
+        return self.group.element(coords.column(0))
 
     def representative(self, el: GroupElement) -> ChainMap:
         if el.owner is not self.group:
@@ -284,10 +283,8 @@ def induced_on_homology(f: ChainMap) -> GradedGroupHom:
     for degree, mat in ((0, f.f0), (1, f.f1)):
         sa = homology_cycles(f.source, degree)
         sb = homology_cycles(f.target, degree)
-        cols = [sb.to_coords(mat.apply(sa.basis.column(j))) for j in range(sa.ngens)]
-        matrix = IntMatrix.from_columns(cols, rows=sb.ngens)
         maps.append(GroupHom(homology_group(f.source, degree),
-                             homology_group(f.target, degree), matrix))
+                             homology_group(f.target, degree), sb.to_coords(mat @ sa.basis)))
     return GradedGroupHom(maps[0], maps[1])
 
 

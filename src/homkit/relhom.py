@@ -27,7 +27,7 @@ from .abgroups import (
     tensor,
     tor1,
 )
-from .intlinalg import IntMatrix, hstack, lattice_basis_with_witness, solve
+from .intlinalg import IntMatrix, lattice_basis_with_witness
 from .percomplex import (
     ChainMap,
     HomotopyClasses,
@@ -249,12 +249,9 @@ def _connecting_map(f: ChainMap, cone: PeriodicComplex, degree: int) -> GroupHom
     sqc = homology_cycles(cone, degree)
     sqa = homology_cycles(a, degree - 1)
     apart = a.rank(degree - 1)
-    cols = []
-    for j in range(sqc.ngens):
-        cyc = sqc.basis.column(j)
-        cols.append(sqa.to_coords(cyc[:apart]))
+    a_parts = IntMatrix(apart, sqc.ngens, sqc.basis.data[:apart])
     return GroupHom(homology_group(cone, degree), homology_group(a, degree - 1),
-                    IntMatrix.from_columns(cols, rows=sqa.ngens))
+                    sqa.to_coords(a_parts))
 
 
 def triangle_homology_maps(f: ChainMap) -> list[GroupHom]:
@@ -276,14 +273,6 @@ def cone_triangle_is_exact(f: ChainMap) -> bool:
     return all(is_exact_pair(maps[i - 1], maps[i]) for i in range(6))
 
 
-def _lift_through(f: GroupHom, target_el_coords: Sequence[int]) -> tuple[int, ...]:
-    """One preimage (as source coordinates) of an element in the image of f."""
-    sol = solve(hstack(f.matrix, f.target.presentation), target_el_coords)
-    if sol is None:
-        raise InternalCheckError("element expected in the image failed to lift")
-    return sol[:f.source.ngens]
-
-
 def _extension_class(alpha: GroupHom, beta: GroupHom, ext_group) -> GroupElement:
     """Class in Ext^1(coker beta's target, alpha's source) of
     0 -> B --alpha--> C --beta--> A -> 0, in ext_group's coordinates.
@@ -291,13 +280,11 @@ def _extension_class(alpha: GroupHom, beta: GroupHom, ext_group) -> GroupElement
     Lifts A's generators through beta, pushes the resolution's relations into
     ker beta = im alpha, and pulls them back through alpha.
     """
-    resolution = ext_group.resolution  # Z^m -> Z^{gens of A}
-    lifted = [_lift_through(beta, e) for e in IntMatrix.identity(beta.target.ngens).columns()]
-    lam = IntMatrix.from_columns(lifted, rows=beta.source.ngens)
-    relations_in_c = lam @ resolution
-    cocycle_cols = [_lift_through(alpha, col) for col in relations_in_c.columns()]
-    return ext_group.from_cocycle(
-        IntMatrix.from_columns(cocycle_cols, rows=alpha.source.ngens))
+    lam = beta.lift(IntMatrix.identity(beta.target.ngens))
+    cocycle = None if lam is None else alpha.lift(lam @ ext_group.resolution)
+    if cocycle is None:
+        raise InternalCheckError("element expected in the image failed to lift")
+    return ext_group.from_cocycle(cocycle)
 
 
 def kappa(f: ChainMap) -> GroupElement:

@@ -30,11 +30,10 @@ from .intlinalg import (
     block_diag,
     hstack,
     kernel_basis,
-    lattice_basis,
     lattice_contains,
+    lattices_equal,
     preimage_gens,
     solve,
-    solve_matrix,
     vstack,
 )
 
@@ -93,7 +92,7 @@ class RModule:
         self._t_hom = GroupHom(self.group, self.group, t_action)  # checks relations
         if isinstance(ring, QuotientRing):
             pt = ring.evaluate(t_action)
-            if solve_matrix(presentation, pt) is None:
+            if not lattice_contains(presentation, pt):
                 raise InputError("p(t) does not annihilate the module")
         else:
             if not self._t_hom.is_isomorphism():
@@ -102,9 +101,6 @@ class RModule:
     @property
     def ngens(self) -> int:
         return self.presentation.rows
-
-    def t_hom(self) -> GroupHom:
-        return self._t_hom
 
     def t_inverse_matrix(self) -> IntMatrix:
         return self._t_hom.inverse_matrix()
@@ -138,8 +134,7 @@ class FreeResolutionR:
         rel = module.presentation
         ker = preimage_gens(self.augmentation, rel)
         for delta in self.deltas:
-            if not (lattice_contains(ker, delta)
-                    and lattice_contains(lattice_basis(delta), ker)):
+            if not lattices_equal(ker, delta):
                 return False
             ker = kernel_basis(delta)
         return True

@@ -18,8 +18,8 @@ from homkit.abgroups import (
     tensor,
     tor1,
 )
-from homkit.intlinalg import IntMatrix
-from homkit.randgen import random_group
+from homkit.intlinalg import IntMatrix, lattice_contains
+from homkit.randgen import random_automorphism, random_group, random_matrix
 
 Z = FgAbGroup.free(1)
 Z2 = FgAbGroup.cyclic(2)
@@ -74,6 +74,14 @@ class TestElements:
             Z2.element((1,)) != Z3.element((1,))
         # Comparing with a non-element is not an error, just unequal.
         assert Z2.element((1,)) != (1,)
+        # Homomorphisms between differently presented groups do not add.
+        for op in (lambda f, g: f + g, lambda f, g: f - g):
+            with pytest.raises(InputError):
+                op(GroupHom.identity(Z2), GroupHom.identity(Z3))
+            with pytest.raises(InputError):
+                op(GroupHom.zero(Z2, Z2), GroupHom.zero(Z2, Z3))
+        twice = GroupHom.identity(Z4) + GroupHom.identity(FgAbGroup.cyclic(4))
+        assert twice.matrix == IntMatrix.from_rows([[2]]) and not twice.is_zero()
 
 
 class TestBinaryOps:
@@ -158,6 +166,20 @@ class TestHomCertificates:
         with pytest.raises(InputError):
             h.from_matrix(IntMatrix.from_rows([[1]]))
 
+    def test_certificates_reject_foreign_elements(self):
+        # Hom(Z/2, Z/4) and Hom(Z/4, Z/2) are both presented by [[2]].
+        h, other = hom(Z2, Z4), hom(Z4, Z2)
+        foreign = other.element((1,))
+        with pytest.raises(InputError):
+            h.to_matrix(foreign)
+        with pytest.raises(InputError):
+            h.to_hom(foreign)
+        with pytest.raises(InputError):
+            h.evaluate(foreign, Z2.element((1,)))
+        with pytest.raises(InputError):
+            ext1(Z2, Z2).to_cocycle(ext1(Z4, Z2).element((1,)))
+        assert h.to_matrix(h.element((1,))) == IntMatrix.from_rows([[2]])
+
     def test_ext_cocycle_roundtrip(self):
         e = ext1(Z2, Z2)
         cocycle = IntMatrix.from_rows([[1]])
@@ -186,6 +208,20 @@ class TestGroupHom:
         inv = aut.inverse_matrix()
         composed = GroupHom(g, g, inv @ aut.matrix, check=False)
         assert (composed - GroupHom.identity(g)).is_zero()
+
+    def test_lift_matches_inverse_matrix(self):
+        rng = random.Random(37)
+        for _ in range(30):
+            g = random_group(rng)
+            aut = GroupHom(g, g, random_automorphism(rng, g))
+            targets = random_matrix(rng, g.ngens, rng.randint(0, 3))
+            lifted = aut.lift(targets)
+            assert aut.lift(IntMatrix.identity(g.ngens)) == aut.inverse_matrix()
+            assert lifted == aut.inverse_matrix() @ targets
+            assert lattice_contains(g.presentation, aut.matrix @ lifted - targets)
+        double = GroupHom(Z, Z, IntMatrix.from_rows([[2]]))
+        assert double.lift(IntMatrix.from_rows([[4, 1]])) is None
+        assert double.lift(IntMatrix.from_rows([[4, -6]])) == IntMatrix.from_rows([[2, -3]])
 
     def test_exact_pair(self):
         # 0 -> Z -2-> Z -> Z/2 -> 0 is exact at the middle Z and at Z/2.

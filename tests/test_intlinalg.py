@@ -13,6 +13,7 @@ from homkit.intlinalg import (
     preimage_gens,
     snf,
     solve,
+    solve_matrix,
     subquotient,
 )
 
@@ -109,6 +110,36 @@ class TestSolveAndLattices:
         assert solve(IntMatrix.from_rows([[2]]), (1,)) is None
         assert solve(IntMatrix.zero(1, 0), (1,)) is None
 
+    def test_matrix_forms_match_columnwise_solve(self):
+        rng = random.Random(53)
+        for _ in range(120):
+            a = random_matrix(rng, rng.randint(0, 4), rng.randint(0, 4), 5)
+            cols = [a.apply([rng.randint(-4, 4) for _ in range(a.cols)])
+                    if rng.random() < 0.8 else
+                    tuple(rng.randint(-4, 4) for _ in range(a.rows))
+                    for _ in range(rng.randint(0, 4))]
+            b = IntMatrix.from_columns(cols, rows=a.rows)
+            singles = [solve(a, col) for col in cols]
+            expected = None if None in singles else IntMatrix.from_columns(singles, rows=a.cols)
+            assert solve_matrix(a, b) == expected
+            sq = subquotient(a, IntMatrix.zero(a.cols, 0))  # coordinates on ker(a)
+            ambient = IntMatrix.from_columns(
+                [sq.basis.apply([rng.randint(-4, 4) for _ in range(sq.ngens)])
+                 for _ in range(rng.randint(0, 4))], rows=a.cols)
+            assert sq.to_coords(ambient) == IntMatrix.from_columns(
+                [solve(sq.basis, col) for col in ambient.columns()], rows=sq.ngens)
+
+    def test_solve_matrix_edge_shapes(self):
+        # One unsolvable column makes the whole system unsolvable.
+        assert solve_matrix(IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[4, 1]])) is None
+        a = IntMatrix.from_rows([[1, 2, 3], [0, 4, 5]])
+        assert solve_matrix(a, IntMatrix.zero(2, 0)) == IntMatrix.zero(3, 0)
+        assert solve_matrix(IntMatrix.zero(0, 3), IntMatrix.zero(0, 2)) == IntMatrix.zero(3, 2)
+        assert solve_matrix(IntMatrix.zero(2, 0), IntMatrix.zero(2, 1)) == IntMatrix.zero(0, 1)
+        assert solve_matrix(IntMatrix.zero(2, 0), IntMatrix.from_rows([[0], [1]])) is None
+        with pytest.raises(InputError):
+            solve_matrix(a, IntMatrix.zero(3, 1))
+
     def test_kernel_basis_spans_kernel(self):
         rng = random.Random(13)
         for _ in range(60):
@@ -142,7 +173,9 @@ class TestSubquotient:
         # generator, leaving Z/2.
         sq = subquotient(IntMatrix.from_rows([[1, 1]]), IntMatrix.from_columns([(2, -2)]))
         assert sq.invariants == (0, (2,))
-        assert sq.to_coords((3, -3)) in ((3,), (-3,))
+        assert sq.to_coords(IntMatrix.from_columns([(3, -3)])).columns() in ([(3,)], [(-3,)])
+        with pytest.raises(InputError, match="does not lie"):
+            sq.to_coords(IntMatrix.from_columns([(3, -3), (1, 0)]))
 
     def test_identity_kernel_trivial(self):
         sq = subquotient(IntMatrix.identity(3), IntMatrix.zero(3, 0))
@@ -155,8 +188,9 @@ class TestSubquotient:
     def test_coords_roundtrip(self):
         sq = subquotient(IntMatrix.from_rows([[1, 1, 0]]),
                          IntMatrix.from_columns([(2, -2, 0)]))
-        for coords in [(1, 0), (0, 3), (-2, 5)]:
-            assert sq.to_coords(sq.from_coords(coords)) == coords
+        coords = [(1, 0), (0, 3), (-2, 5)]
+        ambient = IntMatrix.from_columns([sq.from_coords(c) for c in coords])
+        assert sq.to_coords(ambient) == IntMatrix.from_columns(coords)
 
     def test_against_column_reduction_oracle(self):
         rng = random.Random(41)
