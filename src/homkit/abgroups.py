@@ -2,7 +2,10 @@
 
 Groups are carried by presentation matrices (rows = generators, columns =
 relations) and canonicalized to (rank, invariant factors) via Smith form.
-Hom and Ext groups keep a basis certificate, so individual classes can be
+Every group that is a subquotient P/Q of some Z^n -- kernels, homology of a
+pair, Hom, Ext1 and Tor1 here, and homology, [A, B] and phantom subgroups
+in the modules built on this one -- is a `SubquotientGroup`, which keeps a
+basis of P as generator representatives.  So individual classes can be
 evaluated and compared exactly; this is what makes the kappa invariant of
 `homkit.relhom` testable rather than an opaque list of invariant factors.
 """
@@ -47,6 +50,8 @@ class FgAbGroup:
     def from_invariants(cls, rank: int, torsion: Sequence[int] = ()) -> "FgAbGroup":
         """Canonical presentation: torsion generators first, then free ones."""
         torsion = tuple(int(d) for d in torsion)
+        if rank < 0:
+            raise InputError("rank must be >= 0")
         if any(d < 2 for d in torsion):
             raise InputError("invariant factors must be >= 2")
         for a, b in zip(torsion, torsion[1:]):
@@ -229,12 +234,12 @@ class GroupHom:
         """Basis of the preimage in Z^{source gens} of the kernel subgroup."""
         return preimage_gens(self.matrix, self.target.presentation)
 
-    def kernel(self) -> Subquotient:
-        """Kernel subgroup, with coordinates mapping into the source group."""
-        return lattice_quotient(self.kernel_gens(), self.source.presentation)
+    def kernel(self) -> SubquotientGroup:
+        """Kernel subgroup; its basis columns are source-group coordinates."""
+        return SubquotientGroup(lattice_quotient(self.kernel_gens(), self.source.presentation))
 
-    def kernel_group(self) -> FgAbGroup:
-        return FgAbGroup(self.kernel().presentation)
+    def kernel_group(self) -> SubquotientGroup:
+        return self.kernel()
 
     def cokernel_group(self) -> FgAbGroup:
         return FgAbGroup(self.image_gens())
@@ -305,27 +310,43 @@ class DirectSum(FgAbGroup):
         return self.element(coords)
 
     def project(self, el: GroupElement, index: int) -> GroupElement:
+        if not _same_coords(el.owner, self):
+            raise InputError("element does not belong to this direct sum")
         off = self._offsets[index]
         part = self.parts[index]
         return part.element(el.coords[off:off + part.ngens])
 
 
-class _PairSubquotientGroup(FgAbGroup):
-    """Group presented by a Subquotient over a vectorized matrix-pair space."""
+class SubquotientGroup(FgAbGroup):
+    """The group P/Q of a Subquotient, generated by the columns of `basis`.
+
+    Generator j is represented by column j of `basis`, a vector of the
+    ambient Z^n, so an element's coordinates turn into an ambient
+    representative (`ambient`) and ambient vectors of P back into elements
+    (`element_at`, or `to_coords` for whole matrices).
+    """
 
     def __init__(self, sq: Subquotient):
         self._sq = sq
         super().__init__(sq.presentation)
 
-    def _ambient(self, el: GroupElement) -> Vector:
+    @property
+    def basis(self) -> IntMatrix:
+        return self._sq.basis
+
+    def to_coords(self, ambient: IntMatrix) -> IntMatrix:
+        """Coordinates of each ambient column; all must lie in P."""
+        return self._sq.to_coords(ambient)
+
+    def ambient(self, el: GroupElement) -> Vector:
         """Ambient vector of an element of this very group object."""
         if el.owner is not self:
             raise InputError("element does not belong to this group")
         return self._sq.from_coords(el.coords)
 
-    def _element_at(self, ambient: Vector) -> GroupElement:
+    def element_at(self, ambient: Vector) -> GroupElement:
         """Element whose ambient vector is `ambient`."""
-        return self.element(self._sq.to_coords(IntMatrix.from_columns([ambient])).column(0))
+        return self.element(self.to_coords(IntMatrix.from_columns([ambient])).column(0))
 
 
 def _kronecker_pair_subquotient(x: IntMatrix, mb: IntMatrix) -> Subquotient:
@@ -343,7 +364,7 @@ def _kronecker_pair_subquotient(x: IntMatrix, mb: IntMatrix) -> Subquotient:
     return subquotient(l, hstack(n1, n2))
 
 
-class HomGroup(_PairSubquotientGroup):
+class HomGroup(SubquotientGroup):
     """Hom(A, B) with per-class matrix certificates and evaluation pairing.
 
     Classes are stored over pairs (X, Y) with X @ M_A = M_B @ Y, where M_A,
@@ -364,10 +385,10 @@ class HomGroup(_PairSubquotientGroup):
         y = solve_matrix(mb, x @ ma)
         if y is None:
             raise InputError("matrix does not define a homomorphism")
-        return self._element_at(vec(x) + vec(y))
+        return self.element_at(vec(x) + vec(y))
 
     def to_matrix(self, el: GroupElement) -> IntMatrix:
-        amb = self._ambient(el)
+        amb = self.ambient(el)
         gb, ga = self.target.ngens, self.source.ngens
         return unvec(amb[:gb * ga], gb, ga)
 
@@ -379,7 +400,7 @@ class HomGroup(_PairSubquotientGroup):
         return self.to_hom(el).apply(a)
 
 
-class Ext1Group(_PairSubquotientGroup):
+class Ext1Group(SubquotientGroup):
     """Ext^1(A, B), computed from a length-1 free resolution of A.
 
     The resolution 0 -> Z^m --rel--> Z^g -> A is fixed by taking a lattice
@@ -402,10 +423,10 @@ class Ext1Group(_PairSubquotientGroup):
     def from_cocycle(self, x: IntMatrix) -> GroupElement:
         if x.rows != self.target.ngens or x.cols != self.resolution.cols:
             raise InputError("cocycle matrix has wrong shape")
-        return self._element_at(vec(x))
+        return self.element_at(vec(x))
 
     def to_cocycle(self, el: GroupElement) -> IntMatrix:
-        return unvec(self._ambient(el), self.target.ngens, self.resolution.cols)
+        return unvec(self.ambient(el), self.target.ngens, self.resolution.cols)
 
 
 class TensorGroup(FgAbGroup):
@@ -419,11 +440,13 @@ class TensorGroup(FgAbGroup):
         self.right = right
 
     def pure(self, a: GroupElement, b: GroupElement) -> GroupElement:
+        if not (_same_coords(a.owner, self.left) and _same_coords(b.owner, self.right)):
+            raise InputError("elements do not belong to the tensor factors")
         coords = tuple(x * y for x in a.coords for y in b.coords)
         return self.element(coords)
 
 
-class Tor1Group(_PairSubquotientGroup):
+class Tor1Group(SubquotientGroup):
     """Tor_1(A, B) from a length-1 free resolution of A tensored with B."""
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup):
@@ -462,13 +485,9 @@ def graded_ext_shifted(a: GradedAbGroup, b: GradedAbGroup) -> DirectSum:
     return DirectSum((ext1(a.even, b.odd), ext1(a.odd, b.even)))
 
 
-def homology_of_pair(f: GroupHom, g: GroupHom) -> tuple[FgAbGroup, Subquotient]:
-    """ker(g)/im(f) at the middle group of source --f--> middle --g--> target.
-
-    Returns the homology group together with the Subquotient giving its
-    generators as coordinate vectors over the middle group's generators.
-    """
+def homology_of_pair(f: GroupHom, g: GroupHom) -> SubquotientGroup:
+    """ker(g)/im(f) at the middle group of source --f--> middle --g--> target;
+    its basis columns are coordinates over the middle group's generators."""
     if not g.compose(f).is_zero():
         raise InputError("homology_of_pair: composite is not zero")
-    sq = lattice_quotient(g.kernel_gens(), f.image_gens())
-    return FgAbGroup(sq.presentation), sq
+    return SubquotientGroup(lattice_quotient(g.kernel_gens(), f.image_gens()))

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError
-from .abgroups import FgAbGroup, GradedAbGroup, GroupElement, GroupHom
+from .abgroups import FgAbGroup, GradedAbGroup, GroupElement, GroupHom, SubquotientGroup
 from .intlinalg import (
     IntMatrix,
-    Subquotient,
     block,
     block_diag,
     hstack,
@@ -120,14 +119,8 @@ class ChainMap:
 # Bounded: the keys are whole complexes, and a process that runs many jobs
 # sees new ones on every job.
 @lru_cache(maxsize=128)
-def _homology_subquotients(x: PeriodicComplex) -> tuple[Subquotient, Subquotient]:
-    return subquotient(x.d, x.e), subquotient(x.e, x.d)
-
-
-@lru_cache(maxsize=128)
-def _homology_groups(x: PeriodicComplex) -> tuple[FgAbGroup, FgAbGroup]:
-    sq0, sq1 = _homology_subquotients(x)
-    return FgAbGroup(sq0.presentation), FgAbGroup(sq1.presentation)
+def _homology_groups(x: PeriodicComplex) -> tuple[SubquotientGroup, SubquotientGroup]:
+    return SubquotientGroup(subquotient(x.d, x.e)), SubquotientGroup(subquotient(x.e, x.d))
 
 
 def homology(x: PeriodicComplex) -> GradedAbGroup:
@@ -136,13 +129,9 @@ def homology(x: PeriodicComplex) -> GradedAbGroup:
     return GradedAbGroup(h0, h1)
 
 
-def homology_group(x: PeriodicComplex, degree: int) -> FgAbGroup:
+def homology_group(x: PeriodicComplex, degree: int) -> SubquotientGroup:
+    """H_degree, whose basis columns are cycle representatives."""
     return _homology_groups(x)[degree % 2]
-
-
-def homology_cycles(x: PeriodicComplex, degree: int) -> Subquotient:
-    """The subquotient behind H_degree, exposing cycle representatives."""
-    return _homology_subquotients(x)[degree % 2]
 
 
 def moore_complex(g: GradedAbGroup) -> PeriodicComplex:
@@ -224,20 +213,16 @@ class HomotopyClasses:
         ])
         self.source = source
         self.target = target
-        self._sq = subquotient(l, n)
-        self.group = FgAbGroup(self._sq.presentation)
+        self.group = SubquotientGroup(subquotient(l, n))
         self._split = b.even_rank * a.even_rank
 
     def class_of(self, f: ChainMap) -> GroupElement:
         if f.source != self.source or f.target != self.target:
             raise InputError("chain map has the wrong endpoints")
-        coords = self._sq.to_coords(IntMatrix.from_columns([vec(f.f0) + vec(f.f1)]))
-        return self.group.element(coords.column(0))
+        return self.group.element_at(vec(f.f0) + vec(f.f1))
 
     def representative(self, el: GroupElement) -> ChainMap:
-        if el.owner is not self.group:
-            raise InputError("element does not belong to this homotopy-class group")
-        amb = self._sq.from_coords(el.coords)
+        amb = self.group.ambient(el)
         a, b = self.source, self.target
         f0 = unvec(amb[:self._split], b.even_rank, a.even_rank)
         f1 = unvec(amb[self._split:], b.odd_rank, a.odd_rank)
@@ -248,7 +233,7 @@ class HomotopyClasses:
 
     def chain_map_lattice(self) -> IntMatrix:
         """Basis of all chain maps A -> B, as vectorized (f0, f1) columns."""
-        return self._sq.basis
+        return self.group.basis
 
     def generators(self) -> list[ChainMap]:
         return [self.representative(self.group.element(
@@ -281,10 +266,8 @@ def induced_on_homology(f: ChainMap) -> GradedGroupHom:
     """The well-defined graded map H(A) -> H(B); independent of homotopy."""
     maps = []
     for degree, mat in ((0, f.f0), (1, f.f1)):
-        sa = homology_cycles(f.source, degree)
-        sb = homology_cycles(f.target, degree)
-        maps.append(GroupHom(homology_group(f.source, degree),
-                             homology_group(f.target, degree), sb.to_coords(mat @ sa.basis)))
+        ha, hb = homology_group(f.source, degree), homology_group(f.target, degree)
+        maps.append(GroupHom(ha, hb, hb.to_coords(mat @ ha.basis)))
     return GradedGroupHom(maps[0], maps[1])
 
 

@@ -20,6 +20,7 @@ from .abgroups import (
     GradedAbGroup,
     GroupElement,
     GroupHom,
+    SubquotientGroup,
     graded_ext_shifted,
     graded_hom,
     is_exact_pair,
@@ -33,7 +34,6 @@ from .percomplex import (
     HomotopyClasses,
     PeriodicComplex,
     homology,
-    homology_cycles,
     homology_group,
     homotopy_classes,
     induced_on_homology,
@@ -112,13 +112,12 @@ def projective_resolution(a: PeriodicComplex) -> Resolution:
     augmented complex is immediate from the construction and re-verified by
     the test suite through `is_i_exact`.
     """
-    sq0 = homology_cycles(a, 0)
-    sq1 = homology_cycles(a, 1)
-    m0, t0 = lattice_basis_with_witness(sq0.presentation)
-    m1, t1 = lattice_basis_with_witness(sq1.presentation)
-    p0 = PeriodicComplex.zero_diff(sq0.ngens, sq1.ngens)
+    h0, h1 = homology_group(a, 0), homology_group(a, 1)
+    m0, t0 = lattice_basis_with_witness(h0.presentation)
+    m1, t1 = lattice_basis_with_witness(h1.presentation)
+    p0 = PeriodicComplex.zero_diff(h0.ngens, h1.ngens)
     p1 = PeriodicComplex.zero_diff(m0.cols, m1.cols)
-    delta0 = ChainMap(p0, a, sq0.basis, sq1.basis)
+    delta0 = ChainMap(p0, a, h0.basis, h1.basis)
     delta1 = ChainMap(p1, p0, m0, m1)
     # K @ R lists boundaries of A, so delta0 o delta1 = (E_A @ t0, D_A @ t1):
     # (t0, t1) is an explicit null-homotopy witness for the composite.
@@ -149,6 +148,8 @@ def ideal_ext_from_resolution(res: Resolution, b: PeriodicComplex, n: int) -> Fg
     The value is independent of the chosen resolution; the test suite checks
     this by feeding inequivalent resolutions of the same object.
     """
+    if n < 0:
+        raise InputError("derived-functor degree must be >= 0")
     if n >= 2:
         return FgAbGroup.trivial()
     hc0 = homotopy_classes(res.p0, b)
@@ -189,10 +190,9 @@ class UctReport:
 
     hom_part: DirectSum
     ext_part: DirectSum
-    middle: FgAbGroup
+    middle: SubquotientGroup
     natural: GroupHom
-    kernel_group: FgAbGroup
-    kernel_basis: IntMatrix  # kernel generators as coordinates in the middle
+    kernel_group: SubquotientGroup  # basis: coordinates in the middle
     homotopy: HomotopyClasses
 
 
@@ -200,10 +200,7 @@ def uct_sequence(a: PeriodicComplex, b: PeriodicComplex) -> UctReport:
     """Assemble and verify the sequence 0 -> Ext-part -> [A, B] -> Hom-part -> 0."""
     hc, hom_part, natural = _natural_map(a, b)
     ext_part = graded_ext_shifted(homology(a), homology(b))
-    kernel = natural.kernel()
-    kernel_group = FgAbGroup(kernel.presentation)
-    report = UctReport(hom_part, ext_part, hc.group, natural,
-                       kernel_group, kernel.basis, hc)
+    report = UctReport(hom_part, ext_part, hc.group, natural, natural.kernel(), hc)
     _verify_uct(report)
     return report
 
@@ -226,32 +223,27 @@ def _verify_uct(r: UctReport) -> None:
 class PhantomSubgroup:
     """The subgroup of [A, B] of classes vanishing on homology."""
 
-    group: FgAbGroup
-    basis: IntMatrix  # generators, as coordinates in the middle group
+    group: SubquotientGroup  # basis: coordinates in the middle group
     homotopy: HomotopyClasses
 
     def generator_maps(self) -> list[ChainMap]:
-        return [self.homotopy.representative(
-            self.homotopy.group.element(self.basis.column(j)))
-            for j in range(self.basis.cols)]
+        basis = self.group.basis
+        return [self.homotopy.representative(self.homotopy.group.element(basis.column(j)))
+                for j in range(basis.cols)]
 
 
 def phantom_subgroup(a: PeriodicComplex, b: PeriodicComplex) -> PhantomSubgroup:
     """Kernel of [A, B] -> gradedHom(H A, H B), with generator certificates."""
     hc, _, natural = _natural_map(a, b)
-    kernel = natural.kernel()
-    return PhantomSubgroup(FgAbGroup(kernel.presentation), kernel.basis, hc)
+    return PhantomSubgroup(natural.kernel(), hc)
 
 
 def _connecting_map(f: ChainMap, cone: PeriodicComplex, degree: int) -> GroupHom:
     """H_degree(cone f) -> H_{degree-1}(A): project a cone cycle to its A-part."""
     a = f.source
-    sqc = homology_cycles(cone, degree)
-    sqa = homology_cycles(a, degree - 1)
+    hc, ha = homology_group(cone, degree), homology_group(a, degree - 1)
     apart = a.rank(degree - 1)
-    a_parts = IntMatrix(apart, sqc.ngens, sqc.basis.data[:apart])
-    return GroupHom(homology_group(cone, degree), homology_group(a, degree - 1),
-                    sqa.to_coords(a_parts))
+    return GroupHom(hc, ha, ha.to_coords(IntMatrix(apart, hc.ngens, hc.basis.data[:apart])))
 
 
 def triangle_homology_maps(f: ChainMap) -> list[GroupHom]:

@@ -291,8 +291,7 @@ def ext_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
     outgoing = GroupHom(groups[degree], groups[degree + 1],
                         _coefficient_matrix(res, degree, n, cochain=True),
                         check=False)
-    group, _ = homology_of_pair(incoming, outgoing)
-    return group
+    return homology_of_pair(incoming, outgoing)
 
 
 def tor_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
@@ -320,8 +319,7 @@ def tor_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
     incoming = GroupHom(groups[degree + 1], groups[degree],
                         _coefficient_matrix(res, degree, n, cochain=False),
                         check=False)
-    group, _ = homology_of_pair(incoming, outgoing)
-    return group
+    return homology_of_pair(incoming, outgoing)
 
 
 def hochschild(m: FgAbGroup, lam: IntMatrix, rho: IntMatrix, degree: int,
@@ -391,16 +389,15 @@ def pv_sequence(k: GradedAbGroup, alpha_even: IntMatrix, alpha_odd: IntMatrix) -
     def middle(dm_in: GroupHom, dm_out: GroupHom) -> tuple[PvEnds, GroupHom, GroupHom]:
         """Middle node between coker(dm_in) and ker(dm_out), as a direct sum."""
         coker = dm_in.cokernel_group()
-        ker_sq = dm_out.kernel()
-        ker_group = FgAbGroup(ker_sq.presentation)
-        node = FgAbGroup(block_diag(coker.presentation, ker_group.presentation))
+        ker = dm_out.kernel()
+        node = FgAbGroup(block_diag(coker.presentation, ker.presentation))
         into = GroupHom(dm_in.target, node,
                         vstack(IntMatrix.identity(dm_in.target.ngens),
-                               IntMatrix.zero(ker_group.ngens, dm_in.target.ngens)),
+                               IntMatrix.zero(ker.ngens, dm_in.target.ngens)),
                         check=False)
-        out_matrix = hstack(IntMatrix.zero(dm_out.source.ngens, coker.ngens), ker_sq.basis)
+        out_matrix = hstack(IntMatrix.zero(dm_out.source.ngens, coker.ngens), ker.basis)
         outof = GroupHom(node, dm_out.source, out_matrix, check=False)
-        return PvEnds(coker, ker_group), into, outof
+        return PvEnds(coker, ker), into, outof
 
     ends1, into1, outof1 = middle(d0, d1)  # M_1 sits between K_0 and K_1
     ends0, into0, outof0 = middle(d1, d0)  # M_0 sits between K_1 and K_0

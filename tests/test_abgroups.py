@@ -9,6 +9,7 @@ from homkit.abgroups import (
     FgAbGroup,
     GradedAbGroup,
     GroupHom,
+    SubquotientGroup,
     ext1,
     graded_ext_shifted,
     graded_hom,
@@ -45,6 +46,9 @@ class TestCanonicalForms:
             FgAbGroup.from_invariants(0, (3, 2))
         with pytest.raises(InputError):
             FgAbGroup.from_invariants(0, (1,))
+        for torsion in ((), (2,)):
+            with pytest.raises(InputError, match="rank must be >= 0"):
+                FgAbGroup.from_invariants(-1, torsion)
 
     def test_order(self):
         assert Z6.order() == 6
@@ -82,6 +86,16 @@ class TestElements:
                 op(GroupHom.zero(Z2, Z2), GroupHom.zero(Z2, Z3))
         twice = GroupHom.identity(Z4) + GroupHom.identity(FgAbGroup.cyclic(4))
         assert twice.matrix == IntMatrix.from_rows([[2]]) and not twice.is_zero()
+        # Pure tensors and projections take elements of their own groups only.
+        z5, z7 = FgAbGroup.cyclic(5), FgAbGroup.cyclic(7)
+        with pytest.raises(InputError):
+            tensor(Z2, Z3).pure(z5.element((1,)), z7.element((1,)))
+        with pytest.raises(InputError):
+            tensor(Z2, Z3).pure(Z2.element((1,)), z7.element((1,)))
+        assert tensor(Z2, Z3).pure(Z2.element((1,)), Z3.element((2,))).coords == (2,)
+        z4_z9 = DirectSum((Z4, FgAbGroup.cyclic(9)))
+        with pytest.raises(InputError):
+            DirectSum((Z2, Z3)).project(z4_z9.element((1, 1)), 0)
 
 
 class TestBinaryOps:
@@ -222,6 +236,22 @@ class TestGroupHom:
         double = GroupHom(Z, Z, IntMatrix.from_rows([[2]]))
         assert double.lift(IntMatrix.from_rows([[4, 1]])) is None
         assert double.lift(IntMatrix.from_rows([[4, -6]])) == IntMatrix.from_rows([[2, -3]])
+
+    def test_kernel_is_a_subquotient_group(self):
+        double = GroupHom(Z4, Z4, IntMatrix.from_rows([[2]]))
+        ker, twin = double.kernel(), double.kernel()
+        assert isinstance(ker, SubquotientGroup) and ker.presentation == twin.presentation
+        (gen,), = ker.basis.data  # +-2: the elements of order 2 in Z/4
+        assert abs(gen) == 2 and ker.canonical == canon(0, 2)
+        assert ker.ambient(ker.element((1,))) == (gen,)
+        assert ker.element_at((3 * gen,)) == ker.element((3,))
+        assert ker.to_coords(IntMatrix.from_rows([[gen, -2 * gen]])) == \
+            IntMatrix.from_rows([[1, -2]])
+        # Equal presentations do not make the twin's elements ours.
+        with pytest.raises(InputError):
+            ker.ambient(twin.element((1,)))
+        with pytest.raises(InputError):
+            ker.element_at((1,))
 
     def test_exact_pair(self):
         # 0 -> Z -2-> Z -> Z/2 -> 0 is exact at the middle Z and at Z/2.

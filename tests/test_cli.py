@@ -190,6 +190,14 @@ class TestFailureModes:
         assert code == 2
         assert "chain map" in doc["error"]["message"]
 
+    def test_negative_rank_rejected(self, tmp_path, capsys):
+        b = write(tmp_path, "b.json", {"rank": 0, "torsion": ["6"]})
+        for doc in ({"rank": -1, "torsion": ["2"]}, {"rank": -2}):
+            g = write(tmp_path, "g.json", doc)
+            code, out = run(capsys, "group-op", "--op", "hom", g, b)
+            assert code == 2
+            assert "rank must be >= 0" in out["error"]["message"]
+
     def test_kappa_requires_phantom(self, tmp_path, capsys):
         a = write(tmp_path, "a.json", MOORE_Z2)
         ident = write(tmp_path, "id.json", {

@@ -10,6 +10,7 @@ from homkit.percomplex import (
     PeriodicComplex,
     direct_sum,
     homology,
+    homology_group,
     homotopy_classes,
     induced_on_homology,
     mapping_cone,
@@ -78,6 +79,16 @@ class TestHomology:
         free = moore_complex(GradedAbGroup(FgAbGroup.free(1), TRIV))
         assert (free.even_rank, free.odd_rank) == (1, 0)
         assert free.d.is_zero() and free.e.is_zero()
+
+    def test_homology_basis_is_cycles(self):
+        rng = random.Random(19)
+        for _ in range(15):
+            x = random_complex(rng, 2)
+            for degree, diff in ((0, x.d), (1, x.e)):
+                h = homology_group(x, degree)
+                assert (diff @ h.basis).is_zero()
+                assert h.to_coords(h.basis) == IntMatrix.identity(h.ngens)
+                assert homology_group(x, degree + 2) is h
 
 
 class TestSuspension:

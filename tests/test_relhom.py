@@ -190,6 +190,13 @@ class TestIdealExt:
                 assert is_isomorphic(ideal_ext_from_resolution(res, b, n),
                                      ideal_ext_from_resolution(fat, b, n))
 
+    def test_negative_degree_rejected(self):
+        for n in (-1, -2):
+            with pytest.raises(InputError):
+                ideal_ext(M2, SM2, n)
+            with pytest.raises(InputError):
+                ideal_ext_from_resolution(projective_resolution(suspension(M2)), SM2, n)
+
 
 def _fatten_resolution(res: Resolution, a: PeriodicComplex) -> Resolution:
     """A second, non-minimal resolution: adds a free summand mapped identically.
@@ -266,6 +273,17 @@ class TestPhantomSubgroup:
             r = uct_sequence(a, b)
             assert is_isomorphic(ph.group, r.kernel_group)
             assert is_isomorphic(ph.group, r.ext_part)
+
+    def test_uct_kernel_basis_is_the_phantom_basis(self):
+        rng = random.Random(109)
+        for _ in range(8):
+            a, b = random_complex(rng, 2), random_complex(rng, 2)
+            r = uct_sequence(a, b)
+            basis = r.kernel_group.basis
+            assert basis.rows == r.middle.ngens
+            assert all(r.natural.apply(r.middle.element(col)).is_zero()
+                       for col in basis.columns())
+            assert basis == phantom_subgroup(a, b).group.basis
 
     def test_ideal_closure_properties(self):
         rng = random.Random(107)

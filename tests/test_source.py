@@ -1,6 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
+import inspect
+import typing
+from functools import cached_property
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "homkit"
@@ -14,3 +18,39 @@ def test_no_assert_statements_in_package():
         offenders += [f"{path.name}:{node.lineno}"
                       for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert SRC.is_dir() and not offenders, offenders
+
+
+def _annotated_callables():
+    """Every function, class and method defined in a homkit module, by name."""
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"homkit.{path.stem}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            obj = inspect.unwrap(obj)  # lru_cache wrappers are not functions
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                yield f"{module.__name__}.{name}", obj
+                for attr, member in vars(obj).items():
+                    if isinstance(member, (staticmethod, classmethod)):
+                        member = member.__func__
+                    elif isinstance(member, property):
+                        member = member.fget
+                    elif isinstance(member, cached_property):
+                        member = member.func
+                    if inspect.isfunction(member):
+                        yield f"{module.__name__}.{name}.{attr}", member
+
+
+def test_annotations_resolve():
+    # With postponed evaluation, an annotation naming a dropped import only
+    # fails when someone resolves it; resolve them all here.
+    failures, seen = [], 0
+    for qualname, obj in _annotated_callables():
+        seen += 1
+        try:
+            typing.get_type_hints(obj)
+        except Exception as exc:  # NameError, or a TypeError on a bad subscript
+            failures.append(f"{qualname}: {exc!r}")
+    assert seen > 100 and not failures, failures
