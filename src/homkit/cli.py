@@ -5,7 +5,8 @@ One invocation runs one job and writes exactly one JSON document to stdout
 canonical (sorted keys, two-space indent, big integers as decimal strings),
 so identical inputs produce byte-identical documents.  Exit status: 0 on
 success, 2 on validation failure, 1 on internal error; failures also emit a
-single document {"error": {"code", "message"}}.
+single document {"error": {"code", "message"}}.  An --out path that cannot be
+written is a validation failure, reported on stdout.
 
 Every command is declared once, in `COMMANDS`; the argument parser is built
 from that table.
@@ -335,13 +336,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         digest = _digest(args.paths)
         result = args.handler(args, *args.paths)
     except InputError as exc:
-        _emit({"error": {"code": "validation", "message": str(exc)}}, out)
-        return 2
+        doc, status = {"error": {"code": "validation", "message": str(exc)}}, 2
     except Exception as exc:  # noqa: BLE001 - report, then signal internal error
-        _emit({"error": {"code": "internal", "message": f"{type(exc).__name__}: {exc}"}}, out)
-        return 1
-    _emit({"command": args.command, "inputs_digest": digest, "result": result}, out)
-    return 0
+        doc, status = {"error": {"code": "internal", "message": f"{type(exc).__name__}: {exc}"}}, 1
+    else:
+        doc, status = {"command": args.command, "inputs_digest": digest, "result": result}, 0
+    try:
+        _emit(doc, out)
+    except OSError as exc:
+        _emit({"error": {"code": "validation",
+                         "message": f"cannot write output file {out}: {exc}"}}, None)
+        return 2
+    return status
 
 
 if __name__ == "__main__":

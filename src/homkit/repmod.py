@@ -6,8 +6,10 @@ ring the free resolution is built greedily by iterated kernels: the Z-basis
 of each kernel is promoted to a set of ring generators, which keeps every
 stage exact as a complex of abelian groups at the price of possible
 redundancy.  Over the Laurent ring the fixed two-term free bimodule
-resolution applies instead, which collapses Ext/Tor and Hochschild theory to
-kernels and cokernels of u - 1 for u = lambda rho^{-1}.
+resolution applies instead, which collapses Hochschild theory to kernels and
+cokernels of u - 1 for u = lambda rho^{-1}.  Laurent Ext/Tor are read off
+the same way, as the Z-relative groups H^*(Z; Hom_Z(M, N)) and
+H_*(Z; M (x) N); these equal Ext/Tor over Z[t, 1/t] only when M is Z-free.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Literal, Union
 
 from .errors import InputError, InternalCheckError
 from .abgroups import (
+    DirectSum,
     FgAbGroup,
     GradedAbGroup,
     GroupHom,
@@ -27,7 +30,6 @@ from .abgroups import (
 )
 from .intlinalg import (
     IntMatrix,
-    block_diag,
     hstack,
     kernel_basis,
     lattice_contains,
@@ -106,13 +108,6 @@ class RModule:
         return self._t_hom.inverse_matrix()
 
 
-def _t_power_blocks(t_action: IntMatrix, d: int) -> list[IntMatrix]:
-    powers = [IntMatrix.identity(t_action.rows)]
-    for _ in range(d - 1):
-        powers.append(t_action @ powers[-1])
-    return powers
-
-
 @dataclass(frozen=True)
 class FreeResolutionR:
     """Augmented complex F_len -> ... -> F_0 -> M of free modules over Z[t]/(p).
@@ -187,80 +182,37 @@ def free_resolution_over_r(module: RModule, length: int) -> FreeResolutionR:
     companion = ring.companion_matrix()
     # Kernel of the augmentation is taken inside M, i.e. modulo relations.
     ker = preimage_gens(aug, module.presentation)
-    rank_prev = rank0
     for _ in range(length):
-        t_block = IntMatrix.identity(rank_prev).kron(companion)
-        rank_next, delta = ring_cover(ker, t_block.apply,
-                                      IntMatrix.zero(d * rank_prev, 0))
+        t_block = IntMatrix.identity(ranks[-1]).kron(companion)
+        rank_next, delta = ring_cover(ker, t_block.apply, IntMatrix.zero(d * ranks[-1], 0))
         ranks.append(rank_next)
         deltas.append(delta)
         ker = kernel_basis(delta)
-        rank_prev = rank_next
     return FreeResolutionR(ring, tuple(ranks), aug, tuple(deltas))
 
 
-def _transfer_block(ring: QuotientRing, delta: IntMatrix, a: int, i: int,
-                    powers: list[IntMatrix], g: int) -> IntMatrix:
-    """Action on N of the (i, a) entry of delta, read off delta(e_a).
+def _with_coefficients(res: FreeResolutionR, k: int, n: RModule, hom_side: bool) -> GroupHom:
+    """delta_k: F_(k+1) -> F_k with coefficients in N.
 
-    delta's columns are ordered generator-major (e_a t^j at index a*d + j),
-    so the image of the R-basis vector e_a is column a*d; its coefficient of
-    e_i t^j becomes t^j acting on N.
+    Over R the map delta_k is the matrix polynomial sum_j t^j C_j, where
+    C_j[i][a] is the coefficient of e_i t^j in delta_k(e_a) (delta's column
+    a*d).  Tensored with N it is sum_j C_j (x) t_N^j; on Hom(-, N) it is
+    sum_j C_j^T (x) t_N^j, from Hom(F_k, N) to Hom(F_(k+1), N).  Both free
+    modules become N^rank, and either rank may be 0.
     """
-    d = ring.degree
-    acc = IntMatrix.zero(g, g)
-    for j in range(d):
-        c = delta.data[i * d + j][a * d]
-        if c:
-            acc = acc + powers[j].scale(c)
-    return acc
-
-
-def _coefficient_matrix(res: FreeResolutionR, k: int, coeff: RModule, cochain: bool) -> IntMatrix:
-    """Matrix induced on coefficients in N by delta_k: F_(k+1) -> F_k.
-
-    Block (i, a) of F_(k+1) tensor N -> F_k tensor N is the action on N of
-    delta_k's (i, a) entry; Hom(F_k, N) -> Hom(F_(k+1), N) (cochain=True) is
-    its block transpose.  Either rank may be 0.
-    """
-    g = coeff.ngens
-    powers = _t_power_blocks(coeff.t_action, res.ring.degree)
+    d, delta = res.ring.degree, res.deltas[k]
     lo, hi = res.ranks[k], res.ranks[k + 1]
-    grid = [[_transfer_block(res.ring, res.deltas[k], a, i, powers, g) for a in range(hi)]
-            for i in range(lo)]
-    if cochain:
-        grid = [[grid[i][a] for i in range(lo)] for a in range(hi)]
-    return IntMatrix.from_rows([[x for blk in row for x in blk.data[r]]
-                                for row in grid for r in range(g)],
-                               cols=g * (lo if cochain else hi))
-
-
-def _free_power_group(coeff: RModule, k: int) -> FgAbGroup:
-    """Underlying group of N^k (one copy of N per ring generator)."""
-    if k == 0:
-        return FgAbGroup.trivial()
-    return FgAbGroup(block_diag(*([coeff.presentation] * k)))
-
-
-def _check_same_quotient_ring(m: RModule, n: RModule) -> QuotientRing:
-    if not isinstance(m.ring, QuotientRing) or m.ring != n.ring:
-        raise InputError("modules live over different rings")
-    return m.ring
-
-
-def _laurent_hom_endo(m: RModule, n: RModule) -> tuple[GroupHom, "object"]:
-    """phi |-> t_N o phi o t_M^{-1} - phi on Hom_Z(M, N), plus the Hom group."""
-    hom_group = hom(m.group, n.group)
-    tm_inv = m.t_inverse_matrix()
-    cols = []
-    for j in range(hom_group.ngens):
-        one_hot = tuple(1 if i == j else 0 for i in range(hom_group.ngens))
-        x = hom_group.to_matrix(hom_group.element(one_hot))
-        moved = n.t_action @ x @ tm_inv - x
-        cols.append(hom_group.from_matrix(moved).coords)
-    endo = GroupHom(hom_group, hom_group,
-                    IntMatrix.from_columns(cols, rows=hom_group.ngens), check=False)
-    return endo, hom_group
+    source, target = DirectSum((n.group,) * hi), DirectSum((n.group,) * lo)
+    if hom_side:
+        source, target = target, source
+    matrix = IntMatrix.zero(target.ngens, source.ngens)
+    t_power = IntMatrix.identity(n.ngens)
+    for j in range(d):
+        c = IntMatrix.from_rows([[delta.data[i * d + j][a * d] for a in range(hi)]
+                                 for i in range(lo)], cols=hi)
+        matrix = matrix + (c.transpose() if hom_side else c).kron(t_power)
+        t_power = n.t_action @ t_power
+    return GroupHom(source, target, matrix, check=False)
 
 
 def ext_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
@@ -268,39 +220,47 @@ def ext_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
 
     Quotient rings: cohomology of Hom_R(resolution, N).  Laurent ring:
     kernel (degree 0) and cokernel (degree 1) of phi -> t phi t^{-1} - phi
-    on Hom_Z(M, N); zero above degree 1.
+    on Hom_Z(M, N), zero above degree 1.  These are the Z-relative groups
+    H^*(Z; Hom_Z(M, N)); they equal Ext over Z[t, 1/t] only when M is
+    Z-free (for M = N = Z/2 with t = 1 they give Ext^1 = Z/2 and Ext^2 = 0,
+    where the ring has (Z/2)^2 and Z/2).
     """
     if degree < 0:
         raise InputError("Ext degree must be >= 0")
-    if isinstance(m.ring, LaurentRing) or isinstance(n.ring, LaurentRing):
-        if not (isinstance(m.ring, LaurentRing) and isinstance(n.ring, LaurentRing)):
-            raise InputError("modules live over different rings")
+    if m.ring != n.ring:
+        raise InputError("modules live over different rings")
+    if isinstance(m.ring, LaurentRing):
         if degree >= 2:
             return FgAbGroup.trivial()
-        endo, _ = _laurent_hom_endo(m, n)
+        # phi |-> t_N o phi o t_M^{-1} - phi on Hom_Z(M, N)
+        hom_group, tm_inv = hom(m.group, n.group), m.t_inverse_matrix()
+        cols = []
+        for e in IntMatrix.identity(hom_group.ngens).columns():
+            x = hom_group.to_matrix(hom_group.element(e))
+            cols.append(hom_group.from_matrix(n.t_action @ x @ tm_inv - x).coords)
+        endo = GroupHom(hom_group, hom_group,
+                        IntMatrix.from_columns(cols, rows=hom_group.ngens), check=False)
         return endo.kernel_group() if degree == 0 else endo.cokernel_group()
-    _check_same_quotient_ring(m, n)
     res = free_resolution_over_r(m, degree + 1)
-    groups = [_free_power_group(n, k) for k in res.ranks]
-    if degree == 0:
-        incoming = GroupHom.zero(FgAbGroup.trivial(), groups[0])
-    else:
-        incoming = GroupHom(groups[degree - 1], groups[degree],
-                            _coefficient_matrix(res, degree - 1, n, cochain=True),
-                            check=False)
-    outgoing = GroupHom(groups[degree], groups[degree + 1],
-                        _coefficient_matrix(res, degree, n, cochain=True),
-                        check=False)
+    outgoing = _with_coefficients(res, degree, n, hom_side=True)
+    incoming = _with_coefficients(res, degree - 1, n, hom_side=True) if degree \
+        else GroupHom.zero(FgAbGroup.trivial(), outgoing.source)
     return homology_of_pair(incoming, outgoing)
 
 
 def tor_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
-    """Tor_degree over the common base ring; Laurent uses the 2-term resolution."""
+    """Tor_degree over the common base ring.
+
+    Quotient rings: homology of resolution (x)_R N.  Laurent ring: cokernel
+    (degree 0) and kernel (degree 1) of t_M^{-1} (x) t_N - 1 on M (x)_Z N,
+    zero above degree 1.  These are the Z-relative groups H_*(Z; M (x) N);
+    like Laurent Ext they equal Tor over Z[t, 1/t] only when M is Z-free.
+    """
     if degree < 0:
         raise InputError("Tor degree must be >= 0")
-    if isinstance(m.ring, LaurentRing) or isinstance(n.ring, LaurentRing):
-        if not (isinstance(m.ring, LaurentRing) and isinstance(n.ring, LaurentRing)):
-            raise InputError("modules live over different rings")
+    if m.ring != n.ring:
+        raise InputError("modules live over different rings")
+    if isinstance(m.ring, LaurentRing):
         if degree >= 2:
             return FgAbGroup.trivial()
         tens = tensor(m.group, n.group)
@@ -308,17 +268,10 @@ def tor_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
                          m.t_inverse_matrix().kron(n.t_action) - IntMatrix.identity(tens.ngens),
                          check=False)
         return theta.kernel_group() if degree == 1 else theta.cokernel_group()
-    _check_same_quotient_ring(m, n)
     res = free_resolution_over_r(m, degree + 1)
-    groups = [_free_power_group(n, k) for k in res.ranks]
-    outgoing_mat = _coefficient_matrix(res, degree - 1, n, cochain=False) if degree >= 1 \
-        else IntMatrix.zero(0, groups[0].ngens)
-    outgoing = GroupHom(groups[degree],
-                        groups[degree - 1] if degree >= 1 else FgAbGroup.trivial(),
-                        outgoing_mat, check=False)
-    incoming = GroupHom(groups[degree + 1], groups[degree],
-                        _coefficient_matrix(res, degree, n, cochain=False),
-                        check=False)
+    incoming = _with_coefficients(res, degree, n, hom_side=False)
+    outgoing = _with_coefficients(res, degree - 1, n, hom_side=False) if degree \
+        else GroupHom.zero(incoming.target, FgAbGroup.trivial())
     return homology_of_pair(incoming, outgoing)
 
 
@@ -390,7 +343,7 @@ def pv_sequence(k: GradedAbGroup, alpha_even: IntMatrix, alpha_odd: IntMatrix) -
         """Middle node between coker(dm_in) and ker(dm_out), as a direct sum."""
         coker = dm_in.cokernel_group()
         ker = dm_out.kernel()
-        node = FgAbGroup(block_diag(coker.presentation, ker.presentation))
+        node = DirectSum((coker, ker))
         into = GroupHom(dm_in.target, node,
                         vstack(IntMatrix.identity(dm_in.target.ngens),
                                IntMatrix.zero(ker.ngens, dm_in.target.ngens)),

@@ -162,3 +162,48 @@ def cyclic_order2_tor_pin(n: int) -> tuple[int, tuple[int, ...]]:
     if outgoing != 0:
         return (0, ())
     return (1, ()) if incoming == 0 else (0, (incoming,))
+
+
+def _cyclic(order: int) -> tuple[int, tuple[int, ...]]:
+    """(rank, torsion) of Z/order, with Z/0 = Z and Z/1 = 0."""
+    if order == 0:
+        return (1, ())
+    return (0, ()) if order == 1 else (0, (order,))
+
+
+def cyclic_group_cohomology_pin(n: int, k: int, i: int) -> tuple[int, tuple[int, ...]]:
+    """H^i(C_n; A) for A = Z/k with trivial action (k = 0 for A = Z).
+
+    Hom of the norm-element resolution ... -N-> R -(t-1)-> R -> Z into A
+    is the cochain A -0-> A -n-> A -0-> A -n-> ..., so H^0 = A, odd degrees
+    give the n-torsion A[n] and positive even degrees give A/nA.  Both are
+    Z/gcd(n, k) for k > 0; for A = Z they are 0 and Z/n.
+    """
+    if i == 0:
+        return _cyclic(k)
+    if i % 2 == 1 and k == 0:
+        return (0, ())
+    return _cyclic(gcd(n, k))
+
+
+def cyclic_group_homology_pin(n: int, k: int, i: int) -> tuple[int, tuple[int, ...]]:
+    """H_i(C_n; A) for A = Z/k with trivial action (k = 0 for A = Z).
+
+    The same resolution tensored with A is A <-0- A <-n- A <-0- A <-n- ...,
+    so H_0 = A, odd degrees give A/nA and positive even degrees give A[n].
+    """
+    if i == 0:
+        return _cyclic(k)
+    if i % 2 == 0 and k == 0:
+        return (0, ())
+    return _cyclic(gcd(n, k))
+
+
+def cyclic_group_free_coefficient_pin(i: int) -> tuple[int, tuple[int, ...]]:
+    """Ext^i and Tor_i over R = Z[C_n] of (Z, R), for every n >= 1.
+
+    Tor: R is free, so only Tor_0 = Z survives.  Ext: Hom_R(Z, R) is the
+    line through the norm element, and H^i(C_n; R) = 0 for i > 0 because R
+    is coinduced.
+    """
+    return (1, ()) if i == 0 else (0, ())

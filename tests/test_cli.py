@@ -207,6 +207,18 @@ class TestFailureModes:
         assert code == 2
         assert "phantom" in doc["error"]["message"]
 
+    def test_unwritable_out_path(self, tmp_path, capsys):
+        # On the success path and on the error path alike, a failed write
+        # to --out is reported on stdout with exit 2.
+        m = write(tmp_path, "m.json", {"rows": 1, "cols": 1, "data": [["2"]]})
+        target = str(tmp_path / "missing" / "x.json")
+        for path in (m, str(tmp_path / "absent.json")):
+            code, doc = run(capsys, "--out", target, "snf", path)
+            assert code == 2
+            assert doc["error"]["code"] == "validation"
+            assert doc["error"]["message"].startswith(f"cannot write output file {target}")
+        assert not (tmp_path / "missing").exists()
+
     def test_no_partial_output_on_failure(self, tmp_path, capsys):
         # A failing command emits exactly one error document, nothing else.
         path = tmp_path / "bad.json"

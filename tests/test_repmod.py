@@ -22,7 +22,13 @@ from homkit.repmod import (
     tor_over_r,
 )
 
-from .oracles import cyclic_order2_ext_pin, cyclic_order2_tor_pin
+from .oracles import (
+    cyclic_group_cohomology_pin,
+    cyclic_group_free_coefficient_pin,
+    cyclic_group_homology_pin,
+    cyclic_order2_ext_pin,
+    cyclic_order2_tor_pin,
+)
 
 ORDER2 = QuotientRing((-1, 0, 1))  # Z[t]/(t^2 - 1)
 TRIVIAL_RING = QuotientRing((-1, 1))  # Z[t]/(t - 1), i.e. plain Z
@@ -30,6 +36,11 @@ LAURENT = LaurentRing()
 
 ONE = IntMatrix.identity(1)
 MINUS = IntMatrix.from_rows([[-1]])
+
+
+def cyclic_ring(n):
+    """Z[t]/(t^n - 1), the group ring of the cyclic group C_n."""
+    return QuotientRing((-1,) + (0,) * (n - 1) + (1,))
 
 
 def z_trivial(ring=ORDER2):
@@ -112,6 +123,23 @@ class TestExtTorQuotient:
             assert ext_over_r(z, z, n).canonical == cyclic_order2_ext_pin(n), n
         for n in range(3):
             assert tor_over_r(z, z, n).canonical == cyclic_order2_tor_pin(n), n
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_cyclic_group_pins(self, n):
+        # Independent oracle: the norm-element resolution of C_n.  Trivial
+        # coefficients Z and Z/k, then the free module R itself, whose t
+        # acts by the companion matrix on n generators.
+        ring = cyclic_ring(n)
+        z = z_trivial(ring)
+        for k in (0, 2, 3, 6):
+            a = z if k == 0 else RModule(ring, IntMatrix.from_rows([[k]]), ONE)
+            for i in range(5):
+                assert ext_over_r(z, a, i).canonical == cyclic_group_cohomology_pin(n, k, i), (k, i)
+                assert tor_over_r(z, a, i).canonical == cyclic_group_homology_pin(n, k, i), (k, i)
+        free = RModule(ring, IntMatrix.zero(n, 0), ring.companion_matrix())
+        for i in range(5):
+            assert ext_over_r(z, free, i).canonical == cyclic_group_free_coefficient_pin(i), i
+            assert tor_over_r(z, free, i).canonical == cyclic_group_free_coefficient_pin(i), i
 
     def test_free_source(self):
         free = RModule(ORDER2, IntMatrix.zero(2, 0), ORDER2.companion_matrix())
@@ -208,6 +236,16 @@ class TestLaurent:
         assert tor_over_r(m, n, 0).canonical == (0, (2,))
         assert tor_over_r(m, n, 1).is_trivial()
         assert ext_over_r(m, n, 2).is_trivial()
+
+    def test_z_relative_groups_on_a_torsion_module(self):
+        # Laurent Ext/Tor are the Z-relative groups H^*(Z; Hom_Z(M, N)) and
+        # H_*(Z; M (x) N).  For M = N = Z/2 with t = 1 these differ from Ext
+        # and Tor over Z[t, 1/t], which are Z/2, (Z/2)^2, Z/2 in degrees 0-2
+        # (Koszul resolution of R/(2, t - 1)).  Pinned: the current values.
+        z2 = RModule(LAURENT, IntMatrix.from_rows([[2]]), ONE)
+        for degree, expected in ((0, (0, (2,))), (1, (0, (2,))), (2, (0, ()))):
+            assert ext_over_r(z2, z2, degree).canonical == expected, degree
+            assert tor_over_r(z2, z2, degree).canonical == expected, degree
 
     def test_matches_hochschild(self):
         # For Laurent modules, Ext^0/Ext^1 agree with HH of Hom_Z(M, N) with
