@@ -20,18 +20,17 @@ from typing import Optional, Sequence
 from .errors import InputError
 from .intlinalg import (
     IntMatrix,
+    SmithDecomposition,
     Subquotient,
     Vector,
     block_diag,
-    cokernel_invariants,
     hstack,
     kernel_basis,
     lattice_basis,
-    lattice_contains,
     lattice_quotient,
     lattices_equal,
     preimage_gens,
-    solve,
+    snf,
     solve_matrix,
     subquotient,
     unvec,
@@ -79,8 +78,14 @@ class FgAbGroup:
         return self.presentation.rows
 
     @cached_property
+    def smith(self) -> SmithDecomposition:
+        """Smith decomposition of the presentation, shared by `canonical`,
+        zero tests and homomorphism checks."""
+        return snf(self.presentation)
+
+    @cached_property
     def canonical(self) -> tuple[int, tuple[int, ...]]:
-        return cokernel_invariants(self.presentation)
+        return self.smith.cokernel_invariants
 
     @property
     def rank(self) -> int:
@@ -110,7 +115,14 @@ class FgAbGroup:
         return GroupElement(self, (0,) * self.ngens)
 
     def coords_are_zero(self, coords: Sequence[int]) -> bool:
-        return solve(self.presentation, coords) is not None
+        return self.smith.solve_vector(coords) is not None
+
+    def relation_coords(self, columns: IntMatrix) -> Optional[IntMatrix]:
+        """Y with presentation @ Y = columns, or None if some column of
+        generator coordinates is not zero in the group."""
+        if columns.cols == 0:
+            return IntMatrix.zero(self.presentation.cols, 0)
+        return self.smith.solve(columns)
 
     def __repr__(self) -> str:
         rank, torsion = self.canonical
@@ -192,7 +204,7 @@ class GroupHom:
         self.source = source
         self.target = target
         self.matrix = matrix
-        if check and not lattice_contains(target.presentation, matrix @ source.presentation):
+        if check and target.relation_coords(matrix @ source.presentation) is None:
             raise InputError("matrix does not map relations into relations")
 
     @classmethod
@@ -224,7 +236,7 @@ class GroupHom:
         return self + GroupHom(other.source, other.target, -other.matrix, check=False)
 
     def is_zero(self) -> bool:
-        return lattice_contains(self.target.presentation, self.matrix)
+        return self.target.relation_coords(self.matrix) is not None
 
     def image_gens(self) -> IntMatrix:
         """Generators of the preimage in Z^{target gens} of the image subgroup."""
@@ -279,7 +291,7 @@ def is_exact_pair(f: GroupHom, g: GroupHom) -> bool:
         raise InputError("is_exact_pair: maps are not consecutive")
     if not g.compose(f).is_zero():
         raise InputError("is_exact_pair: composite is not zero")
-    return lattices_equal(lattice_basis(f.image_gens()), g.kernel_gens())
+    return lattices_equal(f.image_gens(), g.kernel_gens())
 
 
 class DirectSum(FgAbGroup):
@@ -346,7 +358,7 @@ class SubquotientGroup(FgAbGroup):
 
     def element_at(self, ambient: Vector) -> GroupElement:
         """Element whose ambient vector is `ambient`."""
-        return self.element(self.to_coords(IntMatrix.from_columns([ambient])).column(0))
+        return self.element(self._sq.coords_of(ambient))
 
 
 def _kronecker_pair_subquotient(x: IntMatrix, mb: IntMatrix) -> Subquotient:
@@ -379,10 +391,9 @@ class HomGroup(SubquotientGroup):
 
     def from_matrix(self, x: IntMatrix) -> GroupElement:
         """Class of the homomorphism sending generator j of A to column j of x."""
-        ma, mb = self.source.presentation, self.target.presentation
         if x.rows != self.target.ngens or x.cols != self.source.ngens:
             raise InputError("homomorphism matrix has wrong shape")
-        y = solve_matrix(mb, x @ ma)
+        y = self.target.relation_coords(x @ self.source.presentation)
         if y is None:
             raise InputError("matrix does not define a homomorphism")
         return self.element_at(vec(x) + vec(y))

@@ -52,7 +52,7 @@ def _read_bytes(path: str) -> bytes:
 def _load_json(path: str):
     raw = _read_bytes(path)
     try:
-        return json.loads(raw.decode("utf-8"))
+        return json.loads(raw.decode("utf-8"), parse_int=jsonio.decimal_to_int)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from None
 
@@ -93,7 +93,7 @@ def _load_chain_map(a_path: str, b_path: str, map_path: str):
 
 def _cmd_snf(args, matrix: str) -> dict:
     dec = snf(jsonio.matrix_from_json(_load_json(matrix), what=matrix))
-    return {"diagonal": [str(d) for d in dec.diagonal],
+    return {"diagonal": [jsonio.int_to_decimal(d) for d in dec.diagonal],
             "u": jsonio.matrix_to_json(dec.u),
             "s": jsonio.matrix_to_json(dec.s),
             "v": jsonio.matrix_to_json(dec.v)}
@@ -154,7 +154,7 @@ def _cmd_classify(args, *paths: str) -> dict:
 def _cmd_kappa(args, *paths: str) -> dict:
     el = relhom.kappa(_load_chain_map(*paths))
     return {"ext_part": jsonio.group_to_json(el.owner),
-            "coords": [str(c) for c in el.coords],
+            "coords": [jsonio.int_to_decimal(c) for c in el.coords],
             "is_zero": el.is_zero()}
 
 
@@ -250,6 +250,13 @@ def _cmd_selftest(args) -> dict:
         ae, ao = randgen.random_graded_automorphism(rng, k)
         repmod.pv_sequence(k, ae, ao)
     checks["pv_reports"] = 8
+
+    rings = ((-1, 0, 1), (-1, 0, 0, 1), (-1, 0, 0, 0, 1), (2, 0, 1), (1, 1))
+    for _ in range(8):
+        m = randgen.random_rmodule(rng, repmod.QuotientRing(rng.choice(rings)))
+        _check(repmod.free_resolution_over_r(m, 6).verify_exact(m),
+               "free resolution over Z[t]/(p) is not exact")
+    checks["resolutions"] = 8
 
     return {"seed": args.seed, "checks": checks, "all_passed": True}
 

@@ -7,8 +7,12 @@ Orientation convention used throughout homkit: a presentation matrix has one
 ROW per generator and one COLUMN per relation, and matrices act on column
 vectors.  A vector is a plain tuple of ints.
 
-Lattice systems go through `solve_matrix`, with one right-hand side per
-column of a matrix; `solve` is its one-column form.
+Lattice systems go through a `SmithDecomposition`: its `solve_vector` takes
+one right-hand side, and its `solve` each column of a matrix in turn.  The
+functions `solve` and `solve_matrix` factor once and call them.  Objects
+that answer many systems against one matrix -- `Subquotient` for its basis,
+`abgroups.FgAbGroup` for its presentation -- keep that matrix's
+decomposition, so it is factored once.
 """
 
 from __future__ import annotations
@@ -101,16 +105,26 @@ class IntMatrix:
         return IntMatrix(self.rows, self.cols, tuple(tuple(c * x for x in row) for row in self.data))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Product, row by row: each row of the result sums the rows of
+        `other` picked out by the nonzero entries of the row of `self`."""
         if self.cols != other.rows:
             raise InputError("matrix shape mismatch in product")
-        bt = other.transpose().data
-        return IntMatrix(self.rows, other.cols, tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.data))
+        zero = (0,) * other.cols
+        out = []
+        for row in self.data:
+            acc = None
+            for a, brow in zip(row, other.data):
+                if a:
+                    acc = ([a * b for b in brow] if acc is None
+                           else [x + a * b for x, b in zip(acc, brow)])
+            out.append(zero if acc is None else tuple(acc))
+        return IntMatrix(self.rows, other.cols, tuple(out))
 
     def apply(self, vec: Sequence[int]) -> Vector:
         if len(vec) != self.cols:
             raise InputError("vector length does not match matrix columns")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.data)
+        nonzero = [(k, x) for k, x in enumerate(vec) if x]
+        return tuple(sum(row[k] * x for k, x in nonzero) for row in self.data)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
@@ -183,14 +197,52 @@ class SmithDecomposition:
     s: IntMatrix
     v: IntMatrix
 
-    @property
+    @cached_property
     def diagonal(self) -> Vector:
         n = min(self.s.rows, self.s.cols)
         return tuple(self.s.data[i][i] for i in range(n))
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
+
+    @property
+    def cokernel_invariants(self) -> tuple[int, tuple[int, ...]]:
+        """Canonical form of coker(A): (free rank, invariant factors >= 2)."""
+        return self.u.rows - self.rank, tuple(d for d in self.diagonal if d >= 2)
+
+    def _divide(self, ub: Sequence[int]) -> Optional[list[int]]:
+        """y with S y = ub, or None if there is no integer y."""
+        r = self.rank  # the nonzero diagonal entries come first
+        if any(ub[r:]):
+            return None
+        y = [0] * self.v.rows
+        for i in range(r):
+            y[i], rem = divmod(ub[i], self.diagonal[i])
+            if rem:
+                return None
+        return y
+
+    def solve(self, b: IntMatrix) -> Optional[IntMatrix]:
+        """X with A @ X = b for the factored A, or None if some column of b
+        has no integer solution.  Column by column, as `solve_vector`, but
+        with U and V applied to all columns in one product each."""
+        if b.rows != self.u.rows:
+            raise InputError("solve: right-hand side has wrong row count")
+        ys = []
+        for ub in (self.u @ b).columns():
+            y = self._divide(ub)
+            if y is None:
+                return None
+            ys.append(y)
+        return self.v @ IntMatrix.from_columns(ys, rows=self.v.rows)
+
+    def solve_vector(self, b: Sequence[int]) -> Optional[Vector]:
+        """x with A @ x = b for the factored A, or None; builds no matrices."""
+        if len(b) != self.u.rows:
+            raise InputError("solve: right-hand side has wrong length")
+        y = self._divide(self.u.apply(b))
+        return None if y is None else self.v.apply(y)
 
 
 def _pivot(a: list[list[int]], k: int, rows: int, cols: int) -> Optional[tuple[int, int]]:
@@ -291,8 +343,9 @@ def snf(a: IntMatrix) -> SmithDecomposition:
         if s[k][k] < 0:
             negate_row(k)
 
-    return SmithDecomposition(
-        IntMatrix.from_rows(u, rows), IntMatrix.from_rows(s, cols), IntMatrix.from_rows(v, cols))
+    return SmithDecomposition(IntMatrix(rows, rows, tuple(map(tuple, u))),
+                              IntMatrix(rows, cols, tuple(map(tuple, s))),
+                              IntMatrix(cols, cols, tuple(map(tuple, v))))
 
 
 def cokernel_invariants(a: IntMatrix) -> tuple[int, tuple[int, ...]]:
@@ -300,10 +353,7 @@ def cokernel_invariants(a: IntMatrix) -> tuple[int, tuple[int, ...]]:
 
     Rows of `a` index generators, columns index relations.
     """
-    diag = snf(a).diagonal
-    factors = tuple(d for d in diag if d >= 2)
-    rank = a.rows - sum(1 for d in diag if d != 0)
-    return rank, factors
+    return snf(a).cokernel_invariants
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -318,34 +368,16 @@ def solve(a: IntMatrix, b: Sequence[int]) -> Optional[Vector]:
     """One integer solution x of a @ x = b, or None if none exists."""
     if len(b) != a.rows:
         raise InputError("solve: right-hand side has wrong length")
-    dec = snf(a)
-    ub = dec.u.apply(b)
-    n = min(a.rows, a.cols)
-    y = [0] * a.cols
-    for i in range(a.rows):
-        d = dec.s.data[i][i] if i < n else 0
-        if d == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            q, r = divmod(ub[i], d)
-            if r != 0:
-                return None
-            y[i] = q
-    return dec.v.apply(y)
+    return snf(a).solve_vector(b)
 
 
 def solve_matrix(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
-    """X with a @ X = b, columnwise, or None."""
+    """X with a @ X = b, columnwise, or None; `a` is factored once."""
     if a.rows != b.rows:
         raise InputError("solve_matrix: row counts differ")
-    cols = []
-    for j in range(b.cols):
-        x = solve(a, b.column(j))
-        if x is None:
-            return None
-        cols.append(x)
-    return IntMatrix.from_columns(cols, rows=a.cols)
+    if b.cols == 0:
+        return IntMatrix.zero(a.cols, 0)
+    return snf(a).solve(b)
 
 
 def lattice_basis_with_witness(gens: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -359,6 +391,88 @@ def lattice_basis_with_witness(gens: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 def lattice_basis(gens: IntMatrix) -> IntMatrix:
     """Basis of the lattice spanned by the columns of `gens`."""
     return lattice_basis_with_witness(gens)[0]
+
+
+def determinant(a: IntMatrix) -> int:
+    """Determinant of a square matrix, by fraction-free (Bareiss) elimination."""
+    if a.rows != a.cols:
+        raise InputError("determinant: matrix is not square")
+    m = [list(row) for row in a.data]
+    sign, previous = 1, 1
+    for k in range(a.rows - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, a.rows) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, a.rows):
+            for j in range(k + 1, a.rows):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // previous
+        previous = m[k][k]
+    return sign * m[-1][-1] if a.rows else 1
+
+
+def lll_reduce(basis: IntMatrix) -> IntMatrix:
+    """LLL-reduced basis (delta = 3/4) of the lattice spanned by the
+    linearly independent columns of `basis`.
+
+    All-integer variant (Cohen, A Course in Computational Algebraic Number
+    Theory, Algorithm 2.6.7): d[i] are the Gram determinants and lam[k][j]
+    the scaled Gram-Schmidt coefficients, so every division is exact.
+    Indices are 1-based as in the reference.
+    """
+    n = basis.cols
+    b = [()] + basis.columns()
+    if n <= 1:
+        return basis
+
+    def dot(x: Vector, y: Vector) -> int:
+        return sum(p * q for p, q in zip(x, y))
+
+    d = [1, dot(b[1], b[1])] + [0] * (n - 1)
+    lam = [[0] * (n + 1) for _ in range(n + 1)]
+
+    def reduce(k: int, l: int) -> None:
+        if 2 * abs(lam[k][l]) > d[l]:
+            q = (2 * lam[k][l] + d[l]) // (2 * d[l])
+            b[k] = tuple(x - q * y for x, y in zip(b[k], b[l]))
+            lam[k][l] -= q * d[l]
+            for i in range(1, l):
+                lam[k][i] -= q * lam[l][i]
+
+    k, kmax = 2, 1
+    while k <= n:
+        if k > kmax:  # Gram-Schmidt data of the new vector b[k]
+            kmax = k
+            for j in range(1, k + 1):
+                u = dot(b[k], b[j])
+                for i in range(1, j):
+                    u = (d[i] * u - lam[k][i] * lam[j][i]) // d[i - 1]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k] = u
+            if d[k] == 0:
+                raise InputError("lll_reduce: columns are linearly dependent")
+        reduce(k, k - 1)
+        if 4 * d[k] * d[k - 2] < 3 * d[k - 1] ** 2 - 4 * lam[k][k - 1] ** 2:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            for j in range(1, k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            m = lam[k][k - 1]
+            new = (d[k - 2] * d[k] + m * m) // d[k - 1]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k] * lam[i][k - 1] - m * t) // d[k - 1]
+                lam[i][k - 1] = (new * t + m * lam[i][k]) // d[k]
+            d[k - 1] = new
+            k = max(2, k - 1)
+        else:
+            for l in range(k - 2, 0, -1):
+                reduce(k, l)
+            k += 1
+    return IntMatrix.from_columns(b[1:], rows=basis.rows)
 
 
 def lattice_contains(outer: IntMatrix, inner: IntMatrix) -> bool:
@@ -398,6 +512,11 @@ class Subquotient:
     def invariants(self) -> tuple[int, tuple[int, ...]]:
         return cokernel_invariants(self.presentation)
 
+    @cached_property
+    def basis_smith(self) -> SmithDecomposition:
+        """Smith decomposition of `basis`, shared by every coordinate lookup."""
+        return snf(self.basis)
+
     @property
     def ngens(self) -> int:
         return self.basis.cols
@@ -408,21 +527,40 @@ class Subquotient:
 
     def to_coords(self, ambient: IntMatrix) -> IntMatrix:
         """Coordinates of each ambient column; all must lie in the sublattice."""
-        x = solve_matrix(self.basis, ambient)
+        x = self.basis_smith.solve(ambient) if ambient.cols else IntMatrix.zero(self.ngens, 0)
         if x is None:
             raise InputError("vector does not lie in the subgroup")
         return x
+
+    def coords_of(self, ambient: Sequence[int]) -> Vector:
+        """Coordinates of one ambient vector of the sublattice."""
+        x = self.basis_smith.solve_vector(ambient)
+        if x is None:
+            raise InputError("vector does not lie in the subgroup")
+        return x
+
+
+def _quotient_over(basis: IntMatrix, q_gens: IntMatrix, message: str) -> Subquotient:
+    """lattice(basis)/lattice(q_gens), raising InputError(message) unless Q
+    lies in P.  `basis` is factored once, here, for the presentation and for
+    every later coordinate lookup on the result."""
+    if q_gens.cols == 0:
+        return Subquotient(basis.rows, basis, IntMatrix.zero(basis.cols, 0))
+    dec = snf(basis)
+    rel = dec.solve(q_gens)
+    if rel is None:
+        raise InputError(message)
+    sq = Subquotient(basis.rows, basis, rel)
+    sq.__dict__["basis_smith"] = dec  # fills the cached_property
+    return sq
 
 
 def lattice_quotient(p_gens: IntMatrix, q_gens: IntMatrix) -> Subquotient:
     """The quotient lattice(p_gens)/lattice(q_gens); Q must be contained in P."""
     if p_gens.rows != q_gens.rows:
         raise InputError("lattice_quotient: ambient dimensions differ")
-    basis = lattice_basis(p_gens)
-    rel = solve_matrix(basis, q_gens)
-    if rel is None:
-        raise InputError("denominator lattice is not contained in the numerator")
-    return Subquotient(p_gens.rows, basis, rel)
+    return _quotient_over(lattice_basis(p_gens), q_gens,
+                          "denominator lattice is not contained in the numerator")
 
 
 def subquotient(l: IntMatrix, n: IntMatrix) -> Subquotient:
@@ -434,8 +572,6 @@ def subquotient(l: IntMatrix, n: IntMatrix) -> Subquotient:
         raise InputError("subquotient: shapes are incompatible")
     if not (l @ n).is_zero():
         raise InputError("not a subcomplex: L @ N is nonzero")
-    basis = kernel_basis(l)
-    rel = solve_matrix(basis, n)
-    if rel is None:  # cannot happen when l @ n = 0: the kernel is saturated
-        raise InputError("not a subcomplex: image does not lie in the kernel")
-    return Subquotient(l.cols, basis, rel)
+    # The error cannot happen when l @ n = 0: the kernel is saturated.
+    return _quotient_over(kernel_basis(l), n,
+                          "not a subcomplex: image does not lie in the kernel")

@@ -1,12 +1,15 @@
 """JSON schemas for matrices, groups, complexes, maps and ring modules.
 
 Integers serialize as decimal strings to protect arbitrary precision from
-JSON number limits; parsing is strict and every violation raises InputError
-with a human-readable message.
+JSON number limits; parsing is strict (ASCII `-?[0-9]+` only) and every
+violation raises InputError with a human-readable message.  Decimal strings
+of any length convert both ways, beyond the interpreter's int/str digit
+limit, without changing that process-wide limit.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Any, Mapping, Sequence
 
 from .errors import InputError
@@ -28,13 +31,46 @@ def _expect_int(value: Any, what: str) -> int:
     return value
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+# Below 640, the smallest digit limit the interpreter accepts for int/str
+# conversion, so pieces this long always convert directly.
+_PIECE_DIGITS = 600
+
+
+def decimal_to_int(digits: str) -> int:
+    """int(digits) for a string of `-?[0-9]+`, of any length."""
+    if len(digits) <= _PIECE_DIGITS:
+        return int(digits)
+    if digits[0] == "-":
+        return -decimal_to_int(digits[1:])
+    half = len(digits) // 2
+    return decimal_to_int(digits[:-half]) * 10 ** half + decimal_to_int(digits[-half:])
+
+
+def int_to_decimal(x: int) -> str:
+    """str(x), for integers of any length."""
+    try:
+        return str(x)
+    except ValueError:  # more digits than the interpreter converts at once
+        pass
+    if x < 0:
+        return "-" + int_to_decimal(-x)
+    half = x.bit_length() * 3 // 20  # about half the decimal digits
+    high, low = divmod(x, 10 ** half)
+    return int_to_decimal(high) + int_to_decimal(low).zfill(half)
+
+
+def _preview(value: str) -> str:
+    """A short prefix of an echoed input value."""
+    return repr(value) if len(value) <= 24 else f"{value[:20]!r}... ({len(value)} characters)"
+
+
 def _parse_bigint(value: Any, what: str) -> int:
     """Accept decimal strings (canonical) and plain ints (convenience)."""
     if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            raise InputError(f"{what}: not a decimal integer string: {value!r}") from None
+        if not _DECIMAL.fullmatch(value):
+            raise InputError(f"{what}: not a decimal integer string: {_preview(value)}")
+        return decimal_to_int(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise InputError(f"{what}: expected a decimal string")
@@ -59,7 +95,7 @@ def matrix_from_json(doc: Any, what: str = "matrix") -> IntMatrix:
 
 def matrix_to_json(m: IntMatrix) -> dict:
     return {"rows": m.rows, "cols": m.cols,
-            "data": [[str(x) for x in row] for row in m.data]}
+            "data": [[int_to_decimal(x) for x in row] for row in m.data]}
 
 
 def group_from_json(doc: Any, what: str = "group") -> FgAbGroup:
@@ -81,7 +117,7 @@ def group_from_json(doc: Any, what: str = "group") -> FgAbGroup:
 
 def group_to_json(g: FgAbGroup) -> dict:
     rank, torsion = g.canonical
-    return {"rank": rank, "torsion": [str(d) for d in torsion]}
+    return {"rank": rank, "torsion": [int_to_decimal(d) for d in torsion]}
 
 
 def graded_group_from_json(doc: Any, what: str = "graded group") -> GradedAbGroup:

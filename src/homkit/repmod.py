@@ -2,20 +2,23 @@
 
 A module is a finitely generated abelian group (Z-presentation) together with
 a matrix giving the action of t on its generators.  Over a monogenic quotient
-ring the free resolution is built greedily by iterated kernels: the Z-basis
-of each kernel is promoted to a set of ring generators, which keeps every
-stage exact as a complex of abelian groups at the price of possible
-redundancy.  Over the Laurent ring the fixed two-term free bimodule
-resolution applies instead, which collapses Hochschild theory to kernels and
-cokernels of u - 1 for u = lambda rho^{-1}.  Laurent Ext/Tor are read off
-the same way, as the Z-relative groups H^*(Z; Hom_Z(M, N)) and
-H_*(Z; M (x) N); these equal Ext/Tor over Z[t, 1/t] only when M is Z-free.
+ring R = Z[t]/(p), p monic, the free resolution is 2-periodic: after a
+cover F_0 -> M, the first syzygy M1 is Z-free with a t-action T1, and the
+maps t - T1 and (p(t) - p(T1))/(t - T1) alternate forever, less the
+trivial summands split off at their unit entries.  Ranks and coefficients
+stay fixed however long the resolution; the ranks need not be minimal.
+Over the Laurent ring the fixed two-term free bimodule resolution applies
+instead, which collapses Hochschild theory to kernels and cokernels of
+u - 1 for u = lambda rho^{-1}.  Laurent Ext/Tor are read off the same way,
+as the Z-relative groups H^*(Z; Hom_Z(M, N)) and H_*(Z; M (x) N); these
+equal Ext/Tor over Z[t, 1/t] only when M is Z-free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Union
+from functools import cached_property
+from typing import Literal, Optional, Sequence, Union
 
 from .errors import InputError, InternalCheckError
 from .abgroups import (
@@ -30,12 +33,16 @@ from .abgroups import (
 )
 from .intlinalg import (
     IntMatrix,
+    Vector,
+    determinant,
     hstack,
     kernel_basis,
     lattice_contains,
     lattices_equal,
+    lll_reduce,
     preimage_gens,
     solve,
+    solve_matrix,
     vstack,
 )
 
@@ -62,6 +69,44 @@ class QuotientRing:
         return IntMatrix.from_rows(
             [[(1 if i == j + 1 else 0) - (self.coefficients[i] if j == d - 1 else 0)
               for j in range(d)] for i in range(d)])
+
+    @cached_property
+    def companion_powers(self) -> tuple[IntMatrix, ...]:
+        """companion_matrix()^j for j < d: multiplication by t^j."""
+        t, powers = self.companion_matrix(), [IntMatrix.identity(self.degree)]
+        for _ in range(self.degree - 1):
+            powers.append(t @ powers[-1])
+        return tuple(powers)
+
+    def element(self, coefficients: Sequence[int]) -> Vector:
+        """sum_u c_u t^u as a ring element: its coefficients on 1, ..., t^(d-1)."""
+        d, x = self.degree, list(coefficients) + [0] * self.degree
+        if len(coefficients) <= d:
+            return tuple(x[:d])
+        for k in range(len(x) - 1, d - 1, -1):  # t^k = -sum_i p_i t^(k - d + i)
+            for i in range(d):
+                x[k - d + i] -= x[k] * self.coefficients[i]
+        return tuple(x[:d])
+
+    def multiply(self, x: Sequence[int], y: Sequence[int]) -> Vector:
+        """x y in the ring."""
+        product = [0] * (len(x) + len(y) - 1)
+        for i, a in enumerate(x):
+            if a:
+                for j, b in enumerate(y):
+                    product[i + j] += a * b
+        return self.element(product)
+
+    def inverse(self, x: Sequence[int]) -> Optional[Vector]:
+        """x^(-1) if x is a unit of the ring (norm +-1), else None."""
+        if not any(x[1:]):  # the constant units are +-1
+            return tuple(x) if x[0] in (1, -1) else None
+        # The Z-matrix of y -> x y; its column j is t^j x.
+        times_x = IntMatrix.from_columns([p.apply(x) for p in self.companion_powers],
+                                         rows=self.degree)
+        if abs(determinant(times_x)) != 1:
+            return None
+        return solve(times_x, self.element((1,)))
 
     def evaluate(self, m: IntMatrix) -> IntMatrix:
         """p(m) by Horner's rule."""
@@ -116,7 +161,10 @@ class FreeResolutionR:
     e_1, e_1 t, ..., e_1 t^(d-1), e_2, ... and t acting blockwise by the
     companion matrix.  `augmentation` maps F_0 onto M (columns = images of
     the Z-basis in M's generators); `deltas[i]` is the Z-matrix of
-    F_(i+1) -> F_i.
+    F_(i+1) -> F_i.  The resolution is periodic from stage 2: ranks[2:] are
+    equal, and deltas[2], deltas[3] repeat (as the same matrix objects)
+    from there on.  deltas[3] is deltas[1] less the rows of the generators
+    of F_1 that map onto free summands of the first syzygy.
     """
 
     ring: QuotientRing
@@ -135,12 +183,68 @@ class FreeResolutionR:
         return True
 
 
-def free_resolution_over_r(module: RModule, length: int) -> FreeResolutionR:
-    """Greedy free resolution over a quotient ring, by iterated kernels.
+def _z_matrix(ring: QuotientRing, entries: list[list[Vector]], rows: int, cols: int) -> IntMatrix:
+    """Z-matrix of the map R^cols -> R^rows with the given entries in R:
+    sum_j C_j (x) companion^j, where C_j holds the t^j coefficients."""
+    total = IntMatrix.zero(rows * ring.degree, cols * ring.degree)
+    for j, power in enumerate(ring.companion_powers):
+        c = IntMatrix(rows, cols, tuple(tuple(x[j] for x in row) for row in entries))
+        total = total + c.kron(power)
+    return total
 
-    Deterministic: the Z-generators of each kernel (a Smith-form kernel
-    basis, in order, with R-redundant ones skipped) become the ring
-    generators of the next stage.
+
+def _cancel_units(ring: QuotientRing, x: list[list[Vector]], y: list[list[Vector]],
+                  outer: list[list[Vector]]) -> tuple[list, list, list]:
+    """Split trivial summands off a matrix factorization x y = y x = 0 over R.
+
+    x maps F' -> F and y maps F -> F' (F, F' free); `outer` is the next map
+    of the resolution, the one out of F.  If x[i][j] = u is a unit, subtracting
+    multiples of row i clears column j, and over the new basis of F the
+    generator i is the image of the generator j of F'.  This changes only
+    column i of y and of `outer`, which go: the complex is the direct sum
+    of the contractible R --u--> R, with outer zero on it, and of the Schur
+    complement of u in x with y minus row j and column i.  Returns the
+    three maps with every unit of x so cancelled.
+    """
+    while True:
+        # Constant entries first: their test needs no norm.
+        entries = sorted(((any(e[1:]), i, j) for i, row in enumerate(x) for j, e in enumerate(row)
+                          if any(e)))
+        pivot = next(((i, j, inv) for _, i, j in entries
+                      if (inv := ring.inverse(x[i][j])) is not None), None)
+        if pivot is None:
+            return x, y, outer
+        i, j, inv = pivot
+        schur = []
+        for k, row in enumerate(x):
+            if k == i:
+                continue
+            if any(row[j]):  # row k minus (x[k][j] / u) times row i
+                c = ring.multiply(row[j], inv)
+                row = [tuple(p - q for p, q in zip(e, ring.multiply(c, f))) if any(f) else e
+                       for e, f in zip(row, x[i])]
+            schur.append(row[:j] + row[j + 1:])
+        x = schur
+        y = [row[:i] + row[i + 1:] for k, row in enumerate(y) if k != j]
+        outer = [row[:i] + row[i + 1:] for row in outer]
+
+
+def free_resolution_over_r(module: RModule, length: int) -> FreeResolutionR:
+    """Free resolution over a quotient ring, periodic from stage 2.
+
+    Stage 0 covers M by its generators in order, skipping those already in
+    the R-span of earlier ones (modulo the relations), so free modules
+    resolve in length 0.  The kernel M1 of that cover is Z-free with basis
+    K and t-action T1, t K = K T1.  delta_0 sends e_i t^j to t^j K_i, and
+    after it the maps a = t - T1 and b = q(t, T1) = (p(t) - p(T1)) / (t - T1)
+    alternate: their products both ways are p(t) - p(T1) = 0 over R, and
+    over Z[t] they factor p(t) times the identity (Eisenbud, Homological
+    algebra on a complete intersection, 1980).  Two passes of
+    `_cancel_units` then shrink the ranks.  Units of a mark generators of
+    F_1 that are images of F_2; they leave F_1, F_3, ...  Units of b mark
+    free summands of M1; they stay in F_1, and leave F_2, F_3, ...  So
+    ranks[1] <= rank_Z(M1), ranks[2:] are all equal, and each map is built
+    once however long the resolution.
     """
     ring = module.ring
     if not isinstance(ring, QuotientRing):
@@ -151,44 +255,46 @@ def free_resolution_over_r(module: RModule, length: int) -> FreeResolutionR:
         raise InputError("resolution length must be >= 0")
     d = ring.degree
 
-    def ring_cover(z_gens: IntMatrix, t_on_ambient, modulo: IntMatrix) -> tuple[int, IntMatrix]:
-        """Map from a free module onto the R-span of the given Z-generators.
+    # Stage 0.  Columns of the augmentation list the images of the Z-basis
+    # e_i t^j (i outer, j inner), namely t^j applied to generator i.
+    presentation = module.presentation
+    cols: list[Vector] = []
+    for v in IntMatrix.identity(module.ngens).columns():
+        span = presentation.columns() + cols
+        if span and solve(IntMatrix.from_columns(span, rows=module.ngens), v) is not None:
+            continue
+        for _ in range(d):
+            cols.append(v)
+            v = module.t_action.apply(v)
+    aug = IntMatrix.from_columns(cols, rows=module.ngens)
+    rank0 = len(cols) // d
+    if length == 0:
+        return FreeResolutionR(ring, (rank0,), aug, ())
 
-        Candidates already inside the R-span of earlier choices (modulo the
-        ambient relations) are skipped, so free modules resolve in length 0.
-        Columns of the result list the images of the Z-basis e_i t^j (i
-        outer, j inner), namely t^j applied to generator i.
-        """
-        span = [modulo.column(j) for j in range(modulo.cols)]
-        cols: list = []
-        chosen = 0
-        for i in range(z_gens.cols):
-            v = z_gens.column(i)
-            if span and solve(IntMatrix.from_columns(span, rows=z_gens.rows), v) is not None:
-                continue
-            chosen += 1
-            for _ in range(d):
-                cols.append(v)
-                span.append(v)
-                v = t_on_ambient(v)
-        return chosen, IntMatrix.from_columns(cols, rows=z_gens.rows)
-
-    # Stage 0: generators of M, with t acting through the module.
-    gens0 = IntMatrix.identity(module.ngens)
-    rank0, aug = ring_cover(gens0, module.t_action.apply, module.presentation)
-    ranks = [rank0]
-    deltas: list[IntMatrix] = []
-
-    companion = ring.companion_matrix()
-    # Kernel of the augmentation is taken inside M, i.e. modulo relations.
-    ker = preimage_gens(aug, module.presentation)
-    for _ in range(length):
-        t_block = IntMatrix.identity(ranks[-1]).kron(companion)
-        rank_next, delta = ring_cover(ker, t_block.apply, IntMatrix.zero(d * ranks[-1], 0))
-        ranks.append(rank_next)
-        deltas.append(delta)
-        ker = kernel_basis(delta)
-    return FreeResolutionR(ring, tuple(ranks), aug, tuple(deltas))
+    # Kernel of the augmentation, taken inside M, i.e. modulo relations.  An
+    # LLL-reduced basis keeps T1 and q(t, T1) small: a Smith-form basis can
+    # carry entries in the hundreds into T1, and from there into the
+    # coefficient growth of every Smith form taken on Hom or tensor.
+    k = lll_reduce(preimage_gens(aug, presentation))
+    g = k.cols
+    t1 = solve_matrix(k, IntMatrix.identity(rank0).kron(ring.companion_matrix()) @ k)
+    if t1 is None:
+        raise InternalCheckError("kernel of the cover is not t-stable")
+    # q(t, T) = sum_i t^i C_i with C_(d-1) = I and C_(i-1) = c_i I + T C_i.
+    ident = IntMatrix.identity(g)
+    q_coefficients = [ident]
+    for c in reversed(ring.coefficients[1:-1]):
+        q_coefficients.insert(0, ident.scale(c) + t1 @ q_coefficients[0])
+    a = [[ring.element((-t1[i, j], int(i == j))) for j in range(g)] for i in range(g)]
+    b = [[ring.element([c[i, j] for c in q_coefficients]) for j in range(g)] for i in range(g)]
+    delta0 = [[k.column(i)[r * d:(r + 1) * d] for i in range(g)] for r in range(rank0)]
+    a, b, delta0 = _cancel_units(ring, a, b, delta0)
+    b, a, a_first = _cancel_units(ring, b, a, a)
+    g1, g = len(a_first), len(a)
+    maps = ((delta0, rank0, g1), (a_first, g1, g), (b, g, g), (a, g, g))
+    deltas = tuple(_z_matrix(ring, *m) for m in maps[:length])
+    deltas = (deltas[:2] + deltas[2:] * (length // 2))[:length]
+    return FreeResolutionR(ring, ((rank0, g1) + (g,) * length)[:length + 1], aug, deltas)
 
 
 def _with_coefficients(res: FreeResolutionR, k: int, n: RModule, hom_side: bool) -> GroupHom:

@@ -4,7 +4,11 @@ Nothing here shares code paths with the package: determinants are computed
 by Bareiss elimination, Smith diagonals by determinantal divisors, kernels
 by a separate column-reduction routine, linear solving by fraction Gaussian
 elimination, and the cyclic-group (co)homology pins come from the classical
-hand-written periodic norm-element resolution.
+hand-written periodic norm-element resolution.  The one exception is
+`greedy_free_resolution`, the iterated-kernel resolution over Z[t]/(p): it
+uses homkit's lattice routines, `lll_reduce` among them, but not the
+periodic construction (t - T, divided difference) of
+`free_resolution_over_r`.
 """
 
 from __future__ import annotations
@@ -12,6 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+
+from homkit.intlinalg import IntMatrix, kernel_basis, lll_reduce, preimage_gens, solve
+from homkit.repmod import FreeResolutionR, RModule
 
 
 def det_bareiss(rows: list[list[int]]) -> int:
@@ -69,8 +76,9 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def column_reduction_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Kernel basis (as columns) via integer column echelon reduction."""
+def _column_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[list[int]], int]:
+    """Integer column echelon form: (reduced A, unimodular T with A T = reduced A,
+    number of nonzero leading columns)."""
     r = len(rows)
     a = [list(map(int, row)) for row in rows]
     t = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
@@ -94,7 +102,26 @@ def column_reduction_kernel(rows: list[list[int]], ncols: int) -> list[list[int]
             colop(lead, j, x, y, -q, p)
         if a[i][lead] != 0:
             lead += 1
+    return a, t, lead
+
+
+def column_reduction_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Kernel basis (as columns) via integer column echelon reduction."""
+    _, t, lead = _column_echelon(rows, ncols)
     return [[t[i][j] for i in range(ncols)] for j in range(lead, ncols)]
+
+
+def solve_lattice(rows: list[list[int]], ncols: int, target: list[int]) -> list[int] | None:
+    """One integer x with A x = target for any integer A, or None.
+
+    The leading columns of A's column echelon form are a basis of A's
+    column lattice; `solve_fraction` solves over them and T maps back.
+    """
+    a, t, lead = _column_echelon(rows, ncols)
+    y = solve_fraction([[a[i][j] for i in range(len(rows))] for j in range(lead)], target)
+    if y is None:
+        return None
+    return [sum(t[i][j] * y[j] for j in range(lead)) for i in range(ncols)]
 
 
 def solve_fraction(columns: list[list[int]], target: list[int]) -> list[int] | None:
@@ -207,3 +234,43 @@ def cyclic_group_free_coefficient_pin(i: int) -> tuple[int, tuple[int, ...]]:
     is coinduced.
     """
     return (1, ()) if i == 0 else (0, ())
+
+
+def greedy_free_resolution(module: RModule, length: int) -> FreeResolutionR:
+    """Free resolution over Z[t]/(p) by iterated kernels.
+
+    The Z-basis of each kernel becomes the ring generators of the next
+    stage, skipping those already in the R-span of earlier choices.  The
+    bases are LLL-reduced: Smith-form bases let coefficients grow by
+    hundreds of bits within six stages.  Exact, but not periodic, and
+    ranks may grow with length.
+    """
+    ring = module.ring
+    d = ring.degree
+
+    def ring_cover(z_gens: IntMatrix, t_on_ambient, modulo: IntMatrix) -> tuple[int, IntMatrix]:
+        span = modulo.columns()
+        cols: list = []
+        chosen = 0
+        for v in z_gens.columns():
+            if span and solve(IntMatrix.from_columns(span, rows=z_gens.rows), v) is not None:
+                continue
+            chosen += 1
+            for _ in range(d):
+                cols.append(v)
+                span.append(v)
+                v = t_on_ambient(v)
+        return chosen, IntMatrix.from_columns(cols, rows=z_gens.rows)
+
+    rank0, aug = ring_cover(IntMatrix.identity(module.ngens), module.t_action.apply,
+                            module.presentation)
+    ranks, deltas = [rank0], []
+    companion = ring.companion_matrix()
+    ker = lll_reduce(preimage_gens(aug, module.presentation))
+    for _ in range(length):
+        t_block = IntMatrix.identity(ranks[-1]).kron(companion)
+        rank_next, delta = ring_cover(ker, t_block.apply, IntMatrix.zero(d * ranks[-1], 0))
+        ranks.append(rank_next)
+        deltas.append(delta)
+        ker = lll_reduce(kernel_basis(delta))
+    return FreeResolutionR(ring, tuple(ranks), aug, tuple(deltas))

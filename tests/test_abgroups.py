@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from homkit import abgroups, intlinalg
 from homkit.errors import InputError
 from homkit.abgroups import (
     DirectSum,
@@ -252,6 +253,38 @@ class TestGroupHom:
             ker.ambient(twin.element((1,)))
         with pytest.raises(InputError):
             ker.element_at((1,))
+
+    def test_each_group_factors_once(self, monkeypatch):
+        # Repeated lookups on one group reuse its stored Smith decomposition.
+        calls = []
+        real_snf = intlinalg.snf
+
+        def counted(a):
+            calls.append((a.rows, a.cols))
+            return real_snf(a)
+
+        monkeypatch.setattr(intlinalg, "snf", counted)
+        monkeypatch.setattr(abgroups, "snf", counted)
+        rng = random.Random(67)
+        for _ in range(10):
+            source, target = random_group(rng), random_group(rng)
+            h = hom(source, target)
+            ambients = [h.ambient(h.element([rng.randint(-3, 3) for _ in range(h.ngens)]))
+                        for _ in range(6)]
+            h.element_at(ambients[0])
+            calls.clear()
+            for amb in ambients:
+                h.element_at(amb)
+                h.to_coords(IntMatrix.from_columns([amb, amb]))
+            assert calls == []
+            g = random_group(rng)
+            g.coords_are_zero((0,) * g.ngens)
+            assert len(calls) == 1
+            for _ in range(6):
+                g.coords_are_zero([rng.randint(-3, 3) for _ in range(g.ngens)])
+            g.canonical
+            assert len(calls) == 1
+            calls.clear()
 
     def test_exact_pair(self):
         # 0 -> Z -2-> Z -> Z/2 -> 0 is exact at the middle Z and at Z/2.

@@ -10,6 +10,8 @@ from homkit import cli
 from homkit.cli import main
 from homkit.jsonio import group_from_json
 
+from .oracles import cyclic_group_cohomology_pin, cyclic_group_homology_pin
+
 ROOT = Path(__file__).resolve().parent.parent
 
 MOORE_Z2 = {
@@ -112,6 +114,28 @@ class TestBasicCommands:
         code, doc = run(capsys, "ring-tor", rm, rm, "--n", "1")
         assert code == 0 and doc["result"] == {"rank": 0, "torsion": ["2"]}
 
+    def test_ring_ops_in_high_degree(self, tmp_path, capsys):
+        # The resolution is periodic from stage 2, so degree 100000 costs
+        # what degree 2 does.  Pins: the norm-element resolution of C_4.
+        def trivial(name, k):
+            return write(tmp_path, name, {
+                "ring": {"kind": "quotient", "poly": ["-1", "0", "0", "0", "1"]},
+                "generators": 1,
+                "relations": {"rows": 1, "cols": 1 if k else 0, "data": [[str(k)] if k else []]},
+                "t_action": {"rows": 1, "cols": 1, "data": [["1"]]}})
+
+        z, z6 = trivial("z.json", 0), trivial("z6.json", 6)
+        for n in (100000, 100001):
+            for k, a in ((0, z), (6, z6)):
+                code, doc = run(capsys, "ring-ext", z, a, "--n", str(n))
+                assert code == 0
+                assert group_from_json(doc["result"]).canonical == \
+                    cyclic_group_cohomology_pin(4, k, n), (n, k)
+                code, doc = run(capsys, "ring-tor", z, a, "--n", str(n))
+                assert code == 0
+                assert group_from_json(doc["result"]).canonical == \
+                    cyclic_group_homology_pin(4, k, n), (n, k)
+
     def test_pv_and_kunneth(self, tmp_path, capsys):
         pv = write(tmp_path, "pv.json", {
             "even": {"rank": 1, "torsion": []}, "odd": {"rank": 0, "torsion": []},
@@ -164,6 +188,18 @@ class TestContracts:
 
 
 class TestFailureModes:
+    def test_snf_round_trip_beyond_the_digit_limit(self, tmp_path, capsys):
+        # 5,000 digits is past the interpreter's default int/str limit.
+        big = "7" + "0" * 4998 + "3"
+        m = write(tmp_path, "m.json", {"rows": 2, "cols": 2, "data": [[big, "0"], ["0", "-1"]]})
+        code, doc = run(capsys, "snf", m)
+        assert code == 0
+        assert doc["result"]["diagonal"] == ["1", big]
+        plain = tmp_path / "plain.json"
+        plain.write_text('{"rows": 1, "cols": 1, "data": [[-' + big + ']]}')
+        code, doc = run(capsys, "snf", str(plain))
+        assert code == 0 and doc["result"]["diagonal"] == [big]
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

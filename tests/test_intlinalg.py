@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,10 +7,12 @@ from homkit.errors import InputError
 from homkit.intlinalg import (
     IntMatrix,
     cokernel_invariants,
+    determinant,
     hstack,
     kernel_basis,
     lattice_basis,
     lattices_equal,
+    lll_reduce,
     preimage_gens,
     snf,
     solve,
@@ -22,6 +25,7 @@ from .oracles import (
     det_bareiss,
     determinantal_divisor_diagonal,
     solve_fraction,
+    solve_lattice,
     subquotient_presentation_oracle,
 )
 
@@ -111,6 +115,9 @@ class TestSolveAndLattices:
         assert solve(IntMatrix.zero(1, 0), (1,)) is None
 
     def test_matrix_forms_match_columnwise_solve(self):
+        # Against the fraction-elimination oracles: a system is solvable
+        # exactly when every column is, solutions solve it, and coordinates
+        # over an independent basis are the unique rational solution.
         rng = random.Random(53)
         for _ in range(120):
             a = random_matrix(rng, rng.randint(0, 4), rng.randint(0, 4), 5)
@@ -119,15 +126,28 @@ class TestSolveAndLattices:
                     tuple(rng.randint(-4, 4) for _ in range(a.rows))
                     for _ in range(rng.randint(0, 4))]
             b = IntMatrix.from_columns(cols, rows=a.rows)
+            rows = [list(r) for r in a.data]
+            solvable = all(solve_lattice(rows, a.cols, list(col)) is not None for col in cols)
+            x = solve_matrix(a, b)
+            assert (x is not None) == solvable
+            if x is not None:
+                assert a @ x == b
             singles = [solve(a, col) for col in cols]
-            expected = None if None in singles else IntMatrix.from_columns(singles, rows=a.cols)
-            assert solve_matrix(a, b) == expected
+            for col, y in zip(cols, singles):
+                assert (y is not None) == (solve_lattice(rows, a.cols, list(col)) is not None)
+                assert y is None or a.apply(y) == col
+            assert x == (None if None in singles else
+                         IntMatrix.from_columns(singles, rows=a.cols))
             sq = subquotient(a, IntMatrix.zero(a.cols, 0))  # coordinates on ker(a)
             ambient = IntMatrix.from_columns(
                 [sq.basis.apply([rng.randint(-4, 4) for _ in range(sq.ngens)])
                  for _ in range(rng.randint(0, 4))], rows=a.cols)
+            basis_cols = [list(c) for c in sq.basis.columns()]
             assert sq.to_coords(ambient) == IntMatrix.from_columns(
-                [solve(sq.basis, col) for col in ambient.columns()], rows=sq.ngens)
+                [solve_fraction(basis_cols, list(col)) for col in ambient.columns()],
+                rows=sq.ngens)
+            for col in ambient.columns():
+                assert list(sq.coords_of(col)) == solve_fraction(basis_cols, list(col))
 
     def test_solve_matrix_edge_shapes(self):
         # One unsolvable column makes the whole system unsolvable.
@@ -139,6 +159,33 @@ class TestSolveAndLattices:
         assert solve_matrix(IntMatrix.zero(2, 0), IntMatrix.from_rows([[0], [1]])) is None
         with pytest.raises(InputError):
             solve_matrix(a, IntMatrix.zero(3, 1))
+
+    def test_lll_reduce(self):
+        # Same lattice, size-reduced and Lovasz (delta = 3/4), checked on a
+        # Gram-Schmidt basis computed here with fractions.
+        rng = random.Random(71)
+        done = 0
+        while done < 60:
+            m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 5), 40)
+            basis = lattice_basis(m)
+            reduced = lll_reduce(basis)
+            assert reduced.rows == basis.rows and reduced.cols == basis.cols
+            assert lattices_equal(reduced, basis)
+            cols = [[Fraction(x) for x in c] for c in reduced.columns()]
+            star, norms = [], []
+            for k, c in enumerate(cols):
+                v = list(c)
+                for j in range(k):
+                    mu = sum(x * y for x, y in zip(c, star[j])) / norms[j]
+                    assert abs(mu) <= Fraction(1, 2)
+                    v = [x - mu * y for x, y in zip(v, star[j])]
+                    if j == k - 1:
+                        assert sum(x * x for x in v) >= (Fraction(3, 4) - mu * mu) * norms[j]
+                star.append(v)
+                norms.append(sum(x * x for x in v))
+            done += 1
+        with pytest.raises(InputError, match="dependent"):
+            lll_reduce(IntMatrix.from_columns([(1, 2), (2, 4)]))
 
     def test_kernel_basis_spans_kernel(self):
         rng = random.Random(13)
@@ -218,6 +265,17 @@ class TestIntMatrix:
         b = IntMatrix.from_rows([[3], [4]])
         k = a.kron(b)
         assert k.data == ((3, 6), (4, 8))
+
+    def test_determinant_against_oracle(self):
+        rng = random.Random(71)
+        for n in range(1, 7):
+            for _ in range(40):
+                m = IntMatrix.from_rows([[rng.choice((0, 0, 1, -1, 2, -3, 7)) for _ in range(n)]
+                                         for _ in range(n)])
+                assert determinant(m) == det_bareiss([list(r) for r in m.data])
+        assert determinant(IntMatrix.zero(0, 0)) == 1
+        with pytest.raises(InputError, match="square"):
+            determinant(IntMatrix.zero(2, 3))
 
     def test_shape_validation(self):
         with pytest.raises(InputError):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from homkit.errors import InputError
@@ -5,6 +7,8 @@ from homkit.abgroups import FgAbGroup, is_isomorphic
 from homkit.intlinalg import IntMatrix
 from homkit.jsonio import (
     complex_from_json,
+    decimal_to_int,
+    int_to_decimal,
     complex_to_json,
     graded_group_from_json,
     graded_group_to_json,
@@ -37,6 +41,44 @@ class TestMatrix:
             matrix_from_json({"rows": 1, "cols": 1})
         with pytest.raises(InputError):
             matrix_from_json([1, 2])
+
+
+class TestDecimalStrings:
+    @pytest.mark.parametrize("text", ["1_000", " 7\n", "\u0663", "+5", "", "-", "7\n", "1e3"])
+    def test_only_ascii_decimal_digits(self, text):
+        with pytest.raises(InputError, match="not a decimal integer string"):
+            matrix_from_json({"rows": 1, "cols": 1, "data": [[text]]})
+
+    def test_accepted_forms(self):
+        doc = {"rows": 1, "cols": 4, "data": [["-0", "007", "-12", 5]]}
+        assert matrix_from_json(doc).data == ((0, 7, -12, 5),)
+
+    @pytest.mark.parametrize("digits", [599, 600, 601, 4300, 4301, 5000, 12001])
+    def test_any_length_both_ways(self, digits):
+        rng = random.Random(digits)
+        text = str(rng.randint(1, 9)) + "".join(str(rng.randint(0, 9)) for _ in range(digits - 1))
+        for signed in (text, "-" + text, text[:-300] + "0" * 300):
+            value = decimal_to_int(signed)
+            expected = 0  # left to right, 100 digits at a time
+            for i in range(0, len(signed.lstrip("-")), 100):
+                chunk = signed.lstrip("-")[i:i + 100]
+                expected = expected * 10 ** len(chunk) + int(chunk)
+            assert value == (-expected if signed.startswith("-") else expected)
+            assert int_to_decimal(value) == signed
+            m = matrix_from_json({"rows": 1, "cols": 1, "data": [[signed]]})
+            assert matrix_to_json(m)["data"] == [[signed]]
+
+    def test_digit_limit_setting_untouched(self):
+        get = getattr(sys, "get_int_max_str_digits", None)
+        before = get() if get else None
+        matrix_to_json(matrix_from_json({"rows": 1, "cols": 1, "data": [["9" * 5000]]}))
+        assert (get() if get else None) == before
+
+    def test_echoed_value_is_cut(self):
+        with pytest.raises(InputError) as info:
+            matrix_from_json({"rows": 1, "cols": 1, "data": [["x" * 5000]]})
+        assert len(str(info.value)) < 100
+        assert "5000 characters" in str(info.value)
 
 
 class TestGroups:
