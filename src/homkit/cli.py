@@ -53,7 +53,7 @@ def _load_json(path: str):
     raw = _read_bytes(path)
     try:
         return json.loads(raw.decode("utf-8"), parse_int=jsonio.decimal_to_int)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # nested too deeply
         raise InputError(f"malformed JSON in {path}: {exc}") from None
 
 

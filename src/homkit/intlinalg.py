@@ -77,9 +77,6 @@ class IntMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.data[ij[0]][ij[1]]
 
-    def row(self, i: int) -> Vector:
-        return self.data[i]
-
     def column(self, j: int) -> Vector:
         return tuple(self.data[i][j] for i in range(self.rows))
 
@@ -141,7 +138,6 @@ class IntMatrix:
 
 
 def hstack(*mats: IntMatrix) -> IntMatrix:
-    mats = tuple(m for m in mats)
     if not mats:
         raise InputError("hstack needs at least one matrix")
     rows = mats[0].rows
@@ -152,7 +148,6 @@ def hstack(*mats: IntMatrix) -> IntMatrix:
 
 
 def vstack(*mats: IntMatrix) -> IntMatrix:
-    mats = tuple(m for m in mats)
     if not mats:
         raise InputError("vstack needs at least one matrix")
     cols = mats[0].cols
@@ -393,26 +388,6 @@ def lattice_basis(gens: IntMatrix) -> IntMatrix:
     return lattice_basis_with_witness(gens)[0]
 
 
-def determinant(a: IntMatrix) -> int:
-    """Determinant of a square matrix, by fraction-free (Bareiss) elimination."""
-    if a.rows != a.cols:
-        raise InputError("determinant: matrix is not square")
-    m = [list(row) for row in a.data]
-    sign, previous = 1, 1
-    for k in range(a.rows - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, a.rows) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, a.rows):
-            for j in range(k + 1, a.rows):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // previous
-        previous = m[k][k]
-    return sign * m[-1][-1] if a.rows else 1
-
-
 def lll_reduce(basis: IntMatrix) -> IntMatrix:
     """LLL-reduced basis (delta = 3/4) of the lattice spanned by the
     linearly independent columns of `basis`.
@@ -504,7 +479,6 @@ class Subquotient:
     generator, one column per relation.
     """
 
-    ambient_dim: int
     basis: IntMatrix
     presentation: IntMatrix
 
@@ -545,12 +519,12 @@ def _quotient_over(basis: IntMatrix, q_gens: IntMatrix, message: str) -> Subquot
     lies in P.  `basis` is factored once, here, for the presentation and for
     every later coordinate lookup on the result."""
     if q_gens.cols == 0:
-        return Subquotient(basis.rows, basis, IntMatrix.zero(basis.cols, 0))
+        return Subquotient(basis, IntMatrix.zero(basis.cols, 0))
     dec = snf(basis)
     rel = dec.solve(q_gens)
     if rel is None:
         raise InputError(message)
-    sq = Subquotient(basis.rows, basis, rel)
+    sq = Subquotient(basis, rel)
     sq.__dict__["basis_smith"] = dec  # fills the cached_property
     return sq
 

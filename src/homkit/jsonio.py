@@ -31,6 +31,12 @@ def _expect_int(value: Any, what: str) -> int:
     return value
 
 
+def _expect_size(value: Any, what: str) -> int:
+    if _expect_int(value, what) < 0:
+        raise InputError(f"{what}: must be >= 0")
+    return value
+
+
 _DECIMAL = re.compile(r"-?[0-9]+")
 # Below 640, the smallest digit limit the interpreter accepts for int/str
 # conversion, so pieces this long always convert directly.
@@ -78,8 +84,8 @@ def _parse_bigint(value: Any, what: str) -> int:
 
 def matrix_from_json(doc: Any, what: str = "matrix") -> IntMatrix:
     doc = _expect_mapping(doc, what)
-    rows = _expect_int(doc.get("rows"), f"{what}.rows")
-    cols = _expect_int(doc.get("cols"), f"{what}.cols")
+    rows = _expect_size(doc.get("rows"), f"{what}.rows")
+    cols = _expect_size(doc.get("cols"), f"{what}.cols")
     data = doc.get("data")
     if not isinstance(data, Sequence) or isinstance(data, (str, bytes)):
         raise InputError(f"{what}.data: expected an array of arrays")
@@ -132,8 +138,8 @@ def graded_group_to_json(g: GradedAbGroup) -> dict:
 
 def complex_from_json(doc: Any, what: str = "complex") -> PeriodicComplex:
     doc = _expect_mapping(doc, what)
-    even = _expect_int(doc.get("even_rank"), f"{what}.even_rank")
-    odd = _expect_int(doc.get("odd_rank"), f"{what}.odd_rank")
+    even = _expect_size(doc.get("even_rank"), f"{what}.even_rank")
+    odd = _expect_size(doc.get("odd_rank"), f"{what}.odd_rank")
     return PeriodicComplex(even, odd,
                            matrix_from_json(doc.get("d"), f"{what}.d"),
                            matrix_from_json(doc.get("e"), f"{what}.e"))
@@ -170,7 +176,7 @@ def rmodule_from_json(doc: Any, what: str = "module") -> RModule:
         ring = LaurentRing()
     else:
         raise InputError(f"{what}.ring.kind: expected 'quotient' or 'laurent'")
-    generators = _expect_int(doc.get("generators"), f"{what}.generators")
+    generators = _expect_size(doc.get("generators"), f"{what}.generators")
     relations = matrix_from_json(doc.get("relations"), f"{what}.relations")
     if relations.rows != generators:
         raise InputError(f"{what}: relations matrix must have one row per generator")

@@ -236,9 +236,8 @@ class HomotopyClasses:
         return self.group.basis
 
     def generators(self) -> list[ChainMap]:
-        return [self.representative(self.group.element(
-            tuple(1 if i == j else 0 for i in range(self.group.ngens))))
-            for j in range(self.group.ngens)]
+        return [self.representative(self.group.element(e))
+                for e in IntMatrix.identity(self.group.ngens).columns()]
 
 
 def homotopy_classes(a: PeriodicComplex, b: PeriodicComplex) -> HomotopyClasses:

@@ -12,7 +12,7 @@ from math import gcd
 
 from .errors import InputError
 from .abgroups import FgAbGroup, GradedAbGroup
-from .intlinalg import IntMatrix, unvec
+from .intlinalg import IntMatrix
 from .percomplex import (
     ChainMap,
     PeriodicComplex,
@@ -90,13 +90,8 @@ def random_chain_map(rng: random.Random, a: PeriodicComplex, b: PeriodicComplex,
                      bound: int = 2) -> ChainMap:
     """Random integer combination of a basis of all chain maps A -> B."""
     hc = homotopy_classes(a, b)
-    basis = hc.chain_map_lattice()
-    coeffs = [rng.randint(-bound, bound) for _ in range(basis.cols)]
-    combo = basis.apply(coeffs)
-    split = b.even_rank * a.even_rank
-    return ChainMap(a, b,
-                    unvec(combo[:split], b.even_rank, a.even_rank),
-                    unvec(combo[split:], b.odd_rank, a.odd_rank))
+    coeffs = [rng.randint(-bound, bound) for _ in range(hc.group.ngens)]
+    return hc.representative(hc.group.element(coeffs))
 
 
 def random_acyclic_complex(rng: random.Random, max_rank: int = 2, bound: int = 3) -> PeriodicComplex:

@@ -28,7 +28,7 @@ from .abgroups import (
     tensor,
     tor1,
 )
-from .intlinalg import IntMatrix, lattice_basis_with_witness
+from .intlinalg import IntMatrix, block_diag, lattice_basis_with_witness
 from .percomplex import (
     ChainMap,
     HomotopyClasses,
@@ -154,11 +154,11 @@ def ideal_ext_from_resolution(res: Resolution, b: PeriodicComplex, n: int) -> Fg
         return FgAbGroup.trivial()
     hc0 = homotopy_classes(res.p0, b)
     hc1 = homotopy_classes(res.p1, b)
-    cols = []
-    for gen in hc0.generators():
-        cols.append(hc1.class_of(gen.compose(res.delta1)).coords)
-    pull = GroupHom(hc0.group, hc1.group,
-                    IntMatrix.from_columns(cols, rows=hc1.group.ngens), check=False)
+    # f -> f o delta1 on vectorized (f0, f1), as vec(f g) = (g^T (x) I) vec(f).
+    precompose = block_diag(res.delta1.f0.transpose().kron(IntMatrix.identity(b.even_rank)),
+                            res.delta1.f1.transpose().kron(IntMatrix.identity(b.odd_rank)))
+    pull = GroupHom(hc0.group, hc1.group, hc1.group.to_coords(precompose @ hc0.group.basis),
+                    check=False)
     if n == 0:
         return pull.kernel_group()
     return pull.cokernel_group()
@@ -227,9 +227,8 @@ class PhantomSubgroup:
     homotopy: HomotopyClasses
 
     def generator_maps(self) -> list[ChainMap]:
-        basis = self.group.basis
-        return [self.homotopy.representative(self.homotopy.group.element(basis.column(j)))
-                for j in range(basis.cols)]
+        return [self.homotopy.representative(self.homotopy.group.element(c))
+                for c in self.group.basis.columns()]
 
 
 def phantom_subgroup(a: PeriodicComplex, b: PeriodicComplex) -> PhantomSubgroup:

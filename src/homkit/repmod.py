@@ -9,16 +9,16 @@ trivial summands split off at their unit entries.  Ranks and coefficients
 stay fixed however long the resolution; the ranks need not be minimal.
 Over the Laurent ring the fixed two-term free bimodule resolution applies
 instead, which collapses Hochschild theory to kernels and cokernels of
-u - 1 for u = lambda rho^{-1}.  Laurent Ext/Tor are read off the same way,
-as the Z-relative groups H^*(Z; Hom_Z(M, N)) and H_*(Z; M (x) N); these
-equal Ext/Tor over Z[t, 1/t] only when M is Z-free.
+u - 1 for u = lambda rho^{-1}.  Laurent Ext/Tor share that one
+Z-(co)homology path, as the Z-relative groups H^*(Z; Hom_Z(M, N)) and
+H_*(Z; M (x) N); these equal Ext/Tor over Z[t, 1/t] only when M is Z-free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal, Optional, Sequence, Union
+from typing import Callable, Literal, Optional, Sequence, Union
 
 from .errors import InputError, InternalCheckError
 from .abgroups import (
@@ -34,7 +34,6 @@ from .abgroups import (
 from .intlinalg import (
     IntMatrix,
     Vector,
-    determinant,
     hstack,
     kernel_basis,
     lattice_contains,
@@ -45,6 +44,22 @@ from .intlinalg import (
     solve_matrix,
     vstack,
 )
+
+
+def _powers(t: IntMatrix, k: int) -> tuple[IntMatrix, ...]:
+    """t^0, ..., t^(k-1) for a square matrix t and k >= 1."""
+    powers = [IntMatrix.identity(t.rows)]
+    while len(powers) < k:
+        powers.append(t @ powers[-1])
+    return tuple(powers)
+
+
+def _combine(x: Sequence[int], powers: Sequence[IntMatrix]) -> IntMatrix:
+    """sum_j x_j powers[j]: the ring element x acting through the powers of t."""
+    terms = [(c, p.data) for c, p in zip(x, powers) if c]
+    rows, cols = powers[0].rows, powers[0].cols
+    return IntMatrix(rows, cols, tuple(tuple(sum(c * data[i][j] for c, data in terms)
+                                             for j in range(cols)) for i in range(rows)))
 
 
 @dataclass(frozen=True)
@@ -73,10 +88,7 @@ class QuotientRing:
     @cached_property
     def companion_powers(self) -> tuple[IntMatrix, ...]:
         """companion_matrix()^j for j < d: multiplication by t^j."""
-        t, powers = self.companion_matrix(), [IntMatrix.identity(self.degree)]
-        for _ in range(self.degree - 1):
-            powers.append(t @ powers[-1])
-        return tuple(powers)
+        return _powers(self.companion_matrix(), self.degree)
 
     def element(self, coefficients: Sequence[int]) -> Vector:
         """sum_u c_u t^u as a ring element: its coefficients on 1, ..., t^(d-1)."""
@@ -98,24 +110,16 @@ class QuotientRing:
         return self.element(product)
 
     def inverse(self, x: Sequence[int]) -> Optional[Vector]:
-        """x^(-1) if x is a unit of the ring (norm +-1), else None."""
+        """x^(-1) if x is a unit of the ring, else None: the lattice solve
+        decides, as x y = 1 has an integer solution y exactly for units x."""
         if not any(x[1:]):  # the constant units are +-1
             return tuple(x) if x[0] in (1, -1) else None
-        # The Z-matrix of y -> x y; its column j is t^j x.
-        times_x = IntMatrix.from_columns([p.apply(x) for p in self.companion_powers],
-                                         rows=self.degree)
-        if abs(determinant(times_x)) != 1:
-            return None
+        times_x = _combine(x, self.companion_powers)  # the Z-matrix of y -> x y
         return solve(times_x, self.element((1,)))
 
     def evaluate(self, m: IntMatrix) -> IntMatrix:
-        """p(m) by Horner's rule."""
-        acc = IntMatrix.identity(m.rows)
-        result = IntMatrix.zero(m.rows, m.cols)
-        for c in self.coefficients:
-            result = result + acc.scale(c)
-            acc = acc @ m
-        return result
+        """p(m) for a square matrix m."""
+        return _combine(self.coefficients, _powers(m, len(self.coefficients)))
 
 
 @dataclass(frozen=True)
@@ -183,14 +187,14 @@ class FreeResolutionR:
         return True
 
 
-def _z_matrix(ring: QuotientRing, entries: list[list[Vector]], rows: int, cols: int) -> IntMatrix:
-    """Z-matrix of the map R^cols -> R^rows with the given entries in R:
-    sum_j C_j (x) companion^j, where C_j holds the t^j coefficients."""
-    total = IntMatrix.zero(rows * ring.degree, cols * ring.degree)
-    for j, power in enumerate(ring.companion_powers):
-        c = IntMatrix(rows, cols, tuple(tuple(x[j] for x in row) for row in entries))
-        total = total + c.kron(power)
-    return total
+def _z_matrix(entries: list[list[Vector]], rows: int, cols: int,
+              powers: Sequence[IntMatrix]) -> IntMatrix:
+    """Z-matrix of the map R^cols -> R^rows with the given entries in R: block
+    (i, a) is entry (i, a) acting through `powers` = (T^0, ..., T^(d-1))."""
+    n = powers[0].rows
+    blocks = [[_combine(x, powers).data for x in row] for row in entries]
+    return IntMatrix(rows * n, cols * n, tuple(tuple(v for b in row for v in b[r])
+                                               for row in blocks for r in range(n)))
 
 
 def _cancel_units(ring: QuotientRing, x: list[list[Vector]], y: list[list[Vector]],
@@ -292,7 +296,7 @@ def free_resolution_over_r(module: RModule, length: int) -> FreeResolutionR:
     b, a, a_first = _cancel_units(ring, b, a, a)
     g1, g = len(a_first), len(a)
     maps = ((delta0, rank0, g1), (a_first, g1, g), (b, g, g), (a, g, g))
-    deltas = tuple(_z_matrix(ring, *m) for m in maps[:length])
+    deltas = tuple(_z_matrix(*m, ring.companion_powers) for m in maps[:length])
     deltas = (deltas[:2] + deltas[2:] * (length // 2))[:length]
     return FreeResolutionR(ring, ((rank0, g1) + (g,) * length)[:length + 1], aug, deltas)
 
@@ -300,34 +304,43 @@ def free_resolution_over_r(module: RModule, length: int) -> FreeResolutionR:
 def _with_coefficients(res: FreeResolutionR, k: int, n: RModule, hom_side: bool) -> GroupHom:
     """delta_k: F_(k+1) -> F_k with coefficients in N.
 
-    Over R the map delta_k is the matrix polynomial sum_j t^j C_j, where
-    C_j[i][a] is the coefficient of e_i t^j in delta_k(e_a) (delta's column
-    a*d).  Tensored with N it is sum_j C_j (x) t_N^j; on Hom(-, N) it is
-    sum_j C_j^T (x) t_N^j, from Hom(F_k, N) to Hom(F_(k+1), N).  Both free
-    modules become N^rank, and either rank may be 0.
+    Entry (i, a) of delta_k over R has as t^j coefficient that of e_i t^j in
+    delta_k(e_a) (delta's column a*d).  Tensored with N, block (i, a) is that
+    entry acting through the powers of t_N; on Hom(-, N) the block grid is
+    transposed, from Hom(F_k, N) to Hom(F_(k+1), N).  Both free modules
+    become N^rank, and either rank may be 0.
     """
     d, delta = res.ring.degree, res.deltas[k]
     lo, hi = res.ranks[k], res.ranks[k + 1]
     source, target = DirectSum((n.group,) * hi), DirectSum((n.group,) * lo)
+    entries = [[tuple(delta.data[i * d + j][a * d] for j in range(d)) for a in range(hi)]
+               for i in range(lo)]
     if hom_side:
         source, target = target, source
-    matrix = IntMatrix.zero(target.ngens, source.ngens)
-    t_power = IntMatrix.identity(n.ngens)
-    for j in range(d):
-        c = IntMatrix.from_rows([[delta.data[i * d + j][a * d] for a in range(hi)]
-                                 for i in range(lo)], cols=hi)
-        matrix = matrix + (c.transpose() if hom_side else c).kron(t_power)
-        t_power = n.t_action @ t_power
+        entries, lo, hi = [[row[a] for row in entries] for a in range(hi)], hi, lo
+    matrix = _z_matrix(entries, lo, hi, _powers(n.t_action, d))
     return GroupHom(source, target, matrix, check=False)
+
+
+def _z_homology(u: Callable[[], GroupHom], degree: int, homological: bool) -> FgAbGroup:
+    """H_degree (homological) or H^degree of Z acting through the automorphism
+    u(): ker(u - 1) in homological degree 1 and cohomological degree 0,
+    coker(u - 1) in the other degree below 2, and 0, without building u,
+    from degree 2 on."""
+    if degree >= 2:
+        return FgAbGroup.trivial()
+    auto = u()
+    u_minus_1 = auto - GroupHom.identity(auto.source)
+    return u_minus_1.kernel_group() if degree == int(homological) else u_minus_1.cokernel_group()
 
 
 def ext_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
     """Ext^degree over the common base ring.
 
-    Quotient rings: cohomology of Hom_R(resolution, N).  Laurent ring:
-    kernel (degree 0) and cokernel (degree 1) of phi -> t phi t^{-1} - phi
-    on Hom_Z(M, N), zero above degree 1.  These are the Z-relative groups
-    H^*(Z; Hom_Z(M, N)); they equal Ext over Z[t, 1/t] only when M is
+    Quotient rings: cohomology of Hom_R(resolution, N).  Laurent ring: the
+    Z-cohomology path shared with Tor and HH, ker and coker of u - 1 for
+    u: phi -> t_N phi t_M^{-1} on Hom_Z(M, N).  These are the Z-relative
+    groups H^*(Z; Hom_Z(M, N)); they equal Ext over Z[t, 1/t] only when M is
     Z-free (for M = N = Z/2 with t = 1 they give Ext^1 = Z/2 and Ext^2 = 0,
     where the ring has (Z/2)^2 and Z/2).
     """
@@ -336,17 +349,14 @@ def ext_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
     if m.ring != n.ring:
         raise InputError("modules live over different rings")
     if isinstance(m.ring, LaurentRing):
-        if degree >= 2:
-            return FgAbGroup.trivial()
-        # phi |-> t_N o phi o t_M^{-1} - phi on Hom_Z(M, N)
-        hom_group, tm_inv = hom(m.group, n.group), m.t_inverse_matrix()
-        cols = []
-        for e in IntMatrix.identity(hom_group.ngens).columns():
-            x = hom_group.to_matrix(hom_group.element(e))
-            cols.append(hom_group.from_matrix(n.t_action @ x @ tm_inv - x).coords)
-        endo = GroupHom(hom_group, hom_group,
-                        IntMatrix.from_columns(cols, rows=hom_group.ngens), check=False)
-        return endo.kernel_group() if degree == 0 else endo.cokernel_group()
+        def u() -> GroupHom:
+            hom_group, tm_inv = hom(m.group, n.group), m.t_inverse_matrix()
+            images = [hom_group.from_matrix(
+                          n.t_action @ hom_group.to_matrix(hom_group.element(e)) @ tm_inv).coords
+                      for e in IntMatrix.identity(hom_group.ngens).columns()]
+            return GroupHom(hom_group, hom_group,
+                            IntMatrix.from_columns(images, rows=hom_group.ngens), check=False)
+        return _z_homology(u, degree, homological=False)
     res = free_resolution_over_r(m, degree + 1)
     outgoing = _with_coefficients(res, degree, n, hom_side=True)
     incoming = _with_coefficients(res, degree - 1, n, hom_side=True) if degree \
@@ -357,23 +367,19 @@ def ext_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
 def tor_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
     """Tor_degree over the common base ring.
 
-    Quotient rings: homology of resolution (x)_R N.  Laurent ring: cokernel
-    (degree 0) and kernel (degree 1) of t_M^{-1} (x) t_N - 1 on M (x)_Z N,
-    zero above degree 1.  These are the Z-relative groups H_*(Z; M (x) N);
-    like Laurent Ext they equal Tor over Z[t, 1/t] only when M is Z-free.
+    Quotient rings: homology of resolution (x)_R N.  Laurent ring: coker
+    and ker of u - 1 for u = t_M^{-1} (x) t_N on M (x)_Z N, the Z-homology
+    path shared with Ext and HH.  These Z-relative groups H_*(Z; M (x) N)
+    equal Tor over Z[t, 1/t] only when M is Z-free, as for Laurent Ext.
     """
     if degree < 0:
         raise InputError("Tor degree must be >= 0")
     if m.ring != n.ring:
         raise InputError("modules live over different rings")
     if isinstance(m.ring, LaurentRing):
-        if degree >= 2:
-            return FgAbGroup.trivial()
         tens = tensor(m.group, n.group)
-        theta = GroupHom(tens, tens,
-                         m.t_inverse_matrix().kron(n.t_action) - IntMatrix.identity(tens.ngens),
-                         check=False)
-        return theta.kernel_group() if degree == 1 else theta.cokernel_group()
+        return _z_homology(lambda: GroupHom(tens, tens, m.t_inverse_matrix().kron(n.t_action),
+                                            check=False), degree, homological=True)
     res = free_resolution_over_r(m, degree + 1)
     incoming = _with_coefficients(res, degree, n, hom_side=False)
     outgoing = _with_coefficients(res, degree - 1, n, hom_side=False) if degree \
@@ -387,9 +393,9 @@ def hochschild(m: FgAbGroup, lam: IntMatrix, rho: IntMatrix, degree: int,
 
     The bimodule is the group `m` with commuting automorphisms lambda and
     rho; with u = lambda rho^{-1}, HH_0 = HH^1 = coker(u - 1) and
-    HH_1 = HH^0 = ker(u - 1), everything above degree 1 vanishes.  Which of
-    lambda, rho acts from the left is a stated convention, not a theorem; we
-    pair them exactly as written.
+    HH_1 = HH^0 = ker(u - 1), everything above degree 1 vanishes: the
+    Z-(co)homology path of Laurent Ext/Tor.  Which of lambda, rho acts from
+    the left is a stated convention, not a theorem; we pair them as written.
     """
     if degree < 0:
         raise InputError("Hochschild degree must be >= 0")
@@ -401,13 +407,8 @@ def hochschild(m: FgAbGroup, lam: IntMatrix, rho: IntMatrix, degree: int,
         raise InputError("lambda and rho must be automorphisms")
     if not (lam_hom.compose(rho_hom) - rho_hom.compose(lam_hom)).is_zero():
         raise InputError("lambda and rho must commute")
-    if degree >= 2:
-        return FgAbGroup.trivial()
-    u = GroupHom(m, m, lam @ rho_hom.inverse_matrix(), check=False)
-    u_minus_1 = u - GroupHom.identity(m)
-    want_kernel = (variant == "homology" and degree == 1) or \
-                  (variant == "cohomology" and degree == 0)
-    return u_minus_1.kernel_group() if want_kernel else u_minus_1.cokernel_group()
+    return _z_homology(lambda: GroupHom(m, m, lam @ rho_hom.inverse_matrix(), check=False),
+                       degree, homological=variant == "homology")
 
 
 @dataclass(frozen=True)

@@ -207,6 +207,14 @@ class TestFailureModes:
         assert code == 2
         assert doc["error"]["code"] == "validation"
 
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, doc = run(capsys, "homology", str(path))
+        assert code == 2
+        assert doc["error"]["code"] == "validation"
+        assert doc["error"]["message"].startswith(f"malformed JSON in {path}: ")
+
     def test_schema_violation(self, tmp_path, capsys):
         path = write(tmp_path, "bad.json", {"rows": 2, "cols": 1, "data": [["1"]]})
         code, doc = run(capsys, "snf", path)

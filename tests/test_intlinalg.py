@@ -7,7 +7,6 @@ from homkit.errors import InputError
 from homkit.intlinalg import (
     IntMatrix,
     cokernel_invariants,
-    determinant,
     hstack,
     kernel_basis,
     lattice_basis,
@@ -265,17 +264,6 @@ class TestIntMatrix:
         b = IntMatrix.from_rows([[3], [4]])
         k = a.kron(b)
         assert k.data == ((3, 6), (4, 8))
-
-    def test_determinant_against_oracle(self):
-        rng = random.Random(71)
-        for n in range(1, 7):
-            for _ in range(40):
-                m = IntMatrix.from_rows([[rng.choice((0, 0, 1, -1, 2, -3, 7)) for _ in range(n)]
-                                         for _ in range(n)])
-                assert determinant(m) == det_bareiss([list(r) for r in m.data])
-        assert determinant(IntMatrix.zero(0, 0)) == 1
-        with pytest.raises(InputError, match="square"):
-            determinant(IntMatrix.zero(2, 3))
 
     def test_shape_validation(self):
         with pytest.raises(InputError):

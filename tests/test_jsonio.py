@@ -42,6 +42,12 @@ class TestMatrix:
         with pytest.raises(InputError):
             matrix_from_json([1, 2])
 
+    @pytest.mark.parametrize("key", ["rows", "cols"])
+    def test_rejects_negative_sizes(self, key):
+        doc = {"rows": 0, "cols": 0, "data": [], key: -2}
+        with pytest.raises(InputError, match=rf"^hh\.json\.lambda\.{key}: must be >= 0$"):
+            matrix_from_json(doc, what="hh.json.lambda")
+
 
 class TestDecimalStrings:
     @pytest.mark.parametrize("text", ["1_000", " 7\n", "\u0663", "+5", "", "-", "7\n", "1e3"])
@@ -118,6 +124,13 @@ class TestComplexes:
         with pytest.raises(InputError, match="not a complex"):
             complex_from_json(doc)
 
+    @pytest.mark.parametrize("key", ["even_rank", "odd_rank"])
+    def test_rejects_negative_ranks(self, key):
+        zero = {"rows": 0, "cols": 0, "data": []}
+        doc = {"even_rank": 0, "odd_rank": 0, "d": zero, "e": zero, key: -1}
+        with pytest.raises(InputError, match=rf"^a\.json\.{key}: must be >= 0$"):
+            complex_from_json(doc, what="a.json")
+
 
 class TestRModules:
     def test_quotient_module(self):
@@ -141,6 +154,13 @@ class TestRModules:
                "t_action": {"rows": 0, "cols": 0, "data": []}}
         with pytest.raises(InputError, match="kind"):
             rmodule_from_json(doc)
+
+    def test_rejects_negative_generator_count(self):
+        doc = {"ring": {"kind": "laurent"}, "generators": -1,
+               "relations": {"rows": 0, "cols": 0, "data": []},
+               "t_action": {"rows": 0, "cols": 0, "data": []}}
+        with pytest.raises(InputError, match=r"^m\.json\.generators: must be >= 0$"):
+            rmodule_from_json(doc, what="m.json")
 
     def test_generator_count_mismatch(self):
         doc = {"ring": {"kind": "laurent"}, "generators": 2,

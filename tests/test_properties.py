@@ -1,15 +1,22 @@
-"""Property tests: arbitrary JSON into every jsonio parser raises only InputError.
+"""Property tests: arbitrary JSON into every jsonio parser raises only
+InputError, and every CLI command that reads files exits 0 or 2 with one
+JSON document.
 
 The profile is derandomized and keeps no example database, so the suite
 stays deterministic.  Integers stay within +-64, so no declared rank or
 shape allocates a large matrix.
 """
 
+import contextlib
+import io
+import json
+
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from homkit import cli  # noqa: E402
 from homkit.errors import InputError  # noqa: E402
 from homkit.intlinalg import IntMatrix  # noqa: E402
 from homkit.jsonio import (  # noqa: E402
@@ -51,10 +58,15 @@ def matrix(rows, cols):
 DIM = st.integers(0, 3)
 MATRIX = st.tuples(DIM, DIM).flatmap(lambda shape: matrix(*shape))
 GROUP = document(rank=SMALL_INT, torsion=st.lists(ENTRY, max_size=3), presentation=MATRIX)
-# Shapes agree, so that documents get past the shape checks to the algebra.
-COMPLEX = st.tuples(DIM, DIM).flatmap(lambda ranks: document(
-    even_rank=st.just(ranks[0]), odd_rank=st.just(ranks[1]),
-    d=matrix(ranks[1], ranks[0]), e=matrix(ranks[0], ranks[1])))
+
+
+def complex_doc(even, odd):
+    # Shapes agree, so that documents get past the shape checks to the algebra.
+    return document(even_rank=st.just(even), odd_rank=st.just(odd),
+                    d=matrix(odd, even), e=matrix(even, odd))
+
+
+COMPLEX = st.tuples(DIM, DIM).flatmap(lambda ranks: complex_doc(*ranks))
 RING = document(kind=st.sampled_from(["quotient", "laurent"]),
                 poly=st.lists(ENTRY, min_size=2, max_size=4).map(lambda p: p + ["1"]))
 RMODULE = st.tuples(DIM, DIM).flatmap(lambda shape: document(
@@ -85,5 +97,69 @@ def test_parsers_raise_only_input_error(name):
             parse(doc)
         except InputError:
             pass
+
+    check()
+
+
+def files(*schemas):
+    """One input file per schema: a document's JSON text, or a few characters."""
+    return st.tuples(*(st.builds(json.dumps, field(schema)) | st.text(max_size=4)
+                       for schema in schemas))
+
+
+# A complex pair and a chain map document of matching shape.
+MAPPED = st.tuples(DIM, DIM, DIM, DIM).flatmap(lambda r: st.tuples(
+    complex_doc(r[0], r[1]), complex_doc(r[2], r[3]),
+    document(f_even=matrix(r[2], r[0]), f_odd=matrix(r[3], r[1])))).map(
+    lambda docs: tuple(json.dumps(doc) for doc in docs))
+DEGREES = ["0", "1", "2", "3", "-1"]
+DEGREE = [("--n", n) for n in DEGREES]
+# Per command: its input files, and option lists whose first entry is valid.
+CLI_CASES = {
+    "snf": (files(MATRIX), [()]),
+    "group-op": (files(GROUP, GROUP),
+                 [("--op", op) for op in ("hom", "ext1", "tensor", "tor1", "is-isomorphic")]),
+    "homology": (files(COMPLEX), [()]),
+    "hoclasses": (files(COMPLEX, COMPLEX), [()]),
+    "cone": (MAPPED, [()]),
+    "uct": (files(COMPLEX, COMPLEX), [()]),
+    "ext": (files(COMPLEX, COMPLEX), DEGREE),
+    "resolve": (files(COMPLEX), [()]),
+    "classify": (MAPPED, [()]),
+    "kappa": (MAPPED, [()]),
+    "ring-ext": (files(RMODULE, RMODULE), DEGREE),
+    "ring-tor": (files(RMODULE, RMODULE), DEGREE),
+    "hh": (files(document(group=GROUP, **{"lambda": MATRIX}, rho=MATRIX)),
+           [("--n", n, "--variant", v) for n in DEGREES for v in ("homology", "cohomology")]),
+    "pv": (files(document(even=GROUP, odd=GROUP, alpha_even=MATRIX, alpha_odd=MATRIX)), [()]),
+    "kunneth-check": (files(COMPLEX, COMPLEX), [()]),
+}
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def test_cli_cases_cover_every_command_that_reads_files():
+    assert set(CLI_CASES) == {cmd.name for cmd in cli.COMMANDS if cmd.inputs}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_CASES))
+def test_cli_exits_0_or_2_with_one_document(command, tmp_path):
+    inputs, options = CLI_CASES[command]
+    arity = len(next(cmd.inputs for cmd in cli.COMMANDS if cmd.name == command))
+
+    @settings(derandomize=True, database=None, max_examples=12, deadline=None)
+    @given(inputs, st.sampled_from(options))
+    @example((DEEP,) * arity, options[0])
+    def check(texts, opts):
+        paths = []
+        for i, text in enumerate(texts):
+            path = tmp_path / f"input{i}.json"
+            path.write_text(text, encoding="utf-8")
+            paths.append(str(path))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main([command, *paths, *opts])
+        doc = json.loads(out.getvalue())  # exactly one document, or this raises
+        assert code in (0, 2), doc
+        assert ("error" in doc) == (code == 2)
 
     check()

@@ -54,3 +54,25 @@ def test_annotations_resolve():
         except Exception as exc:  # NameError, or a TypeError on a bad subscript
             failures.append(f"{qualname}: {exc!r}")
     assert seen > 100 and not failures, failures
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports (at any depth) but never reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_every_import_is_used():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{path.name}: {name}" for name in _unused_imports(tree)]
+    assert SRC.is_dir() and not offenders, offenders
