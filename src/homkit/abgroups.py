@@ -24,14 +24,13 @@ from .intlinalg import (
     Subquotient,
     Vector,
     block_diag,
+    cokernel_invariants,
     hstack,
     kernel_basis,
     lattice_basis,
+    lattice_contains,
     lattice_quotient,
-    lattices_equal,
-    preimage_gens,
     snf,
-    solve_matrix,
     subquotient,
     unvec,
     vec,
@@ -196,7 +195,13 @@ class GradedAbGroup:
 
 
 class GroupHom:
-    """Homomorphism between presented groups, as a matrix on generators."""
+    """Homomorphism between presented groups, as a matrix on generators.
+
+    The map keeps one Smith decomposition of `image_gens()`, made on first
+    use; the kernel, the cokernel, surjectivity and `lift` all read it.  The
+    kernel's subquotient, once built, is kept too, so a second kernel or
+    injectivity test factors nothing.
+    """
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix, check: bool = True):
         if matrix.rows != target.ngens or matrix.cols != source.ngens:
@@ -242,19 +247,31 @@ class GroupHom:
         """Generators of the preimage in Z^{target gens} of the image subgroup."""
         return hstack(self.matrix, self.target.presentation)
 
+    @cached_property
+    def _image_smith(self) -> SmithDecomposition:
+        return snf(self.image_gens())
+
     def kernel_gens(self) -> IntMatrix:
-        """Basis of the preimage in Z^{source gens} of the kernel subgroup."""
-        return preimage_gens(self.matrix, self.target.presentation)
+        """Basis of the preimage in Z^{source gens} of the kernel subgroup:
+        as `intlinalg.preimage_gens(matrix, target relations)`."""
+        return self._image_smith.preimage_basis(self.source.ngens)
+
+    @cached_property
+    def _kernel_subquotient(self) -> Subquotient:
+        return lattice_quotient(self.kernel_gens(), self.source.presentation)
 
     def kernel(self) -> SubquotientGroup:
-        """Kernel subgroup; its basis columns are source-group coordinates."""
-        return SubquotientGroup(lattice_quotient(self.kernel_gens(), self.source.presentation))
+        """Kernel subgroup; its basis columns are source-group coordinates.
+        Each call returns a new group object over the map's one subquotient."""
+        return SubquotientGroup(self._kernel_subquotient)
 
     def kernel_group(self) -> SubquotientGroup:
         return self.kernel()
 
     def cokernel_group(self) -> FgAbGroup:
-        return FgAbGroup(self.image_gens())
+        group = FgAbGroup(self.image_gens())
+        group.__dict__["smith"] = self._image_smith  # fills the cached_property
+        return group
 
     def is_surjective(self) -> bool:
         return self.cokernel_group().is_trivial()
@@ -268,7 +285,11 @@ class GroupHom:
     def lift(self, targets: IntMatrix) -> Optional[IntMatrix]:
         """Source coordinates of one preimage of each column of `targets`
         (target coordinates), or None if some column is not in the image."""
-        sol = solve_matrix(self.image_gens(), targets)
+        if targets.rows != self.target.ngens:
+            raise InputError("lift: targets have the wrong row count")
+        if targets.cols == 0:  # nothing to lift: no need to factor
+            return IntMatrix.zero(self.source.ngens, 0)
+        sol = self._image_smith.solve(targets)
         if sol is None:
             return None
         return IntMatrix(self.source.ngens, sol.cols, sol.data[:self.source.ngens])
@@ -291,14 +312,18 @@ def is_exact_pair(f: GroupHom, g: GroupHom) -> bool:
         raise InputError("is_exact_pair: maps are not consecutive")
     if not g.compose(f).is_zero():
         raise InputError("is_exact_pair: composite is not zero")
-    return lattices_equal(f.image_gens(), g.kernel_gens())
+    kernel = g.kernel_gens()
+    return f.lift(kernel) is not None and lattice_contains(kernel, f.image_gens())
 
 
 class DirectSum(FgAbGroup):
     """Direct sum of presented groups, remembering the summands.
 
     Generators of the summands are concatenated in order, so elements can be
-    injected from and projected to each part by index arithmetic.
+    injected from and projected to each part by index arithmetic.  The
+    presentation is block diagonal.  Answers that are unique -- the
+    canonical form and zero tests -- are read off the parts, without
+    factoring it; `relation_coords` and `smith` still use the whole of it.
     """
 
     def __init__(self, parts: Sequence[FgAbGroup]):
@@ -310,6 +335,21 @@ class DirectSum(FgAbGroup):
         for p in self.parts:
             self._offsets.append(off)
             off += p.ngens
+
+    @cached_property
+    def canonical(self) -> tuple[int, tuple[int, ...]]:
+        """Ranks add; the torsion is that of the diagonal of all parts'
+        factors, which is already canonical if they form a divisibility chain."""
+        torsion = tuple(d for p in self.parts for d in p.torsion)
+        if any(b % a for a, b in zip(torsion, torsion[1:])):
+            torsion = cokernel_invariants(IntMatrix.diagonal(torsion))[1]
+        return sum(p.rank for p in self.parts), torsion
+
+    def coords_are_zero(self, coords: Sequence[int]) -> bool:
+        if len(coords) != self.ngens:
+            raise InputError("coordinate vector has wrong length")
+        return all(p.coords_are_zero(coords[off:off + p.ngens])
+                   for p, off in zip(self.parts, self._offsets))
 
     def inject(self, index: int, el: GroupElement) -> GroupElement:
         part = self.parts[index]
@@ -341,6 +381,12 @@ class SubquotientGroup(FgAbGroup):
     def __init__(self, sq: Subquotient):
         self._sq = sq
         super().__init__(sq.presentation)
+
+    @property
+    def smith(self) -> SmithDecomposition:
+        """The subquotient's decomposition of the presentation, shared by all
+        group objects over it."""
+        return self._sq.presentation_smith
 
     @property
     def basis(self) -> IntMatrix:
@@ -391,12 +437,33 @@ class HomGroup(SubquotientGroup):
 
     def from_matrix(self, x: IntMatrix) -> GroupElement:
         """Class of the homomorphism sending generator j of A to column j of x."""
-        if x.rows != self.target.ngens or x.cols != self.source.ngens:
-            raise InputError("homomorphism matrix has wrong shape")
-        y = self.target.relation_coords(x @ self.source.presentation)
-        if y is None:
+        coords = self.from_matrices([x])
+        if coords is None:
             raise InputError("matrix does not define a homomorphism")
-        return self.element_at(vec(x) + vec(y))
+        return self.element(coords.column(0))
+
+    def from_matrices(self, xs: Sequence[IntMatrix]) -> Optional[IntMatrix]:
+        """Coordinates of the classes of the maps with matrices xs, one column
+        each, or None if some x does not map relations into relations.
+
+        One solve finds every Y with x @ M_A = M_B @ Y, which is also the
+        check that x is a homomorphism, and one more the coordinates of all
+        the pairs (x, Y).
+        """
+        gb, ga = self.target.ngens, self.source.ngens
+        if any(x.rows != gb or x.cols != ga for x in xs):
+            raise InputError("homomorphism matrix has wrong shape")
+        if not xs:
+            return IntMatrix.zero(self.ngens, 0)
+        ma = self.source.presentation
+        ys = self.target.relation_coords(hstack(*(x @ ma for x in xs)))
+        if ys is None:
+            return None
+        ycols = ys.transpose().data  # Y_g is columns g*r .. (g+1)*r - 1
+        r = ma.cols
+        return self.to_coords(IntMatrix.from_columns(
+            [vec(x) + sum(ycols[g * r:(g + 1) * r], ()) for g, x in enumerate(xs)],
+            rows=self.basis.rows))
 
     def to_matrix(self, el: GroupElement) -> IntMatrix:
         amb = self.ambient(el)

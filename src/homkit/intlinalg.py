@@ -8,11 +8,13 @@ ROW per generator and one COLUMN per relation, and matrices act on column
 vectors.  A vector is a plain tuple of ints.
 
 Lattice systems go through a `SmithDecomposition`: its `solve_vector` takes
-one right-hand side, and its `solve` each column of a matrix in turn.  The
-functions `solve` and `solve_matrix` factor once and call them.  Objects
-that answer many systems against one matrix -- `Subquotient` for its basis,
-`abgroups.FgAbGroup` for its presentation -- keep that matrix's
-decomposition, so it is factored once.
+one right-hand side, and its `solve` each column of a matrix in turn; its
+`kernel_basis` and `preimage_basis` read kernels off V.  The functions
+`solve`, `solve_matrix`, `kernel_basis` and `preimage_gens` factor once and
+call them.  Objects that answer many questions about one matrix keep that
+matrix's decomposition, so it is factored once: `Subquotient` for its
+basis, `abgroups.FgAbGroup` for its presentation, and `abgroups.GroupHom`
+for its image generators (kernel, cokernel, surjectivity and lifts).
 """
 
 from __future__ import annotations
@@ -206,6 +208,20 @@ class SmithDecomposition:
         """Canonical form of coker(A): (free rank, invariant factors >= 2)."""
         return self.u.rows - self.rank, tuple(d for d in self.diagonal if d >= 2)
 
+    def kernel_basis(self) -> IntMatrix:
+        """The columns of V past the rank: a basis of ker(A), which is saturated."""
+        r = self.rank
+        return IntMatrix(self.v.rows, self.v.cols - r, tuple(row[r:] for row in self.v.data))
+
+    def preimage_basis(self, ncols: int) -> IntMatrix:
+        """For A = [a | t], a with `ncols` columns: a basis of the lattice
+        {x : a @ x lies in the column lattice of t}, the projection of ker(A)
+        to its first `ncols` coordinates.  With t empty, ker(A) itself."""
+        k = self.kernel_basis()
+        if ncols == k.rows:
+            return k
+        return lattice_basis(IntMatrix(ncols, k.cols, k.data[:ncols]))
+
     def _divide(self, ub: Sequence[int]) -> Optional[list[int]]:
         """y with S y = ub, or None if there is no integer y."""
         r = self.rank  # the nonzero diagonal entries come first
@@ -289,12 +305,6 @@ def snf(a: IntMatrix) -> SmithDecomposition:
         for j in range(rows):
             ud[j] += c * us[j]
 
-    def add_col(dst, src, c):
-        for r in s:
-            r[dst] += c * r[src]
-        for r in v:
-            r[dst] += c * r[src]
-
     def negate_row(i):
         s[i] = [-x for x in s[i]]
         u[i] = [-x for x in u[i]]
@@ -315,13 +325,21 @@ def snf(a: IntMatrix) -> SmithDecomposition:
                         dirty = True
             if dirty:
                 continue
+            # Column k of S is now p e_k, so a column operation changes only
+            # row k of S; V takes the whole operation.
+            sk = s[k]
             for j in range(k + 1, cols):
-                if s[k][j] != 0:
-                    add_col(j, k, -(s[k][j] // p))
-                    if s[k][j] != 0:
+                if sk[j] != 0:
+                    c = -(sk[j] // p)
+                    sk[j] += c * p
+                    for r in v:
+                        r[j] += c * r[k]
+                    if sk[j] != 0:
                         dirty = True
             if dirty:
                 continue
+            if p == 1 or p == -1:  # a unit divides every entry left
+                break
             # Row/column k are clear; enforce divisibility of the remaining block.
             offender = None
             for i in range(k + 1, rows):
@@ -353,10 +371,7 @@ def cokernel_invariants(a: IntMatrix) -> tuple[int, tuple[int, ...]]:
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Columns form a basis of the lattice ker(a); the kernel is saturated."""
-    dec = snf(a)
-    r = dec.rank
-    cols = [dec.v.column(j) for j in range(r, a.cols)]
-    return IntMatrix.from_columns(cols, rows=a.cols)
+    return snf(a).kernel_basis()
 
 
 def solve(a: IntMatrix, b: Sequence[int]) -> Optional[Vector]:
@@ -465,9 +480,7 @@ def preimage_gens(a: IntMatrix, target_gens: IntMatrix) -> IntMatrix:
         return kernel_basis(a)
     if a.rows != target_gens.rows:
         raise InputError("preimage_gens: ambient dimensions differ")
-    k = kernel_basis(hstack(a, target_gens))
-    proj = IntMatrix(a.cols, k.cols, tuple(k.data[i] for i in range(a.cols)))
-    return lattice_basis(proj)
+    return snf(hstack(a, target_gens)).preimage_basis(a.cols)
 
 
 @dataclass(frozen=True)
@@ -483,8 +496,14 @@ class Subquotient:
     presentation: IntMatrix
 
     @cached_property
+    def presentation_smith(self) -> SmithDecomposition:
+        """Smith decomposition of `presentation`, shared by every group
+        object built on this subquotient."""
+        return snf(self.presentation)
+
+    @property
     def invariants(self) -> tuple[int, tuple[int, ...]]:
-        return cokernel_invariants(self.presentation)
+        return self.presentation_smith.cokernel_invariants
 
     @cached_property
     def basis_smith(self) -> SmithDecomposition:

@@ -351,11 +351,12 @@ def ext_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
     if isinstance(m.ring, LaurentRing):
         def u() -> GroupHom:
             hom_group, tm_inv = hom(m.group, n.group), m.t_inverse_matrix()
-            images = [hom_group.from_matrix(
-                          n.t_action @ hom_group.to_matrix(hom_group.element(e)) @ tm_inv).coords
-                      for e in IntMatrix.identity(hom_group.ngens).columns()]
-            return GroupHom(hom_group, hom_group,
-                            IntMatrix.from_columns(images, rows=hom_group.ngens), check=False)
+            images = hom_group.from_matrices(
+                [n.t_action @ hom_group.to_matrix(hom_group.element(e)) @ tm_inv
+                 for e in IntMatrix.identity(hom_group.ngens).columns()])
+            if images is None:
+                raise InternalCheckError("t_N phi t_M^-1 does not respect relations")
+            return GroupHom(hom_group, hom_group, images, check=False)
         return _z_homology(u, degree, homological=False)
     res = free_resolution_over_r(m, degree + 1)
     outgoing = _with_coefficients(res, degree, n, hom_side=True)

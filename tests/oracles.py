@@ -8,7 +8,11 @@ hand-written periodic norm-element resolution.  The one exception is
 `greedy_free_resolution`, the iterated-kernel resolution over Z[t]/(p): it
 uses homkit's lattice routines, `lll_reduce` among them, but not the
 periodic construction (t - T, divided difference) of
-`free_resolution_over_r`.
+`free_resolution_over_r`.  And `snf_reference` is not independent at all:
+it is a frozen copy of the package's Smith form from before its shortcuts,
+for exact comparison of U, S and V.  `natural_map_by_generators` builds
+the UCT natural map class by class, the way the package did before it
+built it in one pass per degree.
 """
 
 from __future__ import annotations
@@ -16,8 +20,19 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from typing import Optional
 
-from homkit.intlinalg import IntMatrix, kernel_basis, lll_reduce, preimage_gens, solve
+from homkit.abgroups import graded_hom
+from homkit.intlinalg import (
+    IntMatrix,
+    SmithDecomposition,
+    kernel_basis,
+    lll_reduce,
+    preimage_gens,
+    solve,
+    vec,
+)
+from homkit.percomplex import PeriodicComplex, homology, homotopy_classes, induced_on_homology
 from homkit.repmod import FreeResolutionR, RModule
 
 
@@ -274,3 +289,127 @@ def greedy_free_resolution(module: RModule, length: int) -> FreeResolutionR:
         deltas.append(delta)
         ker = lll_reduce(kernel_basis(delta))
     return FreeResolutionR(ring, tuple(ranks), aug, tuple(deltas))
+
+
+def _reference_pivot(a: list[list[int]], k: int, rows: int, cols: int) -> Optional[tuple[int, int]]:
+    """Nonzero entry of a[k:, k:] with minimal |value|, lowest (i, j) on ties."""
+    best = None
+    best_abs = None
+    for i in range(k, rows):
+        ai = a[i]
+        for j in range(k, cols):
+            x = ai[j]
+            if x != 0:
+                ax = -x if x < 0 else x
+                if best_abs is None or ax < best_abs:
+                    best, best_abs = (i, j), ax
+                    if ax == 1:
+                        return best
+    return best
+
+
+def snf_reference(a: IntMatrix) -> SmithDecomposition:
+    """`homkit.intlinalg.snf` as it stood before its unit-pivot and column
+    shortcuts, kept verbatim so that U, S and V can be compared exactly.
+
+    Smith normal form of an integer matrix.
+
+    Pivots are chosen by minimal absolute value with lowest-index tie-break,
+    so the returned (U, S, V) is deterministic.
+    """
+    rows, cols = a.rows, a.cols
+    s = [list(r) for r in a.data]
+    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i1, i2):
+        if i1 != i2:
+            s[i1], s[i2] = s[i2], s[i1]
+            u[i1], u[i2] = u[i2], u[i1]
+
+    def swap_cols(j1, j2):
+        if j1 != j2:
+            for r in s:
+                r[j1], r[j2] = r[j2], r[j1]
+            for r in v:
+                r[j1], r[j2] = r[j2], r[j1]
+
+    def add_row(dst, src, c):
+        # row_dst += c * row_src
+        sd, ss = s[dst], s[src]
+        for j in range(cols):
+            sd[j] += c * ss[j]
+        ud, us = u[dst], u[src]
+        for j in range(rows):
+            ud[j] += c * us[j]
+
+    def add_col(dst, src, c):
+        for r in s:
+            r[dst] += c * r[src]
+        for r in v:
+            r[dst] += c * r[src]
+
+    def negate_row(i):
+        s[i] = [-x for x in s[i]]
+        u[i] = [-x for x in u[i]]
+
+    for k in range(min(rows, cols)):
+        while True:
+            piv = _reference_pivot(s, k, rows, cols)
+            if piv is None:
+                break
+            swap_rows(k, piv[0])
+            swap_cols(k, piv[1])
+            p = s[k][k]
+            dirty = False
+            for i in range(k + 1, rows):
+                if s[i][k] != 0:
+                    add_row(i, k, -(s[i][k] // p))
+                    if s[i][k] != 0:
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(k + 1, cols):
+                if s[k][j] != 0:
+                    add_col(j, k, -(s[k][j] // p))
+                    if s[k][j] != 0:
+                        dirty = True
+            if dirty:
+                continue
+            # Row/column k are clear; enforce divisibility of the remaining block.
+            offender = None
+            for i in range(k + 1, rows):
+                si = s[i]
+                for j in range(k + 1, cols):
+                    if si[j] % p != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            add_row(k, offender, 1)
+        if s[k][k] < 0:
+            negate_row(k)
+
+    return SmithDecomposition(IntMatrix(rows, rows, tuple(map(tuple, u))),
+                              IntMatrix(rows, cols, tuple(map(tuple, s))),
+                              IntMatrix(cols, cols, tuple(map(tuple, v))))
+
+
+def natural_map_by_generators(a: PeriodicComplex, b: PeriodicComplex) -> IntMatrix:
+    """Matrix of [A, B] -> gradedHom(H A, H B), class by class: each
+    generator's chain map, its induced maps on homology, and their classes
+    in Hom from the relation solve x @ M_A = M_B @ y, one generator at a time."""
+    hc = homotopy_classes(a, b)
+    hom_part = graded_hom(homology(a), homology(b))
+    cols = []
+    for gen in hc.generators():
+        induced = induced_on_homology(gen)
+        coords: tuple[int, ...] = ()
+        for part, x in zip(hom_part.parts, (induced.even.matrix, induced.odd.matrix)):
+            y = part.target.relation_coords(x @ part.source.presentation)
+            coords += part.element_at(vec(x) + vec(y)).coords
+        cols.append(coords)
+    return IntMatrix.from_columns(cols, rows=hom_part.ngens)
+

@@ -20,7 +20,16 @@ from homkit.abgroups import (
     tensor,
     tor1,
 )
-from homkit.intlinalg import IntMatrix, lattice_contains
+from homkit.intlinalg import (
+    IntMatrix,
+    block_diag,
+    cokernel_invariants,
+    hstack,
+    lattice_contains,
+    preimage_gens,
+    solve,
+    solve_matrix,
+)
 from homkit.randgen import random_automorphism, random_group, random_matrix
 
 Z = FgAbGroup.free(1)
@@ -294,6 +303,38 @@ class TestGroupHom:
         not_exact = GroupHom(Z, Z, IntMatrix.from_rows([[4]]))
         assert not is_exact_pair(not_exact, proj)
 
+    def test_shared_decomposition_matches_standalone_routines(self):
+        # kernel_gens, cokernel_group and lift read the map's one decomposition
+        # of its image generators; each equals the routine that factors alone.
+        rng = random.Random(41)
+        liftable = 0
+        for i in range(120):
+            source, target = random_group(rng), random_group(rng)
+            if i % 2:
+                h = hom(source, target)
+                f = h.to_hom(h.element([rng.randint(-3, 3) for _ in range(h.ngens)]))
+            else:  # kernels and cokernels of any matrix are lattice questions
+                f = GroupHom(source, target, random_matrix(rng, target.ngens, source.ngens),
+                             check=False)
+            image = f.image_gens()
+            assert f.kernel_gens() == preimage_gens(f.matrix, target.presentation)
+            coker, alone = f.cokernel_group(), FgAbGroup(image)
+            assert coker.presentation == image and coker.smith == alone.smith
+            assert coker.canonical == alone.canonical
+            assert f.is_surjective() == alone.is_trivial()
+            images = f.matrix @ random_matrix(rng, source.ngens, rng.randint(0, 2))
+            for targets in (images, hstack(random_matrix(rng, target.ngens, 1), images)):
+                sol = solve_matrix(image, targets)
+                expected = None if sol is None else \
+                    IntMatrix(source.ngens, sol.cols, sol.data[:source.ngens])
+                assert f.lift(targets) == expected
+                liftable += sol is not None
+            if i % 2:  # a kernel group needs a homomorphism
+                ker, again = f.kernel(), f.kernel()
+                assert ker is not again and ker.basis == again.basis
+                assert ker.smith is again.smith
+        assert liftable >= 60
+
 
 class TestGraded:
     def test_suspension_swaps(self):
@@ -313,3 +354,34 @@ class TestGraded:
         el = ds.inject(1, Z6.element((5,)))
         assert ds.project(el, 1) == Z6.element((5,))
         assert ds.project(el, 0).is_zero()
+
+
+class TestDirectSum:
+    @staticmethod
+    def _part(rng):
+        kind = rng.randrange(4)
+        if kind == 0:
+            return random_group(rng)
+        if kind == 1:
+            return FgAbGroup.free(rng.randint(0, 2))
+        if kind == 2:
+            return FgAbGroup(random_matrix(rng, rng.randint(0, 3), rng.randint(0, 3), 4))
+        return hom(random_group(rng), random_group(rng))
+
+    def test_parts_answer_like_the_block_diagonal(self):
+        # Canonical forms and zero tests are read off the parts; both are
+        # unique answers, so they equal those of the whole presentation.
+        rng = random.Random(43)
+        for i in range(240):
+            parts = [self._part(rng) for _ in range(i % 4)]  # every fourth sum is empty
+            ds = DirectSum(parts)
+            whole = block_diag(*(p.presentation for p in parts)) if parts else IntMatrix.zero(0, 0)
+            assert ds.canonical == cokernel_invariants(whole)
+            for _ in range(3):
+                coords = [rng.randint(-8, 8) for _ in range(ds.ngens)]
+                assert ds.coords_are_zero(coords) == (solve(whole, coords) is not None)
+                relation = whole.apply([rng.randint(-3, 3) for _ in range(whole.cols)])
+                assert ds.coords_are_zero(relation)
+                assert ds.element(relation).is_zero()
+        with pytest.raises(InputError):
+            DirectSum([Z2, Z6]).coords_are_zero((1,))

@@ -24,6 +24,7 @@ from .oracles import (
     det_bareiss,
     determinantal_divisor_diagonal,
     solve_fraction,
+    snf_reference,
     solve_lattice,
     subquotient_presentation_oracle,
 )
@@ -81,6 +82,27 @@ class TestSnf:
     def test_deterministic(self):
         a = IntMatrix.from_rows([[3, 1, -4], [0, 2, 5]])
         assert snf(a) == snf(a)
+
+    def test_matches_reference_pivots(self):
+        # U, S and V equal those of the frozen copy of the earlier snf, entry
+        # for entry: the unit-pivot and column shortcuts change no pivot.
+        rng = random.Random(2_024)
+        for i in range(2_000):
+            rows, cols = rng.randint(0, 9), rng.randint(0, 9)
+            kind = i % 4
+            if kind == 0:
+                a = random_matrix(rng, rows, cols, 3)
+            elif kind == 1:  # mostly units and zeros
+                a = IntMatrix.from_rows([[rng.choice((-1, -1, 0, 0, 1, 1, 2)) for _ in range(cols)]
+                                         for _ in range(rows)], cols=cols)
+            elif kind == 2:  # zero rows and columns
+                zr = set(rng.sample(range(rows), rows // 3))
+                zc = set(rng.sample(range(cols), cols // 3))
+                a = IntMatrix.from_rows([[0 if r in zr or c in zc else rng.randint(-9, 9)
+                                          for c in range(cols)] for r in range(rows)], cols=cols)
+            else:
+                a = random_matrix(rng, rows, cols, 10 ** 6)
+            assert snf(a) == snf_reference(a), a
 
 
 class TestCokernelInvariants:

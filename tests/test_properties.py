@@ -1,6 +1,6 @@
 """Property tests: arbitrary JSON into every jsonio parser raises only
-InputError, and every CLI command that reads files exits 0 or 2 with one
-JSON document.
+InputError, every CLI command that reads files exits 0 or 2 with one
+JSON document, and Smith forms satisfy their defining identities.
 
 The profile is derandomized and keeps no example database, so the suite
 stays deterministic.  Integers stay within +-64, so no declared rank or
@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from homkit import cli  # noqa: E402
 from homkit.errors import InputError  # noqa: E402
-from homkit.intlinalg import IntMatrix  # noqa: E402
+from homkit.intlinalg import IntMatrix, snf  # noqa: E402
 from homkit.jsonio import (  # noqa: E402
     chain_map_from_json,
     complex_from_json,
@@ -28,6 +28,8 @@ from homkit.jsonio import (  # noqa: E402
     rmodule_from_json,
 )
 from homkit.percomplex import PeriodicComplex  # noqa: E402
+
+from .oracles import det_bareiss  # noqa: E402
 
 SMALL_INT = st.integers(-64, 64)
 ENTRY = SMALL_INT | SMALL_INT.map(str) | st.text(max_size=3)  # matrix entries
@@ -163,3 +165,26 @@ def test_cli_exits_0_or_2_with_one_document(command, tmp_path):
         assert ("error" in doc) == (code == 2)
 
     check()
+
+
+SNF_ENTRY = st.sampled_from([-1, 0, 0, 1]) | st.integers(-30, 30) | st.integers(-10**6, 10**6)
+SNF_MATRIX = st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(
+    lambda shape: st.lists(st.lists(SNF_ENTRY, min_size=shape[1], max_size=shape[1]),
+                           min_size=shape[0], max_size=shape[0]).map(
+        lambda rows: IntMatrix.from_rows(rows, cols=shape[1])))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(SNF_MATRIX)
+def test_snf_identities(a):
+    dec = snf(a)
+    assert dec.u @ a @ dec.v == dec.s
+    assert abs(det_bareiss([list(r) for r in dec.u.data])) == 1
+    assert abs(det_bareiss([list(r) for r in dec.v.data])) == 1
+    off_diagonal = [x for i, row in enumerate(dec.s.data) for j, x in enumerate(row) if i != j]
+    assert not any(off_diagonal)
+    diag = dec.diagonal
+    assert all(d >= 0 for d in diag)
+    nonzero = [d for d in diag if d]
+    assert diag[:len(nonzero)] == tuple(nonzero), "zeros must trail"
+    assert all(b % c == 0 for c, b in zip(nonzero, nonzero[1:]))

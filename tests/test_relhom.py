@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from homkit.errors import InputError
+from homkit.errors import InputError, InternalCheckError
 from homkit.abgroups import (
     FgAbGroup,
     GradedAbGroup,
@@ -39,6 +39,8 @@ from homkit.relhom import (
     triangle_homology_maps,
     uct_sequence,
 )
+
+from .oracles import natural_map_by_generators
 
 Z2 = FgAbGroup.cyclic(2)
 Z3 = FgAbGroup.cyclic(3)
@@ -250,6 +252,30 @@ class TestUct:
         rng = random.Random(97)
         for _ in range(15):
             uct_sequence(random_complex(rng, 2), random_complex(rng, 2))
+
+    def test_natural_map_matches_class_by_class_oracle(self):
+        # The one-pass natural map equals the per-generator construction on
+        # criterion-1 complexes and on sums of two or three of them.
+        rng = random.Random(8_111)
+        nontrivial = 0
+        for i in range(60):
+            sides = []
+            for _ in range(2):
+                x = random_complex(rng, max_rank=3)
+                for _ in range(i % 3):
+                    x = direct_sum(x, random_complex(rng, max_rank=2))
+                sides.append(x)
+            r = uct_sequence(*sides)
+            assert r.natural.matrix == natural_map_by_generators(*sides)
+            nontrivial += not r.natural.matrix.is_zero()
+        assert nontrivial >= 30
+
+    def test_natural_map_rejects_a_map_that_breaks_relations(self, monkeypatch):
+        # The relation solve is the homomorphism check; a failure is internal.
+        from homkit import abgroups
+        monkeypatch.setattr(abgroups.FgAbGroup, "relation_coords", lambda self, cols: None)
+        with pytest.raises(InternalCheckError, match="natural map"):
+            uct_sequence(M2, M2)
 
 
 class TestPhantomSubgroup:

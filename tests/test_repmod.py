@@ -385,6 +385,28 @@ class TestHochschild:
         with pytest.raises(InputError):
             hochschild(z2, IntMatrix.identity(2), IntMatrix.identity(2), 0, "badvariant")
 
+    def test_each_map_is_factored_once(self, monkeypatch):
+        # Z + Z/2 + Z/4 with a random automorphism took 18 Smith forms when
+        # inverse_matrix repeated the injectivity test of is_isomorphism.
+        from homkit import abgroups, intlinalg
+        from homkit.randgen import random_automorphism
+        calls = []
+        real_snf = intlinalg.snf
+
+        def counted(a):
+            calls.append(a)
+            return real_snf(a)
+
+        for module in (intlinalg, abgroups):
+            monkeypatch.setattr(module, "snf", counted)
+        rng = random.Random(5)
+        for _ in range(5):
+            g = FgAbGroup.from_invariants(1, (2, 4))
+            lam = random_automorphism(rng, g)
+            calls.clear()
+            hochschild(g, lam, IntMatrix.identity(3), 0)
+            assert len(calls) < 18
+
 
 class TestPvSequence:
     def test_identity_automorphism(self):
