@@ -338,12 +338,9 @@ class DirectSum(FgAbGroup):
 
     @cached_property
     def canonical(self) -> tuple[int, tuple[int, ...]]:
-        """Ranks add; the torsion is that of the diagonal of all parts'
-        factors, which is already canonical if they form a divisibility chain."""
-        torsion = tuple(d for p in self.parts for d in p.torsion)
-        if any(b % a for a, b in zip(torsion, torsion[1:])):
-            torsion = cokernel_invariants(IntMatrix.diagonal(torsion))[1]
-        return sum(p.rank for p in self.parts), torsion
+        """Ranks add; the torsion is that of the diagonal of all parts' factors."""
+        torsion = [d for p in self.parts for d in p.torsion]
+        return sum(p.rank for p in self.parts), cokernel_invariants(IntMatrix.diagonal(torsion))[1]
 
     def coords_are_zero(self, coords: Sequence[int]) -> bool:
         if len(coords) != self.ngens:

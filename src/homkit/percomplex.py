@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .errors import InputError
 from .abgroups import FgAbGroup, GradedAbGroup, GroupElement, GroupHom, SubquotientGroup
@@ -221,12 +222,23 @@ class HomotopyClasses:
             raise InputError("chain map has the wrong endpoints")
         return self.group.element_at(vec(f.f0) + vec(f.f1))
 
+    def _component(self, v: Sequence[int], degree: int) -> IntMatrix:
+        """The degree-`degree` matrix of a vectorized chain map (f0, f1)."""
+        a, b = self.source, self.target
+        if degree == 0:
+            return unvec(v[:self._split], b.even_rank, a.even_rank)
+        return unvec(v[self._split:], b.odd_rank, a.odd_rank)
+
     def representative(self, el: GroupElement) -> ChainMap:
         amb = self.group.ambient(el)
-        a, b = self.source, self.target
-        f0 = unvec(amb[:self._split], b.even_rank, a.even_rank)
-        f1 = unvec(amb[self._split:], b.odd_rank, a.odd_rank)
-        return ChainMap(a, b, f0, f1)
+        return ChainMap(self.source, self.target, self._component(amb, 0), self._component(amb, 1))
+
+    def induced_matrices(self, degree: int) -> list[IntMatrix]:
+        """For each generator of [A, B], the matrix of the map it induces on
+        H_degree, as `induced_on_homology` writes it; one solve for all."""
+        return _induced_matrices([self._component(g, degree)
+                                  for g in self.chain_map_lattice().columns()],
+                                 self.source, self.target, degree)
 
     def is_null_homotopic(self, f: ChainMap) -> bool:
         return self.class_of(f).is_zero()
@@ -261,12 +273,25 @@ class GradedGroupHom:
         return self.even.is_surjective() and self.odd.is_surjective()
 
 
+def _induced_matrices(mats: Sequence[IntMatrix], a: PeriodicComplex, b: PeriodicComplex,
+                      degree: int) -> list[IntMatrix]:
+    """Homology coordinates of the maps H_degree(A) -> H_degree(B) induced by
+    the degree-`degree` components `mats`, found by one solve side by side."""
+    ha, hb = homology_group(a, degree), homology_group(b, degree)
+    if not mats:
+        return []
+    x = hb.to_coords(hstack(*(m @ ha.basis for m in mats)))
+    k = ha.ngens
+    return [IntMatrix(x.rows, k, tuple(row[g * k:(g + 1) * k] for row in x.data))
+            for g in range(len(mats))]
+
+
 def induced_on_homology(f: ChainMap) -> GradedGroupHom:
     """The well-defined graded map H(A) -> H(B); independent of homotopy."""
     maps = []
     for degree, mat in ((0, f.f0), (1, f.f1)):
         ha, hb = homology_group(f.source, degree), homology_group(f.target, degree)
-        maps.append(GroupHom(ha, hb, hb.to_coords(mat @ ha.basis)))
+        maps.append(GroupHom(ha, hb, _induced_matrices([mat], f.source, f.target, degree)[0]))
     return GradedGroupHom(maps[0], maps[1])
 
 

@@ -28,7 +28,7 @@ from .abgroups import (
     tensor,
     tor1,
 )
-from .intlinalg import IntMatrix, block_diag, hstack, lattice_basis_with_witness, unvec, vstack
+from .intlinalg import IntMatrix, block_diag, lattice_basis_with_witness, vstack
 from .percomplex import (
     ChainMap,
     HomotopyClasses,
@@ -167,28 +167,17 @@ def ideal_ext_from_resolution(res: Resolution, b: PeriodicComplex, n: int) -> Fg
 def _natural_map(a: PeriodicComplex, b: PeriodicComplex) -> tuple[HomotopyClasses, DirectSum, GroupHom]:
     """[A, B] -> gradedHom(H A, H B) on all generators of [A, B] at once.
 
-    In each degree, generator g of [A, B] has component F_g.  One solve
-    gives the matrices X_g of the induced maps H(A) -> H(B), as cycle
-    coordinates of every F_g @ basis(H A) side by side; `from_matrices`
-    checks that each X_g respects relations and finds the classes of all
-    of them in Hom.  The columns are those of the class-by-class
-    `induced_on_homology` and `from_matrix`.
+    In each degree, `induced_matrices` gives the matrices X_g of the maps
+    H(A) -> H(B) induced by every generator g in one solve;
+    `from_matrices` checks that each X_g respects relations and finds the
+    classes of all of them in Hom.  The columns are those of the
+    class-by-class `induced_on_homology` and `from_matrix`.
     """
     hc = homotopy_classes(a, b)
     hom_part = graded_hom(homology(a), homology(b))
-    gens = hc.chain_map_lattice().columns()  # vectorized (f0, f1) per generator
-    split = b.even_rank * a.even_rank
-    bounds = (0, split, split + b.odd_rank * a.odd_rank)
     blocks = []
     for degree, part in enumerate(hom_part.parts):
-        ha, hb = homology_group(a, degree), homology_group(b, degree)
-        images = [unvec(g[bounds[degree]:bounds[degree + 1]], b.rank(degree), a.rank(degree))
-                  @ ha.basis for g in gens]
-        x = hb.to_coords(hstack(*images)) if images else IntMatrix.zero(hb.ngens, 0)
-        k = ha.ngens  # X_g is columns g*k .. (g+1)*k - 1 of x
-        coords = part.from_matrices(
-            [IntMatrix(x.rows, k, tuple(row[g * k:(g + 1) * k] for row in x.data))
-             for g in range(len(gens))])
+        coords = part.from_matrices(hc.induced_matrices(degree))
         if coords is None:
             raise InternalCheckError("natural map: an induced map does not respect relations")
         blocks.append(coords)

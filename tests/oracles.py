@@ -32,7 +32,7 @@ from homkit.intlinalg import (
     solve,
     vec,
 )
-from homkit.percomplex import PeriodicComplex, homology, homotopy_classes, induced_on_homology
+from homkit.percomplex import PeriodicComplex, homology, homology_group, homotopy_classes
 from homkit.repmod import FreeResolutionR, RModule
 
 
@@ -399,15 +399,17 @@ def snf_reference(a: IntMatrix) -> SmithDecomposition:
 
 def natural_map_by_generators(a: PeriodicComplex, b: PeriodicComplex) -> IntMatrix:
     """Matrix of [A, B] -> gradedHom(H A, H B), class by class: each
-    generator's chain map, its induced maps on homology, and their classes
-    in Hom from the relation solve x @ M_A = M_B @ y, one generator at a time."""
+    generator's chain map, the cycle coordinates x of its image of each
+    homology generator, and the class of x in Hom from the relation solve
+    x @ M_A = M_B @ y, one generator and one degree at a time."""
     hc = homotopy_classes(a, b)
     hom_part = graded_hom(homology(a), homology(b))
     cols = []
     for gen in hc.generators():
-        induced = induced_on_homology(gen)
         coords: tuple[int, ...] = ()
-        for part, x in zip(hom_part.parts, (induced.even.matrix, induced.odd.matrix)):
+        for degree, part, f in zip((0, 1), hom_part.parts, (gen.f0, gen.f1)):
+            ha, hb = homology_group(a, degree), homology_group(b, degree)
+            x = hb.to_coords(f @ ha.basis)
             y = part.target.relation_coords(x @ part.source.presentation)
             coords += part.element_at(vec(x) + vec(y)).coords
         cols.append(coords)

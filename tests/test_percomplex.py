@@ -243,6 +243,19 @@ class TestInducedOnHomology:
             dg = induced_on_homology(g)
             assert (df.even - dg.even).is_zero() and (df.odd - dg.odd).is_zero()
 
+    def test_induced_matrices_match_generators(self):
+        # The one-solve matrices of all generators are those that
+        # induced_on_homology gives for each generator's representative.
+        rng = random.Random(43)
+        for i in range(30):
+            a = random_complex(rng, 3)
+            b = direct_sum(random_complex(rng, 2), random_complex(rng, 2)) if i % 2 else \
+                random_complex(rng, 3)
+            hc = homotopy_classes(a, b)
+            maps = [induced_on_homology(g) for g in hc.generators()]
+            assert hc.induced_matrices(0) == [m.even.matrix for m in maps]
+            assert hc.induced_matrices(1) == [m.odd.matrix for m in maps]
+
 
 class TestTensorComplex:
     def test_unit(self):
