@@ -20,7 +20,6 @@ verified anywhere (recorded as untested).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import InputError
@@ -62,9 +61,6 @@ class PeriodicComplex:
     @classmethod
     def zero(cls) -> "PeriodicComplex":
         return cls.zero_diff(0, 0)
-
-    def rank(self, degree: int) -> int:
-        return self.even_rank if degree % 2 == 0 else self.odd_rank
 
 
 def direct_sum(a: PeriodicComplex, b: PeriodicComplex) -> PeriodicComplex:
@@ -117,22 +113,16 @@ class ChainMap:
         return self + (-other)
 
 
-# Bounded: the keys are whole complexes, and a process that runs many jobs
-# sees new ones on every job.
-@lru_cache(maxsize=128)
-def _homology_groups(x: PeriodicComplex) -> tuple[SubquotientGroup, SubquotientGroup]:
-    return SubquotientGroup(subquotient(x.d, x.e)), SubquotientGroup(subquotient(x.e, x.d))
-
-
 def homology(x: PeriodicComplex) -> GradedAbGroup:
     """H_even = ker(D)/im(E), H_odd = ker(E)/im(D)."""
-    h0, h1 = _homology_groups(x)
-    return GradedAbGroup(h0, h1)
+    return GradedAbGroup(homology_group(x, 0), homology_group(x, 1))
 
 
 def homology_group(x: PeriodicComplex, degree: int) -> SubquotientGroup:
     """H_degree, whose basis columns are cycle representatives."""
-    return _homology_groups(x)[degree % 2]
+    if degree % 2 == 0:
+        return SubquotientGroup(subquotient(x.d, x.e))
+    return SubquotientGroup(subquotient(x.e, x.d))
 
 
 def moore_complex(g: GradedAbGroup) -> PeriodicComplex:
@@ -143,8 +133,8 @@ def moore_complex(g: GradedAbGroup) -> PeriodicComplex:
     even part Z^{n0} + Z^{m1}, odd part Z^{m0} + Z^{n1}, D = M1 on the
     second summand and E = M0 on the first.
     """
-    m0 = _injective_presentation(g.even)
-    m1 = _injective_presentation(g.odd)
+    m0 = FgAbGroup.from_invariants(*g.even.canonical).presentation
+    m1 = FgAbGroup.from_invariants(*g.odd.canonical).presentation
     n0, r0 = m0.rows, m0.cols
     n1, r1 = m1.rows, m1.cols
     d = block([[IntMatrix.zero(r0, n0), IntMatrix.zero(r0, r1)],
@@ -152,12 +142,6 @@ def moore_complex(g: GradedAbGroup) -> PeriodicComplex:
     e = block([[m0, IntMatrix.zero(n0, n1)],
                [IntMatrix.zero(r1, r0), IntMatrix.zero(r1, n1)]])
     return PeriodicComplex(n0 + r1, r0 + n1, d, e)
-
-
-def _injective_presentation(g: FgAbGroup) -> IntMatrix:
-    """Canonical presentation with independent relation columns."""
-    rank, torsion = g.canonical
-    return IntMatrix.diagonal(torsion, rows=len(torsion) + rank, cols=len(torsion))
 
 
 def suspension(x: PeriodicComplex) -> PeriodicComplex:
@@ -233,12 +217,13 @@ class HomotopyClasses:
         amb = self.group.ambient(el)
         return ChainMap(self.source, self.target, self._component(amb, 0), self._component(amb, 1))
 
-    def induced_matrices(self, degree: int) -> list[IntMatrix]:
-        """For each generator of [A, B], the matrix of the map it induces on
-        H_degree, as `induced_on_homology` writes it; one solve for all."""
+    def induced_matrices(self, degree: int, ha: SubquotientGroup,
+                         hb: SubquotientGroup) -> list[IntMatrix]:
+        """For each generator of [A, B], the matrix of the map it induces from
+        ha = H_degree(A) to hb = H_degree(B), as `induced_map` writes it; one
+        solve for all."""
         return _induced_matrices([self._component(g, degree)
-                                  for g in self.chain_map_lattice().columns()],
-                                 self.source, self.target, degree)
+                                  for g in self.chain_map_lattice().columns()], ha, hb)
 
     def is_null_homotopic(self, f: ChainMap) -> bool:
         return self.class_of(f).is_zero()
@@ -273,11 +258,10 @@ class GradedGroupHom:
         return self.even.is_surjective() and self.odd.is_surjective()
 
 
-def _induced_matrices(mats: Sequence[IntMatrix], a: PeriodicComplex, b: PeriodicComplex,
-                      degree: int) -> list[IntMatrix]:
-    """Homology coordinates of the maps H_degree(A) -> H_degree(B) induced by
-    the degree-`degree` components `mats`, found by one solve side by side."""
-    ha, hb = homology_group(a, degree), homology_group(b, degree)
+def _induced_matrices(mats: Sequence[IntMatrix], ha: SubquotientGroup,
+                      hb: SubquotientGroup) -> list[IntMatrix]:
+    """Homology coordinates of the maps ha -> hb induced by the chain-level
+    components `mats` of one degree, found by one solve side by side."""
     if not mats:
         return []
     x = hb.to_coords(hstack(*(m @ ha.basis for m in mats)))
@@ -286,13 +270,16 @@ def _induced_matrices(mats: Sequence[IntMatrix], a: PeriodicComplex, b: Periodic
             for g in range(len(mats))]
 
 
+def induced_map(f: ChainMap, ha: GradedAbGroup, hb: GradedAbGroup) -> GradedGroupHom:
+    """The graded map ha -> hb induced by f, for ha = H(f.source) and
+    hb = H(f.target) as `homology` builds them; independent of homotopy."""
+    return GradedGroupHom(*(GroupHom(sa, sb, _induced_matrices([m], sa, sb)[0])
+                            for m, sa, sb in ((f.f0, ha.even, hb.even), (f.f1, ha.odd, hb.odd))))
+
+
 def induced_on_homology(f: ChainMap) -> GradedGroupHom:
     """The well-defined graded map H(A) -> H(B); independent of homotopy."""
-    maps = []
-    for degree, mat in ((0, f.f0), (1, f.f1)):
-        ha, hb = homology_group(f.source, degree), homology_group(f.target, degree)
-        maps.append(GroupHom(ha, hb, _induced_matrices([mat], f.source, f.target, degree)[0]))
-    return GradedGroupHom(maps[0], maps[1])
+    return induced_map(f, homology(f.source), homology(f.target))
 
 
 def tensor_complex(a: PeriodicComplex, b: PeriodicComplex) -> PeriodicComplex:

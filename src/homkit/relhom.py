@@ -36,6 +36,7 @@ from .percomplex import (
     homology,
     homology_group,
     homotopy_classes,
+    induced_map,
     induced_on_homology,
     mapping_cone,
     suspension,
@@ -83,7 +84,9 @@ def is_i_exact(objects: Sequence[PeriodicComplex], maps: Sequence[ChainMap], deg
     composite = fout.compose(fin)
     if not homotopy_classes(composite.source, composite.target).is_null_homotopic(composite):
         raise InputError("not a complex: consecutive maps are not null-homotopic")
-    hin, hout = induced_on_homology(fin), induced_on_homology(fout)
+    middle = homology(fin.target)
+    hin = induced_map(fin, homology(fin.source), middle)
+    hout = induced_map(fout, middle, homology(fout.target))
     return (is_exact_pair(hin.even, hout.even)
             and is_exact_pair(hin.odd, hout.odd))
 
@@ -164,20 +167,22 @@ def ideal_ext_from_resolution(res: Resolution, b: PeriodicComplex, n: int) -> Fg
     return pull.cokernel_group()
 
 
-def _natural_map(a: PeriodicComplex, b: PeriodicComplex) -> tuple[HomotopyClasses, DirectSum, GroupHom]:
-    """[A, B] -> gradedHom(H A, H B) on all generators of [A, B] at once.
+def _natural_map(a: PeriodicComplex, b: PeriodicComplex, ha: GradedAbGroup,
+                 hb: GradedAbGroup) -> tuple[HomotopyClasses, DirectSum, GroupHom]:
+    """[A, B] -> gradedHom(H A, H B) on all generators of [A, B] at once,
+    for ha = H(A) and hb = H(B).
 
     In each degree, `induced_matrices` gives the matrices X_g of the maps
     H(A) -> H(B) induced by every generator g in one solve;
     `from_matrices` checks that each X_g respects relations and finds the
     classes of all of them in Hom.  The columns are those of the
-    class-by-class `induced_on_homology` and `from_matrix`.
+    class-by-class `induced_map` and `from_matrix`.
     """
     hc = homotopy_classes(a, b)
-    hom_part = graded_hom(homology(a), homology(b))
+    hom_part = graded_hom(ha, hb)
     blocks = []
     for degree, part in enumerate(hom_part.parts):
-        coords = part.from_matrices(hc.induced_matrices(degree))
+        coords = part.from_matrices(hc.induced_matrices(degree, part.source, part.target))
         if coords is None:
             raise InternalCheckError("natural map: an induced map does not respect relations")
         blocks.append(coords)
@@ -204,8 +209,9 @@ class UctReport:
 
 def uct_sequence(a: PeriodicComplex, b: PeriodicComplex) -> UctReport:
     """Assemble and verify the sequence 0 -> Ext-part -> [A, B] -> Hom-part -> 0."""
-    hc, hom_part, natural = _natural_map(a, b)
-    ext_part = graded_ext_shifted(homology(a), homology(b))
+    ha, hb = homology(a), homology(b)
+    hc, hom_part, natural = _natural_map(a, b, ha, hb)
+    ext_part = graded_ext_shifted(ha, hb)
     report = UctReport(hom_part, ext_part, hc.group, natural, natural.kernel(), hc)
     _verify_uct(report)
     return report
@@ -239,15 +245,13 @@ class PhantomSubgroup:
 
 def phantom_subgroup(a: PeriodicComplex, b: PeriodicComplex) -> PhantomSubgroup:
     """Kernel of [A, B] -> gradedHom(H A, H B), with generator certificates."""
-    hc, _, natural = _natural_map(a, b)
+    hc, _, natural = _natural_map(a, b, homology(a), homology(b))
     return PhantomSubgroup(natural.kernel(), hc)
 
 
-def _connecting_map(f: ChainMap, cone: PeriodicComplex, degree: int) -> GroupHom:
-    """H_degree(cone f) -> H_{degree-1}(A): project a cone cycle to its A-part."""
-    a = f.source
-    hc, ha = homology_group(cone, degree), homology_group(a, degree - 1)
-    apart = a.rank(degree - 1)
+def _connecting_map(hc: SubquotientGroup, ha: SubquotientGroup, apart: int) -> GroupHom:
+    """H_n(cone f) -> H_{n-1}(A): project a cone cycle to its A-part, the
+    first `apart` = rank_{n-1}(A) coordinates."""
     return GroupHom(hc, ha, ha.to_coords(IntMatrix(apart, hc.ngens, hc.basis.data[:apart])))
 
 
@@ -257,11 +261,13 @@ def triangle_homology_maps(f: ChainMap) -> list[GroupHom]:
     Nodes in order: H0 A, H0 B, H0 C, H1 A, H1 B, H1 C, cyclically; the maps
     out of H C are the degree-shifting connecting maps.
     """
+    a = f.source
     cone, iota, _ = mapping_cone(f)
-    hf = induced_on_homology(f)
-    hi = induced_on_homology(iota)
-    return [hf.even, hi.even, _connecting_map(f, cone, 0),
-            hf.odd, hi.odd, _connecting_map(f, cone, 1)]
+    ha, hb, hc = homology(a), homology(f.target), homology(cone)
+    hf = induced_map(f, ha, hb)
+    hi = induced_map(iota, hb, hc)
+    return [hf.even, hi.even, _connecting_map(hc.even, ha.odd, a.odd_rank),
+            hf.odd, hi.odd, _connecting_map(hc.odd, ha.even, a.even_rank)]
 
 
 def cone_triangle_is_exact(f: ChainMap) -> bool:
@@ -293,16 +299,15 @@ def kappa(f: ChainMap) -> GroupElement:
     the universal-coefficient sequence for [A, T].  Canonical up to one global
     sign (the triangle rotation convention).
     """
-    if not is_phantom(f):
+    f0, i0, c0, f1, i1, c1 = triangle_homology_maps(f)
+    if not (f0.is_zero() and f1.is_zero()):
         raise InputError("kappa is only defined on phantom maps")
-    a, t = f.source, f.target
-    cone, iota, _ = mapping_cone(f)
-    hi = induced_on_homology(iota)
-    ext_part = graded_ext_shifted(homology(a), homology(t))
+    ext_part = graded_ext_shifted(GradedAbGroup(f0.source, f1.source),
+                                  GradedAbGroup(f0.target, f1.target))
     # Degree-1 extension: 0 -> H1(T) -> H1(C) -> H0(A) -> 0.
-    class_even = _extension_class(hi.odd, _connecting_map(f, cone, 1), ext_part.parts[0])
+    class_even = _extension_class(i1, c1, ext_part.parts[0])
     # Degree-0 extension: 0 -> H0(T) -> H0(C) -> H1(A) -> 0.
-    class_odd = _extension_class(hi.even, _connecting_map(f, cone, 0), ext_part.parts[1])
+    class_odd = _extension_class(i0, c0, ext_part.parts[1])
     return ext_part.inject(0, class_even) + ext_part.inject(1, class_odd)
 
 

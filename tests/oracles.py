@@ -32,7 +32,7 @@ from homkit.intlinalg import (
     solve,
     vec,
 )
-from homkit.percomplex import PeriodicComplex, homology, homology_group, homotopy_classes
+from homkit.percomplex import PeriodicComplex, homology, homotopy_classes
 from homkit.repmod import FreeResolutionR, RModule
 
 
@@ -407,9 +407,8 @@ def natural_map_by_generators(a: PeriodicComplex, b: PeriodicComplex) -> IntMatr
     cols = []
     for gen in hc.generators():
         coords: tuple[int, ...] = ()
-        for degree, part, f in zip((0, 1), hom_part.parts, (gen.f0, gen.f1)):
-            ha, hb = homology_group(a, degree), homology_group(b, degree)
-            x = hb.to_coords(f @ ha.basis)
+        for part, f in zip(hom_part.parts, (gen.f0, gen.f1)):
+            x = part.target.to_coords(f @ part.source.basis)
             y = part.target.relation_coords(x @ part.source.presentation)
             coords += part.element_at(vec(x) + vec(y)).coords
         cols.append(coords)

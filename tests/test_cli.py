@@ -24,6 +24,12 @@ SUSP_MOORE_Z2 = {
     "d": {"rows": 1, "cols": 1, "data": [["-2"]]},
     "e": {"rows": 1, "cols": 1, "data": [["0"]]},
 }
+# The phantom map M(Z/n) -> S M(Z/n) whose cone is the extension Z/n^2, for
+# the Moore complex M(Z/n) (MOORE_Z2 for n = 2) and its suspension.
+EXTENSION_MAP = {
+    "f_even": {"rows": 1, "cols": 1, "data": [["0"]]},
+    "f_odd": {"rows": 1, "cols": 1, "data": [["1"]]},
+}
 
 
 def write(tmp_path, name, doc):
@@ -79,9 +85,7 @@ class TestBasicCommands:
     def test_kappa_and_classify(self, tmp_path, capsys):
         a = write(tmp_path, "a.json", MOORE_Z2)
         b = write(tmp_path, "b.json", SUSP_MOORE_Z2)
-        f = write(tmp_path, "f.json", {
-            "f_even": {"rows": 1, "cols": 1, "data": [["0"]]},
-            "f_odd": {"rows": 1, "cols": 1, "data": [["1"]]}})
+        f = write(tmp_path, "f.json", EXTENSION_MAP)
         code, doc = run(capsys, "classify", a, b, f)
         assert code == 0
         assert doc["result"]["phantom"] is True
@@ -163,6 +167,34 @@ class TestContracts:
         main(["uct", a, a])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_repeated_job_does_the_same_work(self, tmp_path, capsys, monkeypatch):
+        # Nothing a job computes may outlive it: run twice in one process,
+        # a job runs the same Smith forms and writes the same document.
+        from homkit import intlinalg
+        calls = []
+        real_snf = intlinalg.snf
+
+        def counted(a):
+            calls.append(a)
+            return real_snf(a)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "homkit" and getattr(module, "snf", None) is real_snf:
+                monkeypatch.setattr(module, "snf", counted)
+        # Z/5 in place of Z/2: no earlier test builds these complexes, so a
+        # memo filled by earlier tests could not hide a difference here.
+        a = write(tmp_path, "a.json", {**MOORE_Z2, "e": {"rows": 1, "cols": 1, "data": [["5"]]}})
+        b = write(tmp_path, "b.json",
+                  {**SUSP_MOORE_Z2, "d": {"rows": 1, "cols": 1, "data": [["-5"]]}})
+        f = write(tmp_path, "f.json", EXTENSION_MAP)
+        for args in (["uct", a, b], ["kappa", a, b, f]):
+            runs = []
+            for _ in range(2):
+                calls.clear()
+                assert main(args) == 0
+                runs.append((len(calls), capsys.readouterr().out))
+            assert runs[0] == runs[1]
 
     def test_output_groups_reparse_isomorphic(self, tmp_path, capsys):
         a = write(tmp_path, "a.json", MOORE_Z2)

@@ -76,3 +76,31 @@ def test_every_import_is_used():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         offenders += [f"{path.name}: {name}" for name in _unused_imports(tree)]
     assert SRC.is_dir() and not offenders, offenders
+
+
+def _is_memo(decorator: ast.expr) -> bool:
+    """True for lru_cache or cache, bare or called, by name or off functools."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    if isinstance(decorator, ast.Attribute):
+        return (isinstance(decorator.value, ast.Name) and decorator.value.id == "functools"
+                and decorator.attr in ("lru_cache", "cache"))
+    return isinstance(decorator, ast.Name) and decorator.id in ("lru_cache", "cache")
+
+
+def test_no_memo_keyed_on_arguments():
+    # A memo keyed on arguments lives as long as the process, so the work
+    # one job does would depend on the jobs run before it.  A function of
+    # no arguments (a value built once per process) is fine.
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            takes_args = (args.posonlyargs or args.args or args.vararg
+                          or args.kwonlyargs or args.kwarg)
+            if takes_args and any(_is_memo(d) for d in node.decorator_list):
+                offenders.append(f"{path.name}:{node.lineno} {node.name}")
+    assert SRC.is_dir() and not offenders, offenders
