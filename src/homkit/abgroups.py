@@ -26,8 +26,6 @@ from .intlinalg import (
     block_diag,
     cokernel_invariants,
     hstack,
-    kernel_basis,
-    lattice_basis,
     lattice_contains,
     lattice_quotient,
     snf,
@@ -78,9 +76,16 @@ class FgAbGroup:
 
     @cached_property
     def smith(self) -> SmithDecomposition:
-        """Smith decomposition of the presentation, shared by `canonical`,
-        zero tests and homomorphism checks."""
+        """Smith decomposition of the presentation, the one place it is
+        factored: every other question about the presentation reads it."""
         return snf(self.presentation)
+
+    @cached_property
+    def relation_basis(self) -> tuple[IntMatrix, IntMatrix]:
+        """(M, T): M = presentation @ T is a basis of the relation lattice,
+        the first map of the free resolution 0 -> Z^m -> Z^ngens -> group."""
+        t = self.smith.image_witness()
+        return self.presentation @ t, t
 
     @cached_property
     def canonical(self) -> tuple[int, tuple[int, ...]]:
@@ -114,7 +119,7 @@ class FgAbGroup:
         return GroupElement(self, (0,) * self.ngens)
 
     def coords_are_zero(self, coords: Sequence[int]) -> bool:
-        return self.smith.solve_vector(coords) is not None
+        return self.relation_coords(IntMatrix.column_vector(coords)) is not None
 
     def relation_coords(self, columns: IntMatrix) -> Optional[IntMatrix]:
         """Y with presentation @ Y = columns, or None if some column of
@@ -199,7 +204,7 @@ class GroupHom:
 
     The map keeps one Smith decomposition of `image_gens()`, made on first
     use; the kernel, the cokernel, surjectivity and `lift` all read it.  The
-    kernel's subquotient, once built, is kept too, so a second kernel or
+    map has one kernel group, built on first use, so a second kernel or
     injectivity test factors nothing.
     """
 
@@ -257,13 +262,12 @@ class GroupHom:
         return self._image_smith.preimage_basis(self.source.ngens)
 
     @cached_property
-    def _kernel_subquotient(self) -> Subquotient:
-        return lattice_quotient(self.kernel_gens(), self.source.presentation)
+    def _kernel(self) -> SubquotientGroup:
+        return SubquotientGroup(lattice_quotient(self.kernel_gens(), self.source.presentation))
 
     def kernel(self) -> SubquotientGroup:
-        """Kernel subgroup; its basis columns are source-group coordinates.
-        Each call returns a new group object over the map's one subquotient."""
-        return SubquotientGroup(self._kernel_subquotient)
+        """Kernel subgroup; its basis columns are source-group coordinates."""
+        return self._kernel
 
     def kernel_group(self) -> SubquotientGroup:
         return self.kernel()
@@ -380,12 +384,6 @@ class SubquotientGroup(FgAbGroup):
         super().__init__(sq.presentation)
 
     @property
-    def smith(self) -> SmithDecomposition:
-        """The subquotient's decomposition of the presentation, shared by all
-        group objects over it."""
-        return self._sq.presentation_smith
-
-    @property
     def basis(self) -> IntMatrix:
         return self._sq.basis
 
@@ -401,18 +399,20 @@ class SubquotientGroup(FgAbGroup):
 
     def element_at(self, ambient: Vector) -> GroupElement:
         """Element whose ambient vector is `ambient`."""
-        return self.element(self._sq.coords_of(ambient))
+        return self.element(self.to_coords(IntMatrix.column_vector(ambient)).column(0))
 
 
-def _kronecker_pair_subquotient(x: IntMatrix, mb: IntMatrix) -> Subquotient:
+def _kronecker_pair_subquotient(x: IntMatrix, target: FgAbGroup) -> Subquotient:
     """Pairs (Y, Z) with Y @ X^T = M_B @ Z, modulo the pairs (M_B @ W, W @ X^T)
-    and (0, K @ V) for a kernel basis K of M_B; vectorized as vec(Y) + vec(Z).
+    and (0, K @ V) for the kernel basis K of M_B, the target's presentation,
+    read off its Smith form; vectorized as vec(Y) + vec(Z).
 
-    Hom(A, B) takes X = M_A^T and Tor_1(A, B) a lattice basis of M_A's columns.
+    Hom(A, B) takes X = M_A^T and Tor_1(A, B) A's relation basis.
     """
+    mb = target.presentation
     m, k = x.cols, x.rows
     gb, rb = mb.rows, mb.cols
-    kb = kernel_basis(mb)
+    kb = target.smith.kernel_basis()
     l = hstack(x.kron(IntMatrix.identity(gb)), -(IntMatrix.identity(k).kron(mb)))
     n1 = vstack(IntMatrix.identity(m).kron(mb), x.kron(IntMatrix.identity(rb)))
     n2 = vstack(IntMatrix.zero(gb * m, k * kb.cols), IntMatrix.identity(k).kron(kb))
@@ -427,8 +427,7 @@ class HomGroup(SubquotientGroup):
     """
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup):
-        super().__init__(_kronecker_pair_subquotient(source.presentation.transpose(),
-                                                     target.presentation))
+        super().__init__(_kronecker_pair_subquotient(source.presentation.transpose(), target))
         self.source = source
         self.target = target
 
@@ -478,20 +477,18 @@ class HomGroup(SubquotientGroup):
 class Ext1Group(SubquotientGroup):
     """Ext^1(A, B), computed from a length-1 free resolution of A.
 
-    The resolution 0 -> Z^m --rel--> Z^g -> A is fixed by taking a lattice
-    basis of the columns of A's presentation, so cocycle coordinates are
-    reproducible.  A cocycle is a matrix Z^m -> Z^{gens of B}.
+    The resolution 0 -> Z^m --rel--> Z^g -> A is A's relation basis, so
+    cocycle coordinates are reproducible.  Every matrix Z^m -> Z^{gens of B}
+    is a cocycle, so the group is all of them modulo the coboundaries.
     """
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup):
-        self.resolution = lattice_basis(source.presentation)
-        mb = target.presentation
+        self.resolution = source.relation_basis[0]
         gb = target.ngens
         m = self.resolution.cols
-        ambient = gb * m
         n = hstack(self.resolution.transpose().kron(IntMatrix.identity(gb)),
-                   IntMatrix.identity(m).kron(mb))
-        super().__init__(subquotient(IntMatrix.zero(0, ambient), n))
+                   IntMatrix.identity(m).kron(target.presentation))
+        super().__init__(Subquotient(IntMatrix.identity(gb * m), n))
         self.source = source
         self.target = target
 
@@ -525,8 +522,8 @@ class Tor1Group(SubquotientGroup):
     """Tor_1(A, B) from a length-1 free resolution of A tensored with B."""
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup):
-        self.resolution = lattice_basis(source.presentation)
-        super().__init__(_kronecker_pair_subquotient(self.resolution, target.presentation))
+        self.resolution = source.relation_basis[0]
+        super().__init__(_kronecker_pair_subquotient(self.resolution, target))
         self.source = source
         self.target = target
 

@@ -7,13 +7,13 @@ Orientation convention used throughout homkit: a presentation matrix has one
 ROW per generator and one COLUMN per relation, and matrices act on column
 vectors.  A vector is a plain tuple of ints.
 
-Lattice systems go through a `SmithDecomposition`: its `solve_vector` takes
-one right-hand side, and its `solve` each column of a matrix in turn; its
-`kernel_basis` and `preimage_basis` read kernels off V.  The functions
-`solve`, `solve_matrix`, `kernel_basis` and `preimage_gens` factor once and
-call them.  Objects that answer many questions about one matrix keep that
-matrix's decomposition, so it is factored once: `Subquotient` for its
-basis, `abgroups.FgAbGroup` for its presentation, and `abgroups.GroupHom`
+Every lattice system goes through `SmithDecomposition.solve`, column by
+column; `kernel_basis`, `preimage_basis` and `image_witness` read lattice
+bases off V.  The functions `solve` (one column), `solve_matrix`,
+`kernel_basis`, `lattice_basis` and `preimage_gens` factor once and call
+them.  Objects that answer many questions about one matrix keep its
+decomposition, so it is factored once: `Subquotient` for its basis,
+`abgroups.FgAbGroup` (and only it) for a presentation, `abgroups.GroupHom`
 for its image generators (kernel, cokernel, surjectivity and lifts).
 """
 
@@ -68,6 +68,11 @@ class IntMatrix:
         return cls(rows, cols, tuple(
             tuple(entries[i] if i == j and i < n else 0 for j in range(cols))
             for i in range(rows)))
+
+    @classmethod
+    def column_vector(cls, vec: Sequence[int]) -> "IntMatrix":
+        """The one-column matrix of `vec`, as long as `vec` is."""
+        return cls(len(vec), 1, tuple((x,) for x in vec))
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
@@ -213,6 +218,11 @@ class SmithDecomposition:
         r = self.rank
         return IntMatrix(self.v.rows, self.v.cols - r, tuple(row[r:] for row in self.v.data))
 
+    def image_witness(self) -> IntMatrix:
+        """The first `rank` columns T of V: A @ T is a basis of A's column lattice."""
+        r = self.rank
+        return IntMatrix(self.v.rows, r, tuple(row[:r] for row in self.v.data))
+
     def preimage_basis(self, ncols: int) -> IntMatrix:
         """For A = [a | t], a with `ncols` columns: a basis of the lattice
         {x : a @ x lies in the column lattice of t}, the projection of ker(A)
@@ -222,38 +232,23 @@ class SmithDecomposition:
             return k
         return lattice_basis(IntMatrix(ncols, k.cols, k.data[:ncols]))
 
-    def _divide(self, ub: Sequence[int]) -> Optional[list[int]]:
-        """y with S y = ub, or None if there is no integer y."""
-        r = self.rank  # the nonzero diagonal entries come first
-        if any(ub[r:]):
-            return None
-        y = [0] * self.v.rows
-        for i in range(r):
-            y[i], rem = divmod(ub[i], self.diagonal[i])
-            if rem:
-                return None
-        return y
-
     def solve(self, b: IntMatrix) -> Optional[IntMatrix]:
         """X with A @ X = b for the factored A, or None if some column of b
-        has no integer solution.  Column by column, as `solve_vector`, but
-        with U and V applied to all columns in one product each."""
+        has no integer solution: column by column, S y = U b is divided out
+        and X = V y, with U and V applied to all columns in one product each."""
         if b.rows != self.u.rows:
             raise InputError("solve: right-hand side has wrong row count")
-        ys = []
+        r, ys = self.rank, []  # the nonzero diagonal entries come first
         for ub in (self.u @ b).columns():
-            y = self._divide(ub)
-            if y is None:
+            if any(ub[r:]):
                 return None
+            y = [0] * self.v.rows
+            for i in range(r):
+                y[i], rem = divmod(ub[i], self.diagonal[i])
+                if rem:
+                    return None
             ys.append(y)
         return self.v @ IntMatrix.from_columns(ys, rows=self.v.rows)
-
-    def solve_vector(self, b: Sequence[int]) -> Optional[Vector]:
-        """x with A @ x = b for the factored A, or None; builds no matrices."""
-        if len(b) != self.u.rows:
-            raise InputError("solve: right-hand side has wrong length")
-        y = self._divide(self.u.apply(b))
-        return None if y is None else self.v.apply(y)
 
 
 def _pivot(a: list[list[int]], k: int, rows: int, cols: int) -> Optional[tuple[int, int]]:
@@ -378,7 +373,8 @@ def solve(a: IntMatrix, b: Sequence[int]) -> Optional[Vector]:
     """One integer solution x of a @ x = b, or None if none exists."""
     if len(b) != a.rows:
         raise InputError("solve: right-hand side has wrong length")
-    return snf(a).solve_vector(b)
+    x = snf(a).solve(IntMatrix.column_vector(b))
+    return None if x is None else x.column(0)
 
 
 def solve_matrix(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
@@ -390,17 +386,9 @@ def solve_matrix(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     return snf(a).solve(b)
 
 
-def lattice_basis_with_witness(gens: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Basis M of the lattice spanned by the columns of `gens`, and T with
-    M = gens @ T; both come from a single Smith decomposition."""
-    dec = snf(gens)
-    t = IntMatrix.from_columns([dec.v.column(j) for j in range(dec.rank)], rows=gens.cols)
-    return gens @ t, t
-
-
 def lattice_basis(gens: IntMatrix) -> IntMatrix:
     """Basis of the lattice spanned by the columns of `gens`."""
-    return lattice_basis_with_witness(gens)[0]
+    return gens @ snf(gens).image_witness()
 
 
 def lll_reduce(basis: IntMatrix) -> IntMatrix:
@@ -489,26 +477,21 @@ class Subquotient:
 
     `basis` has one column per generator (a basis of the sublattice P), and
     `presentation` presents the quotient in those coordinates: one row per
-    generator, one column per relation.
+    generator, one column per relation.  Only the basis is factored here;
+    the group built on the presentation factors that.
     """
 
     basis: IntMatrix
     presentation: IntMatrix
 
     @cached_property
-    def presentation_smith(self) -> SmithDecomposition:
-        """Smith decomposition of `presentation`, shared by every group
-        object built on this subquotient."""
-        return snf(self.presentation)
-
-    @property
-    def invariants(self) -> tuple[int, tuple[int, ...]]:
-        return self.presentation_smith.cokernel_invariants
-
-    @cached_property
     def basis_smith(self) -> SmithDecomposition:
-        """Smith decomposition of `basis`, shared by every coordinate lookup."""
-        return snf(self.basis)
+        """Smith decomposition of `basis`, shared by every coordinate lookup.
+        An identity basis (P is all of Z^n) is its own, and is not factored."""
+        b = self.basis
+        if b.rows == b.cols and b == IntMatrix.identity(b.rows):
+            return SmithDecomposition(b, b, b)
+        return snf(b)
 
     @property
     def ngens(self) -> int:
@@ -525,27 +508,20 @@ class Subquotient:
             raise InputError("vector does not lie in the subgroup")
         return x
 
-    def coords_of(self, ambient: Sequence[int]) -> Vector:
-        """Coordinates of one ambient vector of the sublattice."""
-        x = self.basis_smith.solve_vector(ambient)
-        if x is None:
-            raise InputError("vector does not lie in the subgroup")
-        return x
-
 
 def _quotient_over(basis: IntMatrix, q_gens: IntMatrix, message: str) -> Subquotient:
     """lattice(basis)/lattice(q_gens), raising InputError(message) unless Q
     lies in P.  `basis` is factored once, here, for the presentation and for
     every later coordinate lookup on the result."""
+    sq = Subquotient(basis, IntMatrix.zero(basis.cols, 0))
     if q_gens.cols == 0:
-        return Subquotient(basis, IntMatrix.zero(basis.cols, 0))
-    dec = snf(basis)
-    rel = dec.solve(q_gens)
+        return sq
+    rel = sq.basis_smith.solve(q_gens)
     if rel is None:
         raise InputError(message)
-    sq = Subquotient(basis, rel)
-    sq.__dict__["basis_smith"] = dec  # fills the cached_property
-    return sq
+    quotient = Subquotient(basis, rel)
+    quotient.__dict__["basis_smith"] = sq.basis_smith  # fills the cached_property
+    return quotient
 
 
 def lattice_quotient(p_gens: IntMatrix, q_gens: IntMatrix) -> Subquotient:

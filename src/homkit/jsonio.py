@@ -10,13 +10,21 @@ limit, without changing that process-wide limit.
 from __future__ import annotations
 
 import re
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .errors import InputError
 from .abgroups import FgAbGroup, GradedAbGroup
 from .intlinalg import IntMatrix
 from .percomplex import ChainMap, PeriodicComplex
 from .repmod import LaurentRing, QuotientRing, RModule
+
+
+def _build(what: str, make: Callable[..., Any], *args: Any) -> Any:
+    """make(*args), with a constructor's InputError prefixed by `what`."""
+    try:
+        return make(*args)
+    except InputError as exc:
+        raise InputError(f"{what}: {exc}") from None
 
 
 def _expect_mapping(doc: Any, what: str) -> Mapping:
@@ -114,10 +122,7 @@ def group_from_json(doc: Any, what: str = "group") -> FgAbGroup:
         if not isinstance(torsion_doc, Sequence) or isinstance(torsion_doc, (str, bytes)):
             raise InputError(f"{what}.torsion: expected an array")
         torsion = [_parse_bigint(d, f"{what}.torsion") for d in torsion_doc]
-        try:
-            return FgAbGroup.from_invariants(rank, torsion)
-        except InputError as exc:
-            raise InputError(f"{what}: {exc}") from None
+        return _build(what, FgAbGroup.from_invariants, rank, torsion)
     raise InputError(f"{what}: need either 'presentation' or 'rank'/'torsion'")
 
 
@@ -140,9 +145,9 @@ def complex_from_json(doc: Any, what: str = "complex") -> PeriodicComplex:
     doc = _expect_mapping(doc, what)
     even = _expect_size(doc.get("even_rank"), f"{what}.even_rank")
     odd = _expect_size(doc.get("odd_rank"), f"{what}.odd_rank")
-    return PeriodicComplex(even, odd,
-                           matrix_from_json(doc.get("d"), f"{what}.d"),
-                           matrix_from_json(doc.get("e"), f"{what}.e"))
+    return _build(what, PeriodicComplex, even, odd,
+                  matrix_from_json(doc.get("d"), f"{what}.d"),
+                  matrix_from_json(doc.get("e"), f"{what}.e"))
 
 
 def complex_to_json(x: PeriodicComplex) -> dict:
@@ -153,9 +158,9 @@ def complex_to_json(x: PeriodicComplex) -> dict:
 def chain_map_from_json(doc: Any, source: PeriodicComplex, target: PeriodicComplex,
                         what: str = "chain map") -> ChainMap:
     doc = _expect_mapping(doc, what)
-    return ChainMap(source, target,
-                    matrix_from_json(doc.get("f_even"), f"{what}.f_even"),
-                    matrix_from_json(doc.get("f_odd"), f"{what}.f_odd"))
+    return _build(what, ChainMap, source, target,
+                  matrix_from_json(doc.get("f_even"), f"{what}.f_even"),
+                  matrix_from_json(doc.get("f_odd"), f"{what}.f_odd"))
 
 
 def chain_map_to_json(f: ChainMap) -> dict:
@@ -170,7 +175,8 @@ def rmodule_from_json(doc: Any, what: str = "module") -> RModule:
         poly_doc = ring_doc.get("poly")
         if not isinstance(poly_doc, Sequence) or isinstance(poly_doc, (str, bytes)):
             raise InputError(f"{what}.ring.poly: expected an array of coefficients")
-        ring: LaurentRing | QuotientRing = QuotientRing(
+        ring: LaurentRing | QuotientRing = _build(
+            f"{what}.ring.poly", QuotientRing,
             tuple(_parse_bigint(c, f"{what}.ring.poly") for c in poly_doc))
     elif kind == "laurent":
         ring = LaurentRing()
@@ -181,4 +187,4 @@ def rmodule_from_json(doc: Any, what: str = "module") -> RModule:
     if relations.rows != generators:
         raise InputError(f"{what}: relations matrix must have one row per generator")
     t_action = matrix_from_json(doc.get("t_action"), f"{what}.t_action")
-    return RModule(ring, relations, t_action)
+    return _build(what, RModule, ring, relations, t_action)

@@ -272,7 +272,8 @@ def _induced_matrices(mats: Sequence[IntMatrix], ha: SubquotientGroup,
 
 def induced_map(f: ChainMap, ha: GradedAbGroup, hb: GradedAbGroup) -> GradedGroupHom:
     """The graded map ha -> hb induced by f, for ha = H(f.source) and
-    hb = H(f.target) as `homology` builds them; independent of homotopy."""
+    hb = H(f.target) with cycle representatives as basis columns (as
+    `homology` builds them); independent of homotopy."""
     return GradedGroupHom(*(GroupHom(sa, sb, _induced_matrices([m], sa, sb)[0])
                             for m, sa, sb in ((f.f0, ha.even, hb.even), (f.f1, ha.odd, hb.odd))))
 

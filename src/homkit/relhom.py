@@ -28,7 +28,7 @@ from .abgroups import (
     tensor,
     tor1,
 )
-from .intlinalg import IntMatrix, block_diag, lattice_basis_with_witness, vstack
+from .intlinalg import IntMatrix, block_diag, vstack
 from .percomplex import (
     ChainMap,
     HomotopyClasses,
@@ -116,8 +116,8 @@ def projective_resolution(a: PeriodicComplex) -> Resolution:
     the test suite through `is_i_exact`.
     """
     h0, h1 = homology_group(a, 0), homology_group(a, 1)
-    m0, t0 = lattice_basis_with_witness(h0.presentation)
-    m1, t1 = lattice_basis_with_witness(h1.presentation)
+    m0, t0 = h0.relation_basis
+    m1, t1 = h1.relation_basis
     p0 = PeriodicComplex.zero_diff(h0.ngens, h1.ngens)
     p1 = PeriodicComplex.zero_diff(m0.cols, m1.cols)
     delta0 = ChainMap(p0, a, h0.basis, h1.basis)
@@ -249,25 +249,19 @@ def phantom_subgroup(a: PeriodicComplex, b: PeriodicComplex) -> PhantomSubgroup:
     return PhantomSubgroup(natural.kernel(), hc)
 
 
-def _connecting_map(hc: SubquotientGroup, ha: SubquotientGroup, apart: int) -> GroupHom:
-    """H_n(cone f) -> H_{n-1}(A): project a cone cycle to its A-part, the
-    first `apart` = rank_{n-1}(A) coordinates."""
-    return GroupHom(hc, ha, ha.to_coords(IntMatrix(apart, hc.ngens, hc.basis.data[:apart])))
-
-
 def triangle_homology_maps(f: ChainMap) -> list[GroupHom]:
     """The six maps of the periodic homology sequence of the cone triangle.
 
     Nodes in order: H0 A, H0 B, H0 C, H1 A, H1 B, H1 C, cyclically; the maps
-    out of H C are the degree-shifting connecting maps.
+    out of H C are the degree-shifting connecting maps, induced by the
+    cone's projection onto the suspension of A, whose homology is H(A)
+    with the degrees swapped.
     """
-    a = f.source
-    cone, iota, _ = mapping_cone(f)
-    ha, hb, hc = homology(a), homology(f.target), homology(cone)
-    hf = induced_map(f, ha, hb)
-    hi = induced_map(iota, hb, hc)
-    return [hf.even, hi.even, _connecting_map(hc.even, ha.odd, a.odd_rank),
-            hf.odd, hi.odd, _connecting_map(hc.odd, ha.even, a.even_rank)]
+    cone, iota, pi = mapping_cone(f)
+    ha, hb, hc = homology(f.source), homology(f.target), homology(cone)
+    hf, hi = induced_map(f, ha, hb), induced_map(iota, hb, hc)
+    hp = induced_map(pi, hc, ha.suspend())
+    return [hf.even, hi.even, hp.even, hf.odd, hi.odd, hp.odd]
 
 
 def cone_triangle_is_exact(f: ChainMap) -> bool:

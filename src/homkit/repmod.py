@@ -36,7 +36,6 @@ from .intlinalg import (
     Vector,
     hstack,
     kernel_basis,
-    lattice_contains,
     lattices_equal,
     lll_reduce,
     preimage_gens,
@@ -143,7 +142,7 @@ class RModule:
         self._t_hom = GroupHom(self.group, self.group, t_action)  # checks relations
         if isinstance(ring, QuotientRing):
             pt = ring.evaluate(t_action)
-            if not lattice_contains(presentation, pt):
+            if self.group.relation_coords(pt) is None:
                 raise InputError("p(t) does not annihilate the module")
         else:
             if not self._t_hom.is_isomorphism():

@@ -274,6 +274,35 @@ class TestFailureModes:
             assert code == 2
             assert "rank must be >= 0" in out["error"]["message"]
 
+    def test_constructor_errors_name_the_input_file(self, tmp_path, capsys):
+        # Checks made by a constructor, past the schema, still say which
+        # input file (and field) they reject.
+        def error(*args):
+            code, doc = run(capsys, *args)
+            assert code == 2
+            return doc["error"]["message"]
+
+        g = write(tmp_path, "g.json", {"rank": 0, "torsion": ["4", "6"]})
+        assert error("group-op", "--op", "hom", g, g) == \
+            f"{g}: invariant factors must be in divisibility order"
+        a = write(tmp_path, "a.json", MOORE_Z2)
+        b = write(tmp_path, "b.json", SUSP_MOORE_Z2)
+        bad = write(tmp_path, "bad.json", {**MOORE_Z2, "d": MOORE_Z2["e"]})
+        assert error("homology", bad) == \
+            f"{bad}: not a complex: differentials do not square to zero"
+        bad_map = write(tmp_path, "map.json", {**EXTENSION_MAP, "f_even": EXTENSION_MAP["f_odd"]})
+        assert error("classify", a, b, bad_map) == \
+            f"{bad_map}: not a chain map: squares do not commute"
+        module = {"ring": {"kind": "quotient", "poly": ["-1", "0", "1"]}, "generators": 1,
+                  "relations": {"rows": 1, "cols": 0, "data": [[]]},
+                  "t_action": {"rows": 1, "cols": 1, "data": [["2"]]}}
+        m = write(tmp_path, "m.json", module)
+        assert error("ring-ext", m, m, "--n", "1") == \
+            f"{m}: p(t) does not annihilate the module"
+        ring = write(tmp_path, "ring.json", {**module, "ring": {"kind": "quotient", "poly": ["1"]}})
+        assert error("ring-tor", ring, ring, "--n", "1") == \
+            f"{ring}.ring.poly: polynomial must have degree >= 1"
+
     def test_kappa_requires_phantom(self, tmp_path, capsys):
         a = write(tmp_path, "a.json", MOORE_Z2)
         ident = write(tmp_path, "id.json", {

@@ -167,8 +167,6 @@ class TestSolveAndLattices:
             assert sq.to_coords(ambient) == IntMatrix.from_columns(
                 [solve_fraction(basis_cols, list(col)) for col in ambient.columns()],
                 rows=sq.ngens)
-            for col in ambient.columns():
-                assert list(sq.coords_of(col)) == solve_fraction(basis_cols, list(col))
 
     def test_solve_matrix_edge_shapes(self):
         # One unsolvable column makes the whole system unsolvable.
@@ -234,20 +232,20 @@ class TestSolveAndLattices:
 class TestSubquotient:
     def test_full_free_quotient(self):
         sq = subquotient(IntMatrix.zero(1, 2), IntMatrix.zero(2, 0))
-        assert sq.invariants == (2, ())
+        assert cokernel_invariants(sq.presentation) == (2, ())
 
     def test_z2_from_antidiagonal(self):
         # ker[1 1] is spanned by (1, -1); the column (2, -2) hits twice the
         # generator, leaving Z/2.
         sq = subquotient(IntMatrix.from_rows([[1, 1]]), IntMatrix.from_columns([(2, -2)]))
-        assert sq.invariants == (0, (2,))
+        assert cokernel_invariants(sq.presentation) == (0, (2,))
         assert sq.to_coords(IntMatrix.from_columns([(3, -3)])).columns() in ([(3,)], [(-3,)])
         with pytest.raises(InputError, match="does not lie"):
             sq.to_coords(IntMatrix.from_columns([(3, -3), (1, 0)]))
 
     def test_identity_kernel_trivial(self):
         sq = subquotient(IntMatrix.identity(3), IntMatrix.zero(3, 0))
-        assert sq.invariants == (0, ())
+        assert cokernel_invariants(sq.presentation) == (0, ())
 
     def test_rejects_non_subcomplex(self):
         with pytest.raises(InputError, match="not a subcomplex"):
@@ -272,7 +270,7 @@ class TestSubquotient:
             oracle_pres = subquotient_presentation_oracle(
                 [list(r) for r in l.data], l.cols, [list(n.column(j)) for j in range(n.cols)])
             oracle_matrix = IntMatrix.from_columns(oracle_pres, rows=len(oracle_pres[0]) if oracle_pres else k.cols)
-            assert cokernel_invariants(oracle_matrix) == sq.invariants
+            assert cokernel_invariants(oracle_matrix) == cokernel_invariants(sq.presentation)
 
 
 class TestIntMatrix:

@@ -104,3 +104,45 @@ def test_no_memo_keyed_on_arguments():
             if takes_args and any(_is_memo(d) for d in node.decorator_list):
                 offenders.append(f"{path.name}:{node.lineno} {node.name}")
     assert SRC.is_dir() and not offenders, offenders
+
+
+# Routines that factor their first argument (or solve against it).
+_FACTORING = {"snf", "kernel_basis", "lattice_basis", "cokernel_invariants", "lattice_contains",
+              "lattices_equal", "solve", "solve_matrix", "preimage_gens"}
+
+
+def _presentation_factorings(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, enclosing Class.function) of each call that hands a name or
+    attribute `presentation` to one of the _FACTORING routines."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope += (node.name,)
+        if isinstance(node, ast.Call) and node.args:
+            func, first = node.func, node.args[0]
+            name = func.id if isinstance(func, ast.Name) else (
+                func.attr if isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name) and func.value.id == "intlinalg" else None)
+            arg = first.id if isinstance(first, ast.Name) else (
+                first.attr if isinstance(first, ast.Attribute) else None)
+            if name in _FACTORING and arg == "presentation":
+                found.append((node.lineno, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_presentations_are_factored_only_by_their_group():
+    # A group's presentation is factored once, in FgAbGroup.smith; every
+    # other question about it (zero tests, relation basis, kernels) reads
+    # that decomposition instead of factoring the matrix again.
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{path.name}:{line} in {scope}"
+                      for line, scope in _presentation_factorings(tree)
+                      if scope != "FgAbGroup.smith"]
+    assert SRC.is_dir() and not offenders, offenders
