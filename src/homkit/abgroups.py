@@ -362,13 +362,6 @@ class DirectSum(FgAbGroup):
             coords[off + i] = c
         return self.element(coords)
 
-    def project(self, el: GroupElement, index: int) -> GroupElement:
-        if not _same_coords(el.owner, self):
-            raise InputError("element does not belong to this direct sum")
-        off = self._offsets[index]
-        part = self.parts[index]
-        return part.element(el.coords[off:off + part.ngens])
-
 
 class SubquotientGroup(FgAbGroup):
     """The group P/Q of a Subquotient, generated by the columns of `basis`.
@@ -497,9 +490,6 @@ class Ext1Group(SubquotientGroup):
             raise InputError("cocycle matrix has wrong shape")
         return self.element_at(vec(x))
 
-    def to_cocycle(self, el: GroupElement) -> IntMatrix:
-        return unvec(self.ambient(el), self.target.ngens, self.resolution.cols)
-
 
 class TensorGroup(FgAbGroup):
     """A tensor B via the Kronecker product of presentations."""
@@ -508,14 +498,6 @@ class TensorGroup(FgAbGroup):
         ma, mb = left.presentation, right.presentation
         ia, ib = IntMatrix.identity(ma.rows), IntMatrix.identity(mb.rows)
         super().__init__(hstack(ma.kron(ib), ia.kron(mb)))
-        self.left = left
-        self.right = right
-
-    def pure(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        if not (_same_coords(a.owner, self.left) and _same_coords(b.owner, self.right)):
-            raise InputError("elements do not belong to the tensor factors")
-        coords = tuple(x * y for x in a.coords for y in b.coords)
-        return self.element(coords)
 
 
 class Tor1Group(SubquotientGroup):

@@ -149,10 +149,6 @@ def suspension(x: PeriodicComplex) -> PeriodicComplex:
     return PeriodicComplex(x.odd_rank, x.even_rank, -x.e, -x.d)
 
 
-def suspend_map(f: ChainMap) -> ChainMap:
-    return ChainMap(suspension(f.source), suspension(f.target), f.f1, f.f0)
-
-
 def mapping_cone(f: ChainMap) -> tuple[PeriodicComplex, ChainMap, ChainMap]:
     """Cone of f: A -> B with the canonical maps B -> cone -> suspension(A).
 
@@ -201,10 +197,16 @@ class HomotopyClasses:
         self.group = SubquotientGroup(subquotient(l, n))
         self._split = b.even_rank * a.even_rank
 
-    def class_of(self, f: ChainMap) -> GroupElement:
-        if f.source != self.source or f.target != self.target:
+    def class_coords(self, maps: Sequence[ChainMap]) -> IntMatrix:
+        """Coordinates in `group` of the classes of `maps`, one column each,
+        by one solve."""
+        if any(f.source != self.source or f.target != self.target for f in maps):
             raise InputError("chain map has the wrong endpoints")
-        return self.group.element_at(vec(f.f0) + vec(f.f1))
+        return self.group.to_coords(IntMatrix.from_columns(
+            [vec(f.f0) + vec(f.f1) for f in maps], rows=self.group.basis.rows))
+
+    def class_of(self, f: ChainMap) -> GroupElement:
+        return self.group.element(self.class_coords([f]).column(0))
 
     def _component(self, v: Sequence[int], degree: int) -> IntMatrix:
         """The degree-`degree` matrix of a vectorized chain map (f0, f1)."""

@@ -28,7 +28,7 @@ from .abgroups import (
     tensor,
     tor1,
 )
-from .intlinalg import IntMatrix, block_diag, vstack
+from .intlinalg import IntMatrix, vstack
 from .percomplex import (
     ChainMap,
     HomotopyClasses,
@@ -51,11 +51,6 @@ class MorphismClassification:
     monic: bool
     epic: bool
     equivalence: bool
-
-
-def is_phantom(f: ChainMap) -> bool:
-    """True iff f induces the zero map on homology in both degrees."""
-    return induced_on_homology(f).is_zero()
 
 
 def classify(f: ChainMap) -> MorphismClassification:
@@ -146,7 +141,8 @@ def ideal_ext(a: PeriodicComplex, b: PeriodicComplex, n: int) -> FgAbGroup:
 
 
 def ideal_ext_from_resolution(res: Resolution, b: PeriodicComplex, n: int) -> FgAbGroup:
-    """Cohomology of [P0, B] -> [P1, B] at position n for a given resolution.
+    """Cohomology of [P0, B] -> [P1, B] at position n for a given resolution;
+    the map is precomposition with delta1.
 
     The value is independent of the chosen resolution; the test suite checks
     this by feeding inequivalent resolutions of the same object.
@@ -157,10 +153,8 @@ def ideal_ext_from_resolution(res: Resolution, b: PeriodicComplex, n: int) -> Fg
         return FgAbGroup.trivial()
     hc0 = homotopy_classes(res.p0, b)
     hc1 = homotopy_classes(res.p1, b)
-    # f -> f o delta1 on vectorized (f0, f1), as vec(f g) = (g^T (x) I) vec(f).
-    precompose = block_diag(res.delta1.f0.transpose().kron(IntMatrix.identity(b.even_rank)),
-                            res.delta1.f1.transpose().kron(IntMatrix.identity(b.odd_rank)))
-    pull = GroupHom(hc0.group, hc1.group, hc1.group.to_coords(precompose @ hc0.group.basis),
+    pull = GroupHom(hc0.group, hc1.group,
+                    hc1.class_coords([g.compose(res.delta1) for g in hc0.generators()]),
                     check=False)
     if n == 0:
         return pull.kernel_group()
@@ -264,12 +258,6 @@ def triangle_homology_maps(f: ChainMap) -> list[GroupHom]:
     return [hf.even, hi.even, hp.even, hf.odd, hi.odd, hp.odd]
 
 
-def cone_triangle_is_exact(f: ChainMap) -> bool:
-    """Exactness of the 6-periodic homology sequence of f's cone triangle."""
-    maps = triangle_homology_maps(f)
-    return all(is_exact_pair(maps[i - 1], maps[i]) for i in range(6))
-
-
 def _extension_class(alpha: GroupHom, beta: GroupHom, ext_group) -> GroupElement:
     """Class in Ext^1(coker beta's target, alpha's source) of
     0 -> B --alpha--> C --beta--> A -> 0, in ext_group's coordinates.
@@ -314,13 +302,3 @@ def kunneth_prediction(ha: GradedAbGroup, hb: GradedAbGroup) -> GradedAbGroup:
     odd = DirectSum((tensor(ha.even, hb.odd), tensor(ha.odd, hb.even),
                      tor1(ha.even, hb.even), tor1(ha.odd, hb.odd)))
     return GradedAbGroup(even, odd)
-
-
-def kappa_on_phantoms(a: PeriodicComplex, b: PeriodicComplex) -> tuple[PhantomSubgroup, DirectSum, GroupHom]:
-    """kappa as a homomorphism phantom_subgroup(A, B) -> shifted Ext part."""
-    ph = phantom_subgroup(a, b)
-    ext_part = graded_ext_shifted(homology(a), homology(b))
-    cols = [kappa(g).coords for g in ph.generator_maps()]
-    hom = GroupHom(ph.group, ext_part,
-                   IntMatrix.from_columns(cols, rows=ext_part.ngens), check=False)
-    return ph, ext_part, hom

@@ -333,12 +333,21 @@ def _z_homology(u: Callable[[], GroupHom], degree: int, homological: bool) -> Fg
     return u_minus_1.kernel_group() if degree == int(homological) else u_minus_1.cokernel_group()
 
 
+def _periodic_degree(degree: int) -> int:
+    """The degree below 5 of the same Ext/Tor over a quotient ring: the
+    resolution has delta_k = delta_(k-2) for k >= 4, so from degree 5 on the
+    groups are those of degree 3 or 4, of the same parity, with the same
+    matrices."""
+    return degree if degree < 5 else 3 + (degree - 3) % 2
+
+
 def ext_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
     """Ext^degree over the common base ring.
 
-    Quotient rings: cohomology of Hom_R(resolution, N).  Laurent ring: the
-    Z-cohomology path shared with Tor and HH, ker and coker of u - 1 for
-    u: phi -> t_N phi t_M^{-1} on Hom_Z(M, N).  These are the Z-relative
+    Quotient rings: cohomology of Hom_R(resolution, N), from degree 5 on
+    read off degree 3 or 4.  Laurent ring: the Z-cohomology path shared with
+    Tor and HH, ker and coker of u - 1 for u: phi -> t_N phi t_M^{-1} on
+    Hom_Z(M, N).  These are the Z-relative
     groups H^*(Z; Hom_Z(M, N)); they equal Ext over Z[t, 1/t] only when M is
     Z-free (for M = N = Z/2 with t = 1 they give Ext^1 = Z/2 and Ext^2 = 0,
     where the ring has (Z/2)^2 and Z/2).
@@ -357,6 +366,7 @@ def ext_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
                 raise InternalCheckError("t_N phi t_M^-1 does not respect relations")
             return GroupHom(hom_group, hom_group, images, check=False)
         return _z_homology(u, degree, homological=False)
+    degree = _periodic_degree(degree)
     res = free_resolution_over_r(m, degree + 1)
     outgoing = _with_coefficients(res, degree, n, hom_side=True)
     incoming = _with_coefficients(res, degree - 1, n, hom_side=True) if degree \
@@ -367,9 +377,10 @@ def ext_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
 def tor_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
     """Tor_degree over the common base ring.
 
-    Quotient rings: homology of resolution (x)_R N.  Laurent ring: coker
-    and ker of u - 1 for u = t_M^{-1} (x) t_N on M (x)_Z N, the Z-homology
-    path shared with Ext and HH.  These Z-relative groups H_*(Z; M (x) N)
+    Quotient rings: homology of resolution (x)_R N, from degree 5 on read
+    off degree 3 or 4.  Laurent ring: coker and ker of u - 1 for
+    u = t_M^{-1} (x) t_N on M (x)_Z N, the Z-homology path shared with Ext
+    and HH.  These Z-relative groups H_*(Z; M (x) N)
     equal Tor over Z[t, 1/t] only when M is Z-free, as for Laurent Ext.
     """
     if degree < 0:
@@ -380,6 +391,7 @@ def tor_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
         tens = tensor(m.group, n.group)
         return _z_homology(lambda: GroupHom(tens, tens, m.t_inverse_matrix().kron(n.t_action),
                                             check=False), degree, homological=True)
+    degree = _periodic_degree(degree)
     res = free_resolution_over_r(m, degree + 1)
     incoming = _with_coefficients(res, degree, n, hom_side=False)
     outgoing = _with_coefficients(res, degree - 1, n, hom_side=False) if degree \

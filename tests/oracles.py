@@ -12,7 +12,9 @@ periodic construction (t - T, divided difference) of
 it is a frozen copy of the package's Smith form from before its shortcuts,
 for exact comparison of U, S and V.  `natural_map_by_generators` builds
 the UCT natural map class by class, the way the package did before it
-built it in one pass per degree.
+built it in one pass per degree.  `cone_triangle_is_exact` reads the
+package's own triangle homology maps and only checks exactness at each
+node.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import combinations
 from math import gcd
 from typing import Optional
 
-from homkit.abgroups import graded_hom
+from homkit.abgroups import graded_hom, is_exact_pair
 from homkit.intlinalg import (
     IntMatrix,
     SmithDecomposition,
@@ -32,7 +34,8 @@ from homkit.intlinalg import (
     solve,
     vec,
 )
-from homkit.percomplex import PeriodicComplex, homology, homotopy_classes
+from homkit.percomplex import ChainMap, PeriodicComplex, homology, homotopy_classes
+from homkit.relhom import triangle_homology_maps
 from homkit.repmod import FreeResolutionR, RModule
 
 
@@ -414,3 +417,9 @@ def natural_map_by_generators(a: PeriodicComplex, b: PeriodicComplex) -> IntMatr
         cols.append(coords)
     return IntMatrix.from_columns(cols, rows=hom_part.ngens)
 
+
+
+def cone_triangle_is_exact(f: ChainMap) -> bool:
+    """Exactness of the 6-periodic homology sequence of f's cone triangle."""
+    maps = triangle_homology_maps(f)
+    return all(is_exact_pair(maps[i - 1], maps[i]) for i in range(6))

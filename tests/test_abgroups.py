@@ -29,6 +29,7 @@ from homkit.intlinalg import (
     preimage_gens,
     solve,
     solve_matrix,
+    unvec,
 )
 from homkit.randgen import random_automorphism, random_group, random_matrix
 
@@ -108,16 +109,6 @@ class TestElements:
                 op(GroupHom.zero(Z2, Z2), GroupHom.zero(Z2, Z3))
         twice = GroupHom.identity(Z4) + GroupHom.identity(FgAbGroup.cyclic(4))
         assert twice.matrix == IntMatrix.from_rows([[2]]) and not twice.is_zero()
-        # Pure tensors and projections take elements of their own groups only.
-        z5, z7 = FgAbGroup.cyclic(5), FgAbGroup.cyclic(7)
-        with pytest.raises(InputError):
-            tensor(Z2, Z3).pure(z5.element((1,)), z7.element((1,)))
-        with pytest.raises(InputError):
-            tensor(Z2, Z3).pure(Z2.element((1,)), z7.element((1,)))
-        assert tensor(Z2, Z3).pure(Z2.element((1,)), Z3.element((2,))).coords == (2,)
-        z4_z9 = DirectSum((Z4, FgAbGroup.cyclic(9)))
-        with pytest.raises(InputError):
-            DirectSum((Z2, Z3)).project(z4_z9.element((1, 1)), 0)
 
 
 class TestBinaryOps:
@@ -213,7 +204,7 @@ class TestHomCertificates:
         with pytest.raises(InputError):
             h.evaluate(foreign, Z2.element((1,)))
         with pytest.raises(InputError):
-            ext1(Z2, Z2).to_cocycle(ext1(Z4, Z2).element((1,)))
+            ext1(Z2, Z2).ambient(ext1(Z4, Z2).element((1,)))
         assert h.to_matrix(h.element((1,))) == IntMatrix.from_rows([[2]])
 
     def test_ext_cocycle_roundtrip(self):
@@ -221,7 +212,7 @@ class TestHomCertificates:
         cocycle = IntMatrix.from_rows([[1]])
         cls = e.from_cocycle(cocycle)
         assert not cls.is_zero()
-        assert e.from_cocycle(e.to_cocycle(cls)) == cls
+        assert e.from_cocycle(unvec(e.ambient(cls), e.target.ngens, e.resolution.cols)) == cls
         assert e.from_cocycle(IntMatrix.from_rows([[2]])).is_zero()
 
 
@@ -378,8 +369,7 @@ class TestGraded:
     def test_direct_sum_inject_project(self):
         ds = DirectSum([Z2, Z6])
         el = ds.inject(1, Z6.element((5,)))
-        assert ds.project(el, 1) == Z6.element((5,))
-        assert ds.project(el, 0).is_zero()
+        assert el.coords == (0, 5)
 
 
 class TestDirectSum:

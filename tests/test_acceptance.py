@@ -28,7 +28,6 @@ from homkit.randgen import (
     random_matrix,
 )
 from homkit.relhom import (
-    cone_triangle_is_exact,
     ideal_ext,
     kappa,
     kunneth_prediction,
@@ -38,6 +37,7 @@ from homkit.relhom import (
 from homkit.repmod import QuotientRing, RModule, ext_over_r, hochschild, pv_sequence, tor_over_r
 
 from .oracles import (
+    cone_triangle_is_exact,
     cyclic_order2_ext_pin,
     cyclic_order2_tor_pin,
     det_bareiss,

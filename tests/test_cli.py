@@ -140,6 +140,19 @@ class TestBasicCommands:
                 assert group_from_json(doc["result"]).canonical == \
                     cyclic_group_homology_pin(4, k, n), (n, k)
 
+    def test_ring_ops_in_huge_degree(self, tmp_path, capsys):
+        # Degrees from 5 on fold onto 3 or 4 of the same parity, so --n
+        # 10**18 builds no more than --n 4 and prints the same document.
+        m = write(tmp_path, "m.json", {
+            "ring": {"kind": "quotient", "poly": ["-1", "0", "1"]},
+            "generators": 2,
+            "relations": {"rows": 2, "cols": 1, "data": [["3"], ["3"]]},
+            "t_action": {"rows": 2, "cols": 2, "data": [["0", "1"], ["1", "0"]]}})
+        for command in ("ring-ext", "ring-tor"):
+            for huge, small in ((10**18, 4), (10**18 + 1, 3)):
+                docs = [run(capsys, command, m, m, "--n", str(k)) for k in (huge, small)]
+                assert docs[0] == docs[1] and docs[0][0] == 0, (command, huge)
+
     def test_pv_and_kunneth(self, tmp_path, capsys):
         pv = write(tmp_path, "pv.json", {
             "even": {"rank": 1, "torsion": []}, "odd": {"rank": 0, "torsion": []},

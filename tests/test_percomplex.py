@@ -21,6 +21,8 @@ from homkit.percomplex import (
 )
 from homkit.randgen import random_chain_map, random_complex, random_graded_group
 
+from .oracles import cone_triangle_is_exact
+
 Z2 = FgAbGroup.cyclic(2)
 Z3 = FgAbGroup.cyclic(3)
 TRIV = FgAbGroup.trivial()
@@ -114,14 +116,13 @@ class TestSuspension:
         assert (s.even_rank, s.odd_rank) == (0, 1)
 
     def test_suspension_is_functorial_on_maps(self):
-        from homkit.percomplex import suspend_map
+        # The suspended map swaps the components; ChainMap rejects it unless
+        # both squares over the negated differentials commute.
         rng = random.Random(61)
         for _ in range(10):
             a, b = random_complex(rng, 2), random_complex(rng, 2)
             f = random_chain_map(rng, a, b)
-            sf = suspend_map(f)
-            assert sf.source == suspension(a) and sf.target == suspension(b)
-            assert (sf.f0, sf.f1) == (f.f1, f.f0)
+            ChainMap(suspension(a), suspension(b), f.f1, f.f0)
 
 
 class TestMappingCone:
@@ -285,7 +286,6 @@ class TestTensorComplex:
 
 class TestTriangleHomology:
     def test_six_periodic_sequence_exact(self):
-        from homkit.relhom import cone_triangle_is_exact
         rng = random.Random(53)
         for _ in range(20):
             a, b = random_complex(rng, 2), random_complex(rng, 2)

@@ -4,7 +4,15 @@ import pytest
 
 from homkit import repmod
 from homkit.errors import InputError
-from homkit.abgroups import FgAbGroup, GradedAbGroup, ext1, hom, is_isomorphic, tor1
+from homkit.abgroups import (
+    FgAbGroup,
+    GradedAbGroup,
+    ext1,
+    hom,
+    homology_of_pair,
+    is_isomorphic,
+    tor1,
+)
 from homkit.intlinalg import IntMatrix
 from homkit.randgen import (
     random_graded_automorphism,
@@ -189,6 +197,27 @@ class TestPeriodicResolution:
             # (t - T1) q(t, T1) = 0 over R, both ways round.
             assert (res.deltas[2] @ res.deltas[3]).is_zero()
             assert (res.deltas[3] @ res.deltas[2]).is_zero()
+
+    def test_high_degrees_fold_onto_three_and_four(self):
+        # Ext^n and Tor_n for n >= 5 are read off degree 3 or 4; they must be
+        # the very groups (presentation and basis) that the resolution of
+        # length n + 1 gives directly.
+        rng = random.Random(313)
+        for ring in self.RINGS:
+            for _ in range(3):
+                m, n = random_rmodule(rng, ring), random_rmodule(rng, ring)
+                res = free_resolution_over_r(m, 9)
+                for degree in range(5, 9):
+                    ext = homology_of_pair(
+                        repmod._with_coefficients(res, degree - 1, n, hom_side=True),
+                        repmod._with_coefficients(res, degree, n, hom_side=True))
+                    tor = homology_of_pair(
+                        repmod._with_coefficients(res, degree, n, hom_side=False),
+                        repmod._with_coefficients(res, degree - 1, n, hom_side=False))
+                    for direct, folded in ((ext, ext_over_r(m, n, degree)),
+                                           (tor, tor_over_r(m, n, degree))):
+                        assert (folded.presentation, folded.basis) == \
+                            (direct.presentation, direct.basis), (ring, degree)
 
 
 class TestExtTorQuotient:

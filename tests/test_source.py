@@ -3,11 +3,13 @@
 import ast
 import importlib
 import inspect
+import re
 import typing
 from functools import cached_property
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "homkit"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "homkit"
 
 
 def test_no_assert_statements_in_package():
@@ -146,3 +148,67 @@ def test_presentations_are_factored_only_by_their_group():
                       for line, scope in _presentation_factorings(tree)
                       if scope != "FgAbGroup.smith"]
     assert SRC.is_dir() and not offenders, offenders
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    """ids of the string constants that are module, class or function docstrings."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                found.add(id(first.value))
+    return found
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Identifiers, attribute names, and the dotted parts of every string
+    literal that is not a docstring (such as "HomotopyClasses.class_of")."""
+    docstrings = _docstrings(tree)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            names.update(node.value.split("."))
+    return names
+
+
+def _public_definitions(tree: ast.Module) -> list[tuple[str, str]]:
+    """(qualified name, name) of each public module-level function and class
+    and each public method."""
+    defs = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        defs.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            defs += [(f"{node.name}.{m.name}", m.name) for m in node.body
+                     if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    return defs
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    # Library code that only tests call is a second copy of what the tests
+    # could build themselves.  Each public name must be read by the package
+    # or the benchmark, or be part of the surface README.md documents.
+    # randgen is exempt: its docstring makes it test support.
+    read = set()
+    for path in sorted(SRC.rglob("*.py")) + sorted((REPO / "bench").rglob("*.py")):
+        read |= _names_read(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    readme = re.sub(r"```.*?```", "", (REPO / "README.md").read_text(encoding="utf-8"),
+                    flags=re.DOTALL)
+    for span in re.findall(r"`([^`\n]+)`", readme):
+        read.update(re.findall(r"[A-Za-z_]\w*", span))
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "randgen":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        unread += [f"{path.stem}.{qualname}" for qualname, name in _public_definitions(tree)
+                   if name not in read]
+    assert SRC.is_dir() and not unread, unread
