@@ -24,9 +24,7 @@ from .intlinalg import (
     Subquotient,
     Vector,
     block_diag,
-    cokernel_invariants,
     hstack,
-    lattice_contains,
     lattice_quotient,
     snf,
     subquotient,
@@ -204,8 +202,8 @@ class GroupHom:
 
     The map keeps one Smith decomposition of `image_gens()`, made on first
     use; the kernel, the cokernel, surjectivity and `lift` all read it.  The
-    map has one kernel group, built on first use, so a second kernel or
-    injectivity test factors nothing.
+    map has one kernel basis and one kernel group, built on first use, so a
+    second kernel, exactness or injectivity test factors nothing.
     """
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix, check: bool = True):
@@ -256,10 +254,14 @@ class GroupHom:
     def _image_smith(self) -> SmithDecomposition:
         return snf(self.image_gens())
 
+    @cached_property
+    def _kernel_gens(self) -> IntMatrix:
+        return self._image_smith.preimage_basis(self.source.ngens)
+
     def kernel_gens(self) -> IntMatrix:
         """Basis of the preimage in Z^{source gens} of the kernel subgroup:
         as `intlinalg.preimage_gens(matrix, target relations)`."""
-        return self._image_smith.preimage_basis(self.source.ngens)
+        return self._kernel_gens
 
     @cached_property
     def _kernel(self) -> SubquotientGroup:
@@ -310,57 +312,29 @@ def is_exact_pair(f: GroupHom, g: GroupHom) -> bool:
     """Exactness of source --f--> middle --g--> target at the middle group.
 
     Requires g o f = 0; compares image of f and kernel of g as sublattices of
-    the middle group's generator space.
+    the middle group's generator space.  im f lies in ker g when g also maps
+    the middle group's relations to zero, which is solved against g's target
+    as the composite was; ker g lies in im f when f lifts g's kernel basis.
     """
     if not _same_coords(f.target, g.source):
         raise InputError("is_exact_pair: maps are not consecutive")
     if not g.compose(f).is_zero():
         raise InputError("is_exact_pair: composite is not zero")
-    kernel = g.kernel_gens()
-    return f.lift(kernel) is not None and lattice_contains(kernel, f.image_gens())
+    return (g.target.relation_coords(g.matrix @ g.source.presentation) is not None
+            and f.lift(g.kernel_gens()) is not None)
 
 
 class DirectSum(FgAbGroup):
     """Direct sum of presented groups, remembering the summands.
 
-    Generators of the summands are concatenated in order, so elements can be
-    injected from and projected to each part by index arithmetic.  The
-    presentation is block diagonal.  Answers that are unique -- the
-    canonical form and zero tests -- are read off the parts, without
-    factoring it; `relation_coords` and `smith` still use the whole of it.
+    The presentation is block diagonal, so an element's coordinates are its
+    components' coordinates, one after the other.
     """
 
     def __init__(self, parts: Sequence[FgAbGroup]):
         self.parts = tuple(parts)
         super().__init__(block_diag(*(p.presentation for p in self.parts))
                          if self.parts else IntMatrix.zero(0, 0))
-        self._offsets = []
-        off = 0
-        for p in self.parts:
-            self._offsets.append(off)
-            off += p.ngens
-
-    @cached_property
-    def canonical(self) -> tuple[int, tuple[int, ...]]:
-        """Ranks add; the torsion is that of the diagonal of all parts' factors."""
-        torsion = [d for p in self.parts for d in p.torsion]
-        return sum(p.rank for p in self.parts), cokernel_invariants(IntMatrix.diagonal(torsion))[1]
-
-    def coords_are_zero(self, coords: Sequence[int]) -> bool:
-        if len(coords) != self.ngens:
-            raise InputError("coordinate vector has wrong length")
-        return all(p.coords_are_zero(coords[off:off + p.ngens])
-                   for p, off in zip(self.parts, self._offsets))
-
-    def inject(self, index: int, el: GroupElement) -> GroupElement:
-        part = self.parts[index]
-        if not _same_coords(el.owner, part):
-            raise InputError("element does not belong to the requested summand")
-        coords = [0] * self.ngens
-        off = self._offsets[index]
-        for i, c in enumerate(el.coords):
-            coords[off + i] = c
-        return self.element(coords)
 
 
 class SubquotientGroup(FgAbGroup):

@@ -198,7 +198,6 @@ class UctReport:
     middle: SubquotientGroup
     natural: GroupHom
     kernel_group: SubquotientGroup  # basis: coordinates in the middle
-    homotopy: HomotopyClasses
 
 
 def uct_sequence(a: PeriodicComplex, b: PeriodicComplex) -> UctReport:
@@ -206,7 +205,7 @@ def uct_sequence(a: PeriodicComplex, b: PeriodicComplex) -> UctReport:
     ha, hb = homology(a), homology(b)
     hc, hom_part, natural = _natural_map(a, b, ha, hb)
     ext_part = graded_ext_shifted(ha, hb)
-    report = UctReport(hom_part, ext_part, hc.group, natural, natural.kernel(), hc)
+    report = UctReport(hom_part, ext_part, hc.group, natural, natural.kernel())
     _verify_uct(report)
     return report
 
@@ -290,7 +289,7 @@ def kappa(f: ChainMap) -> GroupElement:
     class_even = _extension_class(i1, c1, ext_part.parts[0])
     # Degree-0 extension: 0 -> H0(T) -> H0(C) -> H1(A) -> 0.
     class_odd = _extension_class(i0, c0, ext_part.parts[1])
-    return ext_part.inject(0, class_even) + ext_part.inject(1, class_odd)
+    return ext_part.element(class_even.coords + class_odd.coords)
 
 
 def kunneth_prediction(ha: GradedAbGroup, hb: GradedAbGroup) -> GradedAbGroup:

@@ -439,14 +439,12 @@ class PvReport:
     K_0 --(a0-1)--> K_0 -> M_1 -> K_1 --(a1-1)--> K_1 -> M_0 -> K_0,
     where the middle node M_* is reported only through its end pair
     (coker(alpha-1) on K_{*+1}, ker(alpha-1) on K_*): the extension problem
-    is not solved.  `maps` holds the six homomorphisms in cycle order and
-    exactness at every node is verified before the report is returned.
+    is not solved.  Exactness of the six homomorphisms at every node is
+    verified before the report is returned.
     """
 
-    input: GradedAbGroup
     degree0: PvEnds
     degree1: PvEnds
-    maps: tuple[GroupHom, ...]
 
 
 def pv_sequence(k: GradedAbGroup, alpha_even: IntMatrix, alpha_odd: IntMatrix) -> PvReport:
@@ -477,4 +475,4 @@ def pv_sequence(k: GradedAbGroup, alpha_even: IntMatrix, alpha_odd: IntMatrix) -
     for i in range(6):
         if not is_exact_pair(maps[i - 1], maps[i]):
             raise InternalCheckError(f"PV sequence failed exactness at node {i}")
-    return PvReport(k, ends0, ends1, maps)
+    return PvReport(ends0, ends1)
