@@ -3,10 +3,11 @@
 Groups are carried by presentation matrices (rows = generators, columns =
 relations) and canonicalized to (rank, invariant factors) via Smith form.
 Every group that is a subquotient P/Q of some Z^n -- kernels, homology of a
-pair, Hom, Ext1 and Tor1 here, and homology, [A, B] and phantom subgroups
-in the modules built on this one -- is a `SubquotientGroup`, which keeps a
-basis of P as generator representatives.  So individual classes can be
-evaluated and compared exactly; this is what makes the kappa invariant of
+pair, Hom and Tor1 here, and homology, [A, B] and phantom subgroups in the
+modules built on this one -- is a `SubquotientGroup`, which keeps a basis
+of P as generator representatives.  Ext1 is a cokernel whose coordinates
+are a cocycle's entries.  So individual classes can be evaluated and
+compared exactly; this is what makes the kappa invariant of
 `homkit.relhom` testable rather than an opaque list of invariant factors.
 """
 
@@ -200,10 +201,11 @@ class GradedAbGroup:
 class GroupHom:
     """Homomorphism between presented groups, as a matrix on generators.
 
-    The map keeps one Smith decomposition of `image_gens()`, made on first
-    use; the kernel, the cokernel, surjectivity and `lift` all read it.  The
-    map has one kernel basis and one kernel group, built on first use, so a
-    second kernel, exactness or injectivity test factors nothing.
+    `image_gens()` presents the cokernel, and the map keeps one cokernel
+    group, built on first use; the kernel, surjectivity and `lift` read
+    that group's Smith decomposition.  The map has one kernel basis and one
+    kernel group, built on first use, so a second kernel, exactness or
+    injectivity test factors nothing.
     """
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix, check: bool = True):
@@ -251,12 +253,12 @@ class GroupHom:
         return hstack(self.matrix, self.target.presentation)
 
     @cached_property
-    def _image_smith(self) -> SmithDecomposition:
-        return snf(self.image_gens())
+    def _cokernel(self) -> FgAbGroup:
+        return FgAbGroup(self.image_gens())
 
     @cached_property
     def _kernel_gens(self) -> IntMatrix:
-        return self._image_smith.preimage_basis(self.source.ngens)
+        return self._cokernel.smith.preimage_basis(self.source.ngens)
 
     def kernel_gens(self) -> IntMatrix:
         """Basis of the preimage in Z^{source gens} of the kernel subgroup:
@@ -275,12 +277,10 @@ class GroupHom:
         return self.kernel()
 
     def cokernel_group(self) -> FgAbGroup:
-        group = FgAbGroup(self.image_gens())
-        group.__dict__["smith"] = self._image_smith  # fills the cached_property
-        return group
+        return self._cokernel
 
     def is_surjective(self) -> bool:
-        return self.cokernel_group().is_trivial()
+        return self._cokernel.is_trivial()
 
     def is_injective(self) -> bool:
         return self.kernel_group().is_trivial()
@@ -295,7 +295,7 @@ class GroupHom:
             raise InputError("lift: targets have the wrong row count")
         if targets.cols == 0:  # nothing to lift: no need to factor
             return IntMatrix.zero(self.source.ngens, 0)
-        sol = self._image_smith.solve(targets)
+        sol = self._cokernel.smith.solve(targets)
         if sol is None:
             return None
         return IntMatrix(self.source.ngens, sol.cols, sol.data[:self.source.ngens])
@@ -342,8 +342,9 @@ class SubquotientGroup(FgAbGroup):
 
     Generator j is represented by column j of `basis`, a vector of the
     ambient Z^n, so an element's coordinates turn into an ambient
-    representative (`ambient`) and ambient vectors of P back into elements
-    (`element_at`, or `to_coords` for whole matrices).
+    representative (`ambient`), and the columns of an ambient matrix in P
+    into coordinates (`to_coords`), by the decomposition of the basis that
+    the subquotient was built with.
     """
 
     def __init__(self, sq: Subquotient):
@@ -363,10 +364,6 @@ class SubquotientGroup(FgAbGroup):
         if el.owner is not self:
             raise InputError("element does not belong to this group")
         return self._sq.from_coords(el.coords)
-
-    def element_at(self, ambient: Vector) -> GroupElement:
-        """Element whose ambient vector is `ambient`."""
-        return self.element(self.to_coords(IntMatrix.column_vector(ambient)).column(0))
 
 
 def _kronecker_pair_subquotient(x: IntMatrix, target: FgAbGroup) -> Subquotient:
@@ -441,28 +438,29 @@ class HomGroup(SubquotientGroup):
         return self.to_hom(el).apply(a)
 
 
-class Ext1Group(SubquotientGroup):
+class Ext1Group(FgAbGroup):
     """Ext^1(A, B), computed from a length-1 free resolution of A.
 
     The resolution 0 -> Z^m --rel--> Z^g -> A is A's relation basis, so
     cocycle coordinates are reproducible.  Every matrix Z^m -> Z^{gens of B}
-    is a cocycle, so the group is all of them modulo the coboundaries.
+    is a cocycle, so the group is the cokernel of the coboundaries: its
+    generators are the entries of a cocycle, and a class's coordinates are
+    vec of its cocycle.
     """
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup):
         self.resolution = source.relation_basis[0]
         gb = target.ngens
         m = self.resolution.cols
-        n = hstack(self.resolution.transpose().kron(IntMatrix.identity(gb)),
-                   IntMatrix.identity(m).kron(target.presentation))
-        super().__init__(Subquotient(IntMatrix.identity(gb * m), n))
+        super().__init__(hstack(self.resolution.transpose().kron(IntMatrix.identity(gb)),
+                                IntMatrix.identity(m).kron(target.presentation)))
         self.source = source
         self.target = target
 
     def from_cocycle(self, x: IntMatrix) -> GroupElement:
         if x.rows != self.target.ngens or x.cols != self.resolution.cols:
             raise InputError("cocycle matrix has wrong shape")
-        return self.element_at(vec(x))
+        return self.element(vec(x))
 
 
 class TensorGroup(FgAbGroup):

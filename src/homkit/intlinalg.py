@@ -12,14 +12,15 @@ column; `kernel_basis`, `preimage_basis` and `image_witness` read lattice
 bases off V.  The functions `solve` (one column), `solve_matrix`,
 `kernel_basis`, `lattice_basis` and `preimage_gens` factor once and call
 them.  Objects that answer many questions about one matrix keep its
-decomposition, so it is factored once: `Subquotient` for its basis,
-`abgroups.FgAbGroup` (and only it) for a presentation, `abgroups.GroupHom`
-for its image generators (kernel, cokernel, surjectivity and lifts).
+decomposition, so it is factored once: a `Subquotient` is built with its
+basis's, and `abgroups.FgAbGroup` (and only it) factors a presentation.
+An `abgroups.GroupHom`'s image generators are its cokernel's presentation,
+so its kernel, surjectivity and lifts read that group's decomposition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -222,6 +223,13 @@ class SmithDecomposition:
         """The first `rank` columns T of V: A @ T is a basis of A's column lattice."""
         r = self.rank
         return IntMatrix(self.v.rows, r, tuple(row[:r] for row in self.v.data))
+
+    def image_decomposition(self) -> "SmithDecomposition":
+        """Decomposition (U, S's first `rank` columns, I) of the basis
+        A @ image_witness(): U A T is those columns of U A V = S."""
+        r = self.rank
+        return SmithDecomposition(self.u, IntMatrix(self.s.rows, r, tuple(
+            row[:r] for row in self.s.data)), IntMatrix.identity(r))
 
     def preimage_basis(self, ncols: int) -> IntMatrix:
         """For A = [a | t], a with `ncols` columns: a basis of the lattice
@@ -475,21 +483,14 @@ class Subquotient:
 
     `basis` has one column per generator (a basis of the sublattice P), and
     `presentation` presents the quotient in those coordinates: one row per
-    generator, one column per relation.  Only the basis is factored here;
+    generator, one column per relation.  `basis_smith` is the basis's Smith
+    decomposition, made with the basis and read by every coordinate lookup;
     the group built on the presentation factors that.
     """
 
     basis: IntMatrix
     presentation: IntMatrix
-
-    @cached_property
-    def basis_smith(self) -> SmithDecomposition:
-        """Smith decomposition of `basis`, shared by every coordinate lookup.
-        An identity basis (P is all of Z^n) is its own, and is not factored."""
-        b = self.basis
-        if b.rows == b.cols and b == IntMatrix.identity(b.rows):
-            return SmithDecomposition(b, b, b)
-        return snf(b)
+    basis_smith: SmithDecomposition = field(compare=False)
 
     @property
     def ngens(self) -> int:
@@ -501,32 +502,29 @@ class Subquotient:
 
     def to_coords(self, ambient: IntMatrix) -> IntMatrix:
         """Coordinates of each ambient column; all must lie in the sublattice."""
-        x = self.basis_smith.solve(ambient) if ambient.cols else IntMatrix.zero(self.ngens, 0)
+        x = self.basis_smith.solve(ambient)
         if x is None:
             raise InputError("vector does not lie in the subgroup")
         return x
 
 
-def _quotient_over(basis: IntMatrix, q_gens: IntMatrix, message: str) -> Subquotient:
-    """lattice(basis)/lattice(q_gens), raising InputError(message) unless Q
-    lies in P.  `basis` is factored once, here, for the presentation and for
-    every later coordinate lookup on the result."""
-    sq = Subquotient(basis, IntMatrix.zero(basis.cols, 0))
-    if q_gens.cols == 0:
-        return sq
-    rel = sq.basis_smith.solve(q_gens)
+def _quotient_over(basis: IntMatrix, dec: SmithDecomposition, q_gens: IntMatrix,
+                   message: str) -> Subquotient:
+    """lattice(basis)/lattice(q_gens), given basis's decomposition `dec`,
+    raising InputError(message) unless Q lies in P."""
+    rel = dec.solve(q_gens)
     if rel is None:
         raise InputError(message)
-    quotient = Subquotient(basis, rel)
-    quotient.__dict__["basis_smith"] = sq.basis_smith  # fills the cached_property
-    return quotient
+    return Subquotient(basis, rel, dec)
 
 
 def lattice_quotient(p_gens: IntMatrix, q_gens: IntMatrix) -> Subquotient:
-    """The quotient lattice(p_gens)/lattice(q_gens); Q must be contained in P."""
+    """The quotient lattice(p_gens)/lattice(q_gens); Q must be contained in P.
+    The one factorization of p_gens gives the basis and its decomposition."""
     if p_gens.rows != q_gens.rows:
         raise InputError("lattice_quotient: ambient dimensions differ")
-    return _quotient_over(lattice_basis(p_gens), q_gens,
+    dec = snf(p_gens)
+    return _quotient_over(p_gens @ dec.image_witness(), dec.image_decomposition(), q_gens,
                           "denominator lattice is not contained in the numerator")
 
 
@@ -539,6 +537,8 @@ def subquotient(l: IntMatrix, n: IntMatrix) -> Subquotient:
         raise InputError("subquotient: shapes are incompatible")
     if not (l @ n).is_zero():
         raise InputError("not a subcomplex: L @ N is nonzero")
+    dec = snf(l)
+    k = dec.kernel_basis()  # when l has rank 0, V and so k are the identity
     # The error cannot happen when l @ n = 0: the kernel is saturated.
-    return _quotient_over(kernel_basis(l), n,
+    return _quotient_over(k, SmithDecomposition(k, k, k) if dec.rank == 0 else snf(k), n,
                           "not a subcomplex: image does not lie in the kernel")

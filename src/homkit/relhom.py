@@ -16,6 +16,7 @@ from typing import Sequence
 from .errors import InputError, InternalCheckError
 from .abgroups import (
     DirectSum,
+    Ext1Group,
     FgAbGroup,
     GradedAbGroup,
     GroupElement,
@@ -257,7 +258,7 @@ def triangle_homology_maps(f: ChainMap) -> list[GroupHom]:
     return [hf.even, hi.even, hp.even, hf.odd, hi.odd, hp.odd]
 
 
-def _extension_class(alpha: GroupHom, beta: GroupHom, ext_group) -> GroupElement:
+def _extension_class(alpha: GroupHom, beta: GroupHom, ext_group: Ext1Group) -> GroupElement:
     """Class in Ext^1(coker beta's target, alpha's source) of
     0 -> B --alpha--> C --beta--> A -> 0, in ext_group's coordinates.
 

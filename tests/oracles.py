@@ -413,7 +413,7 @@ def natural_map_by_generators(a: PeriodicComplex, b: PeriodicComplex) -> IntMatr
         for part, f in zip(hom_part.parts, (gen.f0, gen.f1)):
             x = part.target.to_coords(f @ part.source.basis)
             y = part.target.relation_coords(x @ part.source.presentation)
-            coords += part.element_at(vec(x) + vec(y)).coords
+            coords += part.to_coords(IntMatrix.column_vector(vec(x) + vec(y))).column(0)
         cols.append(coords)
     return IntMatrix.from_columns(cols, rows=hom_part.ngens)
 

@@ -26,11 +26,14 @@ from homkit.intlinalg import (
     block_diag,
     cokernel_invariants,
     hstack,
+    lattice_basis,
     lattice_contains,
+    lattice_quotient,
     preimage_gens,
     solve,
     solve_matrix,
     unvec,
+    vec,
 )
 from homkit.randgen import random_automorphism, random_group, random_matrix
 
@@ -89,7 +92,7 @@ class TestElements:
             with pytest.raises(InputError):
                 Z4.coords_are_zero(v)
             with pytest.raises(InputError):
-                ker.element_at(v)
+                ker.to_coords(IntMatrix.column_vector(v))
             with pytest.raises(InputError):
                 solve(IntMatrix.from_rows([[4]]), v)
 
@@ -204,8 +207,6 @@ class TestHomCertificates:
             h.to_hom(foreign)
         with pytest.raises(InputError):
             h.evaluate(foreign, Z2.element((1,)))
-        with pytest.raises(InputError):
-            ext1(Z2, Z2).ambient(ext1(Z4, Z2).element((1,)))
         assert h.to_matrix(h.element((1,))) == IntMatrix.from_rows([[2]])
 
     def test_ext_cocycle_roundtrip(self):
@@ -213,8 +214,21 @@ class TestHomCertificates:
         cocycle = IntMatrix.from_rows([[1]])
         cls = e.from_cocycle(cocycle)
         assert not cls.is_zero()
-        assert e.from_cocycle(unvec(e.ambient(cls), e.target.ngens, e.resolution.cols)) == cls
+        assert e.from_cocycle(unvec(cls.coords, e.target.ngens, e.resolution.cols)) == cls
         assert e.from_cocycle(IntMatrix.from_rows([[2]])).is_zero()
+        # Ext^1 is the cokernel of the coboundaries, and a class's coordinates
+        # (what kappa prints) are the entries of its cocycle, column by column.
+        rng = random.Random(59)
+        for _ in range(40):
+            a, b = random_group(rng), random_group(rng)
+            e = ext1(a, b)
+            rel, mb = a.relation_basis[0], b.presentation
+            assert e.presentation == hstack(rel.transpose().kron(IntMatrix.identity(b.ngens)),
+                                            IntMatrix.identity(rel.cols).kron(mb))
+            x = random_matrix(rng, b.ngens, rel.cols)
+            cls = e.from_cocycle(x)
+            assert cls.coords == vec(x)
+            assert e.from_cocycle(unvec(cls.coords, b.ngens, rel.cols)) == cls
 
 
 class TestGroupHom:
@@ -259,14 +273,14 @@ class TestGroupHom:
         (gen,), = ker.basis.data  # +-2: the elements of order 2 in Z/4
         assert abs(gen) == 2 and ker.canonical == canon(0, 2)
         assert ker.ambient(ker.element((1,))) == (gen,)
-        assert ker.element_at((3 * gen,)) == ker.element((3,))
+        assert ker.to_coords(IntMatrix.column_vector((3 * gen,))) == IntMatrix.column_vector((3,))
         assert ker.to_coords(IntMatrix.from_rows([[gen, -2 * gen]])) == \
             IntMatrix.from_rows([[1, -2]])
         # Equal presentations do not make the twin's elements ours.
         with pytest.raises(InputError):
             ker.ambient(twin.element((1,)))
         with pytest.raises(InputError):
-            ker.element_at((1,))
+            ker.to_coords(IntMatrix.column_vector((1,)))
 
     def test_each_group_factors_once(self, monkeypatch):
         # Repeated lookups on one group reuse its stored Smith decomposition.
@@ -285,10 +299,9 @@ class TestGroupHom:
             h = hom(source, target)
             ambients = [h.ambient(h.element([rng.randint(-3, 3) for _ in range(h.ngens)]))
                         for _ in range(6)]
-            h.element_at(ambients[0])
             calls.clear()
             for amb in ambients:
-                h.element_at(amb)
+                h.to_coords(IntMatrix.column_vector(amb))
                 h.to_coords(IntMatrix.from_columns([amb, amb]))
             assert calls == []
             g = random_group(rng)
@@ -313,6 +326,40 @@ class TestGroupHom:
                 assert not [m for m in calls if m is a.presentation or m is b.presentation
                             or (m.rows and m == IntMatrix.identity(m.rows))]
                 calls.clear()
+
+    def test_one_factorization_per_lattice_quotient_and_map(self, monkeypatch):
+        # A lattice quotient reads its basis and the basis's decomposition off
+        # one factorization of its generators.  A map's cokernel is one group,
+        # and its kernel, surjectivity and lifts read that group's decomposition.
+        calls = []
+        real_snf = intlinalg.snf
+
+        def counted(a):
+            calls.append(a)
+            return real_snf(a)
+
+        monkeypatch.setattr(intlinalg, "snf", counted)
+        monkeypatch.setattr(abgroups, "snf", counted)
+        rng = random.Random(73)
+        for _ in range(80):
+            p = random_matrix(rng, rng.randint(0, 4), rng.randint(0, 4))
+            q = p @ random_matrix(rng, p.cols, rng.randint(0, 3))
+            calls.clear()
+            sq = lattice_quotient(p, q)
+            assert len(calls) == 1
+            coords = random_matrix(rng, sq.ngens, rng.randint(0, 3))
+            assert sq.to_coords(sq.basis @ coords) == coords
+            assert len(calls) == 1
+            assert sq.basis == lattice_basis(p)
+            source, target = random_group(rng), random_group(rng)
+            f = GroupHom(source, target, random_matrix(rng, target.ngens, source.ngens),
+                         check=False)
+            assert f.cokernel_group() is f.cokernel_group()
+            f.kernel_gens()
+            calls.clear()
+            f.cokernel_group().canonical, f.is_surjective()
+            f.lift(f.matrix @ random_matrix(rng, source.ngens, rng.randint(1, 2)))
+            assert calls == []
 
     def test_exact_pair(self):
         # 0 -> Z -2-> Z -> Z/2 -> 0 is exact at the middle Z and at Z/2.
@@ -343,7 +390,7 @@ class TestGroupHom:
             f = GroupHom(k, k, d.matrix.scale(rng.choice((1, 1, 2))), check=False)
             coker = d.cokernel_group()
             g = GroupHom(k, coker, IntMatrix.identity(k.ngens), check=False)
-            g.kernel_gens(), f._image_smith, g.target.canonical
+            g.kernel_gens(), f.cokernel_group().smith, g.target.canonical
             calls.clear()
             exact = is_exact_pair(f, g)
             assert calls == []

@@ -80,6 +80,24 @@ def test_every_import_is_used():
     assert SRC.is_dir() and not offenders, offenders
 
 
+def _dict_stores(tree: ast.Module) -> list[int]:
+    """Lines that store into a `__dict__` subscript, as `x.__dict__[k] = v`."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "__dict__"]
+
+
+def test_no_injected_caches():
+    # Filling another object's cached_property through its __dict__ hands
+    # it a value it did not compute: an object is built with what it needs,
+    # or computes it itself.
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{path.name}:{line}" for line in _dict_stores(tree)]
+    assert SRC.is_dir() and not offenders, offenders
+
+
 def _is_memo(decorator: ast.expr) -> bool:
     """True for lru_cache or cache, bare or called, by name or off functools."""
     if isinstance(decorator, ast.Call):
