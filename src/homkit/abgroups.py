@@ -454,7 +454,6 @@ class Ext1Group(FgAbGroup):
         m = self.resolution.cols
         super().__init__(hstack(self.resolution.transpose().kron(IntMatrix.identity(gb)),
                                 IntMatrix.identity(m).kron(target.presentation)))
-        self.source = source
         self.target = target
 
     def from_cocycle(self, x: IntMatrix) -> GroupElement:
@@ -463,23 +462,11 @@ class Ext1Group(FgAbGroup):
         return self.element(vec(x))
 
 
-class TensorGroup(FgAbGroup):
-    """A tensor B via the Kronecker product of presentations."""
-
-    def __init__(self, left: FgAbGroup, right: FgAbGroup):
-        ma, mb = left.presentation, right.presentation
-        ia, ib = IntMatrix.identity(ma.rows), IntMatrix.identity(mb.rows)
-        super().__init__(hstack(ma.kron(ib), ia.kron(mb)))
-
-
 class Tor1Group(SubquotientGroup):
     """Tor_1(A, B) from a length-1 free resolution of A tensored with B."""
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup):
-        self.resolution = source.relation_basis[0]
-        super().__init__(_kronecker_pair_subquotient(self.resolution, target))
-        self.source = source
-        self.target = target
+        super().__init__(_kronecker_pair_subquotient(source.relation_basis[0], target))
 
 
 def hom(a: FgAbGroup, b: FgAbGroup) -> HomGroup:
@@ -492,8 +479,11 @@ def ext1(a: FgAbGroup, b: FgAbGroup) -> Ext1Group:
     return Ext1Group(a, b)
 
 
-def tensor(a: FgAbGroup, b: FgAbGroup) -> TensorGroup:
-    return TensorGroup(a, b)
+def tensor(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
+    """A tensor B, presented by the Kronecker products of the presentations."""
+    ma, mb = a.presentation, b.presentation
+    return FgAbGroup(hstack(ma.kron(IntMatrix.identity(mb.rows)),
+                            IntMatrix.identity(ma.rows).kron(mb)))
 
 
 def tor1(a: FgAbGroup, b: FgAbGroup) -> Tor1Group:

@@ -171,12 +171,13 @@ def mapping_cone(f: ChainMap) -> tuple[PeriodicComplex, ChainMap, ChainMap]:
     return cone, iota, pi
 
 
-class HomotopyClasses:
+class HomotopyClasses(SubquotientGroup):
     """The group [A, B] of homotopy classes of chain maps.
 
-    Computed as the subquotient of the chain-map constraint kernel inside
+    It is the subquotient of the chain-map constraint kernel inside
     Hom(A0, B0) + Hom(A1, B1) by the null-homotopy boundaries
-    (h, k) |-> (E_B h + k D_A, D_B k + h E_A).
+    (h, k) |-> (E_B h + k D_A, D_B k + h E_A), so each generator's basis
+    column is a chain map (f0, f1), vectorized, that represents it.
     """
 
     def __init__(self, source: PeriodicComplex, target: PeriodicComplex):
@@ -192,21 +193,20 @@ class HomotopyClasses:
             [ia0.kron(b.e), a.d.transpose().kron(ib0)],
             [a.e.transpose().kron(ib1), ia1.kron(b.d)],
         ])
+        super().__init__(subquotient(l, n))
         self.source = source
         self.target = target
-        self.group = SubquotientGroup(subquotient(l, n))
         self._split = b.even_rank * a.even_rank
 
     def class_coords(self, maps: Sequence[ChainMap]) -> IntMatrix:
-        """Coordinates in `group` of the classes of `maps`, one column each,
-        by one solve."""
+        """Coordinates of the classes of `maps`, one column each, by one solve."""
         if any(f.source != self.source or f.target != self.target for f in maps):
             raise InputError("chain map has the wrong endpoints")
-        return self.group.to_coords(IntMatrix.from_columns(
-            [vec(f.f0) + vec(f.f1) for f in maps], rows=self.group.basis.rows))
+        return self.to_coords(IntMatrix.from_columns(
+            [vec(f.f0) + vec(f.f1) for f in maps], rows=self.basis.rows))
 
     def class_of(self, f: ChainMap) -> GroupElement:
-        return self.group.element(self.class_coords([f]).column(0))
+        return self.element(self.class_coords([f]).column(0))
 
     def _component(self, v: Sequence[int], degree: int) -> IntMatrix:
         """The degree-`degree` matrix of a vectorized chain map (f0, f1)."""
@@ -216,7 +216,7 @@ class HomotopyClasses:
         return unvec(v[self._split:], b.odd_rank, a.odd_rank)
 
     def representative(self, el: GroupElement) -> ChainMap:
-        amb = self.group.ambient(el)
+        amb = self.ambient(el)
         return ChainMap(self.source, self.target, self._component(amb, 0), self._component(amb, 1))
 
     def induced_matrices(self, degree: int, ha: SubquotientGroup,
@@ -225,18 +225,18 @@ class HomotopyClasses:
         ha = H_degree(A) to hb = H_degree(B), as `induced_map` writes it; one
         solve for all."""
         return _induced_matrices([self._component(g, degree)
-                                  for g in self.chain_map_lattice().columns()], ha, hb)
+                                  for g in self.basis.columns()], ha, hb)
 
     def is_null_homotopic(self, f: ChainMap) -> bool:
         return self.class_of(f).is_zero()
 
     def chain_map_lattice(self) -> IntMatrix:
         """Basis of all chain maps A -> B, as vectorized (f0, f1) columns."""
-        return self.group.basis
+        return self.basis
 
     def generators(self) -> list[ChainMap]:
-        return [self.representative(self.group.element(e))
-                for e in IntMatrix.identity(self.group.ngens).columns()]
+        return [self.representative(self.element(e))
+                for e in IntMatrix.identity(self.ngens).columns()]
 
 
 def homotopy_classes(a: PeriodicComplex, b: PeriodicComplex) -> HomotopyClasses:

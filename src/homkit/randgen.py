@@ -90,8 +90,8 @@ def random_chain_map(rng: random.Random, a: PeriodicComplex, b: PeriodicComplex,
                      bound: int = 2) -> ChainMap:
     """Random integer combination of a basis of all chain maps A -> B."""
     hc = homotopy_classes(a, b)
-    coeffs = [rng.randint(-bound, bound) for _ in range(hc.group.ngens)]
-    return hc.representative(hc.group.element(coeffs))
+    coeffs = [rng.randint(-bound, bound) for _ in range(hc.ngens)]
+    return hc.representative(hc.element(coeffs))
 
 
 def random_acyclic_complex(rng: random.Random, max_rank: int = 2, bound: int = 3) -> PeriodicComplex:

@@ -154,8 +154,7 @@ def ideal_ext_from_resolution(res: Resolution, b: PeriodicComplex, n: int) -> Fg
         return FgAbGroup.trivial()
     hc0 = homotopy_classes(res.p0, b)
     hc1 = homotopy_classes(res.p1, b)
-    pull = GroupHom(hc0.group, hc1.group,
-                    hc1.class_coords([g.compose(res.delta1) for g in hc0.generators()]),
+    pull = GroupHom(hc0, hc1, hc1.class_coords([g.compose(res.delta1) for g in hc0.generators()]),
                     check=False)
     if n == 0:
         return pull.kernel_group()
@@ -163,9 +162,10 @@ def ideal_ext_from_resolution(res: Resolution, b: PeriodicComplex, n: int) -> Fg
 
 
 def _natural_map(a: PeriodicComplex, b: PeriodicComplex, ha: GradedAbGroup,
-                 hb: GradedAbGroup) -> tuple[HomotopyClasses, DirectSum, GroupHom]:
-    """[A, B] -> gradedHom(H A, H B) on all generators of [A, B] at once,
-    for ha = H(A) and hb = H(B).
+                 hb: GradedAbGroup) -> GroupHom:
+    """The natural map [A, B] -> gradedHom(H A, H B), for ha = H(A) and
+    hb = H(B); its source is the `HomotopyClasses` group and its target the
+    Hom part, a `DirectSum` of `HomGroup`s.
 
     In each degree, `induced_matrices` gives the matrices X_g of the maps
     H(A) -> H(B) induced by every generator g in one solve;
@@ -181,8 +181,7 @@ def _natural_map(a: PeriodicComplex, b: PeriodicComplex, ha: GradedAbGroup,
         if coords is None:
             raise InternalCheckError("natural map: an induced map does not respect relations")
         blocks.append(coords)
-    natural = GroupHom(hc.group, hom_part, vstack(*blocks), check=False)
-    return hc, hom_part, natural
+    return GroupHom(hc, hom_part, vstack(*blocks), check=False)
 
 
 @dataclass(frozen=True)
@@ -196,7 +195,7 @@ class UctReport:
 
     hom_part: DirectSum
     ext_part: DirectSum
-    middle: SubquotientGroup
+    middle: HomotopyClasses
     natural: GroupHom
     kernel_group: SubquotientGroup  # basis: coordinates in the middle
 
@@ -204,9 +203,9 @@ class UctReport:
 def uct_sequence(a: PeriodicComplex, b: PeriodicComplex) -> UctReport:
     """Assemble and verify the sequence 0 -> Ext-part -> [A, B] -> Hom-part -> 0."""
     ha, hb = homology(a), homology(b)
-    hc, hom_part, natural = _natural_map(a, b, ha, hb)
-    ext_part = graded_ext_shifted(ha, hb)
-    report = UctReport(hom_part, ext_part, hc.group, natural, natural.kernel())
+    natural = _natural_map(a, b, ha, hb)
+    report = UctReport(natural.target, graded_ext_shifted(ha, hb), natural.source, natural,
+                       natural.kernel())
     _verify_uct(report)
     return report
 
@@ -233,14 +232,14 @@ class PhantomSubgroup:
     homotopy: HomotopyClasses
 
     def generator_maps(self) -> list[ChainMap]:
-        return [self.homotopy.representative(self.homotopy.group.element(c))
+        return [self.homotopy.representative(self.homotopy.element(c))
                 for c in self.group.basis.columns()]
 
 
 def phantom_subgroup(a: PeriodicComplex, b: PeriodicComplex) -> PhantomSubgroup:
     """Kernel of [A, B] -> gradedHom(H A, H B), with generator certificates."""
-    hc, _, natural = _natural_map(a, b, homology(a), homology(b))
-    return PhantomSubgroup(natural.kernel(), hc)
+    natural = _natural_map(a, b, homology(a), homology(b))
+    return PhantomSubgroup(natural.kernel(), natural.source)
 
 
 def triangle_homology_maps(f: ChainMap) -> list[GroupHom]:

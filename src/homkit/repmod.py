@@ -129,28 +129,24 @@ class LaurentRing:
 BaseRing = Union[QuotientRing, LaurentRing]
 
 
-class RModule:
-    """F.g. module over a BaseRing: Z-presentation plus a t-action matrix."""
+class RModule(FgAbGroup):
+    """F.g. module over a BaseRing: the presented abelian group, with a
+    matrix giving the action of t on its generators."""
 
     def __init__(self, ring: BaseRing, presentation: IntMatrix, t_action: IntMatrix):
         if t_action.rows != presentation.rows or t_action.cols != presentation.rows:
             raise InputError("t-action must be square on the generators")
+        super().__init__(presentation)
         self.ring = ring
-        self.presentation = presentation
         self.t_action = t_action
-        self.group = FgAbGroup(presentation)
-        self._t_hom = GroupHom(self.group, self.group, t_action)  # checks relations
+        self._t_hom = GroupHom(self, self, t_action)  # checks relations
         if isinstance(ring, QuotientRing):
             pt = ring.evaluate(t_action)
-            if self.group.relation_coords(pt) is None:
+            if self.relation_coords(pt) is None:
                 raise InputError("p(t) does not annihilate the module")
         else:
             if not self._t_hom.is_isomorphism():
                 raise InputError("t must act as an automorphism over the Laurent ring")
-
-    @property
-    def ngens(self) -> int:
-        return self.presentation.rows
 
     def t_inverse_matrix(self) -> IntMatrix:
         return self._t_hom.inverse_matrix()
@@ -311,7 +307,7 @@ def _with_coefficients(res: FreeResolutionR, k: int, n: RModule, hom_side: bool)
     """
     d, delta = res.ring.degree, res.deltas[k]
     lo, hi = res.ranks[k], res.ranks[k + 1]
-    source, target = DirectSum((n.group,) * hi), DirectSum((n.group,) * lo)
+    source, target = DirectSum((n,) * hi), DirectSum((n,) * lo)
     entries = [[tuple(delta.data[i * d + j][a * d] for j in range(d)) for a in range(hi)]
                for i in range(lo)]
     if hom_side:
@@ -358,7 +354,7 @@ def ext_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
         raise InputError("modules live over different rings")
     if isinstance(m.ring, LaurentRing):
         def u() -> GroupHom:
-            hom_group, tm_inv = hom(m.group, n.group), m.t_inverse_matrix()
+            hom_group, tm_inv = hom(m, n), m.t_inverse_matrix()
             images = hom_group.from_matrices(
                 [n.t_action @ hom_group.to_matrix(hom_group.element(e)) @ tm_inv
                  for e in IntMatrix.identity(hom_group.ngens).columns()])
@@ -388,9 +384,10 @@ def tor_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
     if m.ring != n.ring:
         raise InputError("modules live over different rings")
     if isinstance(m.ring, LaurentRing):
-        tens = tensor(m.group, n.group)
-        return _z_homology(lambda: GroupHom(tens, tens, m.t_inverse_matrix().kron(n.t_action),
-                                            check=False), degree, homological=True)
+        def u() -> GroupHom:
+            tens = tensor(m, n)
+            return GroupHom(tens, tens, m.t_inverse_matrix().kron(n.t_action), check=False)
+        return _z_homology(u, degree, homological=True)
     degree = _periodic_degree(degree)
     res = free_resolution_over_r(m, degree + 1)
     incoming = _with_coefficients(res, degree, n, hom_side=False)

@@ -1,10 +1,13 @@
+import json
 import random
 
 import pytest
 
+from homkit.cli import main
 from homkit.errors import InputError
-from homkit.abgroups import FgAbGroup, GradedAbGroup
+from homkit.abgroups import FgAbGroup, GradedAbGroup, SubquotientGroup
 from homkit.intlinalg import IntMatrix
+from homkit.jsonio import complex_to_json, group_from_json
 from homkit.percomplex import (
     ChainMap,
     PeriodicComplex,
@@ -152,15 +155,15 @@ class TestMappingCone:
 
 class TestHomotopyClasses:
     def test_moore_z2_self_maps(self):
-        assert homotopy_classes(M2, M2).group.canonical == (0, (2,))
+        assert homotopy_classes(M2, M2).canonical == (0, (2,))
 
     def test_projective_source_represents_homology(self):
         m3 = moore_complex(GradedAbGroup(Z3, TRIV))
-        assert homotopy_classes(ZD, m3).group.canonical == (0, (3,))
+        assert homotopy_classes(ZD, m3).canonical == (0, (3,))
 
     def test_order_sixteen_example(self):
         x = direct_sum(M2, suspension(M2))
-        assert homotopy_classes(x, x).group.order() == 16
+        assert homotopy_classes(x, x).order() == 16
 
     def test_null_homotopy_soundness(self):
         rng = random.Random(23)
@@ -180,8 +183,8 @@ class TestHomotopyClasses:
 
     def test_representative_roundtrip(self):
         hc = homotopy_classes(M2, M2)
-        for j in range(hc.group.ngens):
-            el = hc.group.element(tuple(1 if i == j else 0 for i in range(hc.group.ngens)))
+        for j in range(hc.ngens):
+            el = hc.element(tuple(1 if i == j else 0 for i in range(hc.ngens)))
             assert hc.class_of(hc.representative(el)) == el
 
     def test_acyclic_objects_are_contractible(self):
@@ -189,7 +192,26 @@ class TestHomotopyClasses:
         rng = random.Random(29)
         for _ in range(20):
             x = random_acyclic_complex(rng)
-            assert homotopy_classes(x, x).group.is_trivial()
+            assert homotopy_classes(x, x).is_trivial()
+
+    def test_is_the_group_it_describes(self, tmp_path):
+        # [A, B] is itself a subquotient group, generated by chain maps, and
+        # its canonical form is what `hoclasses` reports.
+        rng = random.Random(10_001)  # the criterion-1 ensemble
+        out = tmp_path / "out.json"
+        for _ in range(12):
+            a = random_complex(rng, max_rank=3, bound=3)
+            b = random_complex(rng, max_rank=3, bound=3)
+            hc = homotopy_classes(a, b)
+            assert isinstance(hc, SubquotientGroup)
+            assert hc.basis == hc.chain_map_lattice()
+            paths = []
+            for name, x in (("a.json", a), ("b.json", b)):
+                (tmp_path / name).write_text(json.dumps(complex_to_json(x)))
+                paths.append(str(tmp_path / name))
+            assert main(["--out", str(out), "hoclasses", *paths]) == 0
+            assert group_from_json(json.loads(out.read_text())["result"]).canonical \
+                == hc.canonical
 
     def test_composition_well_defined_on_classes(self):
         # Composing representatives descends to classes: replacing f and g by

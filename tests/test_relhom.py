@@ -64,7 +64,7 @@ class TestPhantomAndClassify:
         # [moore(Z/2, 0), moore(0, Z/2)] is Z/2 while the graded Hom of the
         # homologies vanishes, so the whole group must be phantom.
         hc = homotopy_classes(M2, SM2)
-        assert hc.group.canonical == (0, (2,))
+        assert hc.canonical == (0, (2,))
         gen = hc.generators()[0]
         assert not hc.is_null_homotopic(gen)
         assert classify(gen).phantom

@@ -11,6 +11,7 @@ from homkit.abgroups import (
     hom,
     homology_of_pair,
     is_isomorphic,
+    tensor,
     tor1,
 )
 from homkit.intlinalg import IntMatrix
@@ -94,6 +95,18 @@ class TestRingsAndModules:
         with pytest.raises(InputError):
             RModule(TRIVIAL_RING, IntMatrix.from_rows([[2, 0], [0, 3]]),
                     IntMatrix.from_rows([[0, 1], [1, 0]]))
+
+    def test_a_module_is_its_group(self):
+        # An RModule is its presented group: Hom and the tensor product read
+        # the presentations the plain groups have.
+        rng = random.Random(229)
+        for ring in (ORDER2, QuotientRing((2, 0, 1)), QuotientRing((1, 1, 1))):
+            for _ in range(3):
+                m, n = random_rmodule(rng, ring), random_rmodule(rng, ring)
+                assert isinstance(m, FgAbGroup)
+                gm, gn = FgAbGroup(m.presentation), FgAbGroup(n.presentation)
+                assert hom(m, n).presentation == hom(gm, gn).presentation
+                assert tensor(m, n).presentation == tensor(gm, gn).presentation
 
     def test_laurent_requires_automorphism(self):
         with pytest.raises(InputError, match="automorphism"):
@@ -272,7 +285,7 @@ class TestExtTorQuotient:
             for _ in range(4):
                 m = random_rmodule(rng, ring)
                 n = random_rmodule(rng, ring)
-                hom_group = hom(m.group, n.group)
+                hom_group = hom(m, n)
                 cols = []
                 for j in range(hom_group.ngens):
                     one_hot = tuple(1 if i == j else 0 for i in range(hom_group.ngens))
@@ -281,7 +294,7 @@ class TestExtTorQuotient:
                 endo = GroupHom(hom_group, hom_group,
                                 IM.from_columns(cols, rows=hom_group.ngens), check=False)
                 assert is_isomorphic(ext_over_r(m, n, 0), endo.kernel_group())
-                tens = tensor(m.group, n.group)
+                tens = tensor(m, n)
                 balance = GroupHom(tens, tens,
                                    m.t_action.kron(IM.identity(n.ngens))
                                    - IM.identity(m.ngens).kron(n.t_action), check=False)
@@ -352,6 +365,23 @@ class TestLaurent:
         for degree, expected in ((0, (0, (2,))), (1, (0, (2,))), (2, (0, ()))):
             assert ext_over_r(z2, z2, degree).canonical == expected, degree
             assert tor_over_r(z2, z2, degree).canonical == expected, degree
+
+    def test_tor_builds_the_tensor_product_only_below_degree_two(self, monkeypatch):
+        # Tor is 0 from degree 2 on, so M (x) N, whose presentation is
+        # quadratic in the ranks, is not built there.
+        calls = []
+        real_tensor = repmod.tensor
+
+        def counted(a, b):
+            calls.append((a, b))
+            return real_tensor(a, b)
+
+        monkeypatch.setattr(repmod, "tensor", counted)
+        z2 = RModule(LAURENT, IntMatrix.from_rows([[2]]), ONE)
+        for degree, expected in ((0, 1), (1, 1), (2, 0), (7, 0)):
+            calls.clear()
+            tor_over_r(z2, z2, degree)
+            assert len(calls) == expected, degree
 
     def test_matches_hochschild(self):
         # For Laurent modules, Ext^0/Ext^1 agree with HH of Hom_Z(M, N) with

@@ -98,6 +98,28 @@ def test_no_injected_caches():
     assert SRC.is_dir() and not offenders, offenders
 
 
+def _held_groups(tree: ast.Module) -> list[int]:
+    """Lines that store a new FgAbGroup or SubquotientGroup in an attribute
+    of `self`."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Name)
+            and node.value.func.id in ("FgAbGroup", "SubquotientGroup")
+            and any(isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                    and t.value.id == "self" for t in node.targets)]
+
+
+def test_a_class_is_its_group_not_a_holder_of_one():
+    # An object that describes a group subclasses FgAbGroup (or
+    # SubquotientGroup) and is built with its presentation, so callers read
+    # the group off the object instead of off an attribute of it.
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{path.name}:{line}" for line in _held_groups(tree)]
+    assert SRC.is_dir() and not offenders, offenders
+
+
 def _is_memo(decorator: ast.expr) -> bool:
     """True for lru_cache or cache, bare or called, by name or off functools."""
     if isinstance(decorator, ast.Call):
