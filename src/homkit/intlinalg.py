@@ -7,8 +7,8 @@ Orientation convention used throughout homkit: a presentation matrix has one
 ROW per generator and one COLUMN per relation, and matrices act on column
 vectors.  A vector is a plain tuple of ints.
 
-Every lattice system goes through `SmithDecomposition.solve`, column by
-column; `kernel_basis`, `preimage_basis` and `image_witness` read lattice
+Every lattice system goes through `SmithDecomposition.solve`, which divides
+S out of the rows of U b; `kernel_basis`, `preimage_basis` and `image_witness` read lattice
 bases off V.  The functions `solve` (one column), `solve_matrix`,
 `kernel_basis`, `lattice_basis` and `preimage_gens` factor once and call
 them.  Objects that answer many questions about one matrix keep its
@@ -16,12 +16,18 @@ decomposition, so it is factored once: a `Subquotient` is built with its
 basis's, and `abgroups.FgAbGroup` (and only it) factors a presentation.
 An `abgroups.GroupHom`'s image generators are its cokernel's presentation,
 so its kernel, surjectivity and lifts read that group's decomposition.
+
+`snf` keeps dense rows and rescans nothing: it reads each pivot off a list
+of the rows' least nonzero |entries|, refreshed only for the rows an
+operation changes, and stops once the remaining block is zero.  The pivot
+rule (minimal |value|, lowest (i, j) on ties) is frozen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import InputError
@@ -43,7 +49,7 @@ class IntMatrix:
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise InputError("matrix dimensions must be nonnegative")
-        if len(self.data) != self.rows or any(len(r) != self.cols for r in self.data):
+        if len(self.data) != self.rows or any(map(self.cols.__ne__, map(len, self.data))):
             raise InputError("matrix data does not match declared shape")
 
     @classmethod
@@ -79,8 +85,11 @@ class IntMatrix:
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
         if rows is None:
             rows = len(columns[0]) if columns else 0
-        return cls(rows, len(columns), tuple(
-            tuple(int(col[i]) for col in columns) for i in range(rows)))
+        if any(len(col) != rows for col in columns):
+            raise InputError("matrix columns do not match the row count")
+        if not columns:
+            return cls(rows, 0, ((),) * rows)
+        return cls(rows, len(columns), tuple(zip(*(map(int, col) for col in columns))))
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.data[ij[0]][ij[1]]
@@ -89,10 +98,10 @@ class IntMatrix:
         return tuple(self.data[i][j] for i in range(self.rows))
 
     def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.cols)]
+        return list(zip(*self.data)) if self.rows else [()] * self.cols
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(self.column(j) for j in range(self.cols)))
+        return IntMatrix(self.cols, self.rows, tuple(self.columns()))
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(tuple(-x for x in row) for row in self.data))
@@ -136,13 +145,15 @@ class IntMatrix:
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         """Kronecker product; index (i, k) of the product is i*other.rows + k."""
-        rows = self.rows * other.rows
-        cols = self.cols * other.cols
-        data = tuple(
-            tuple(self.data[i][j] * other.data[k][l]
-                  for j in range(self.cols) for l in range(other.cols))
-            for i in range(self.rows) for k in range(other.rows))
-        return IntMatrix(rows, cols, data)
+        zero = (0,) * other.cols
+        data = []
+        for arow in self.data:
+            for brow in other.data:
+                row = []
+                for a in arow:
+                    row += [a * b for b in brow] if a else zero
+                data.append(tuple(row))
+        return IntMatrix(self.rows * other.rows, self.cols * other.cols, tuple(data))
 
 
 def hstack(*mats: IntMatrix) -> IntMatrix:
@@ -151,7 +162,7 @@ def hstack(*mats: IntMatrix) -> IntMatrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise InputError("hstack: row counts differ")
-    data = tuple(tuple(x for m in mats for x in m.data[i]) for i in range(rows))
+    data = tuple(sum(parts, ()) for parts in zip(*(m.data for m in mats)))
     return IntMatrix(rows, sum(m.cols for m in mats), data)
 
 
@@ -242,126 +253,125 @@ class SmithDecomposition:
 
     def solve(self, b: IntMatrix) -> Optional[IntMatrix]:
         """X with A @ X = b for the factored A, or None if some column of b
-        has no integer solution: column by column, S y = U b is divided out
-        and X = V y, with U and V applied to all columns in one product each."""
+        has no integer solution.  S Y = U b is solved row by row: a row of
+        U b at or past the rank must be zero, and a row before it is divided
+        by its diagonal entry (unless that is 1) with no remainder; then
+        X = V Y.  U and V are each applied in one product."""
         if b.rows != self.u.rows:
             raise InputError("solve: right-hand side has wrong row count")
-        r, ys = self.rank, []  # the nonzero diagonal entries come first
-        for ub in (self.u @ b).columns():
-            if any(ub[r:]):
-                return None
-            y = [0] * self.v.rows
-            for i in range(r):
-                y[i], rem = divmod(ub[i], self.diagonal[i])
-                if rem:
+        r = self.rank  # the nonzero diagonal entries come first
+        ub = (self.u @ b).data
+        if any(map(any, ub[r:])):
+            return None
+        y = []
+        for row, d in zip(ub, self.diagonal[:r]):
+            if d != 1:
+                if any(x % d for x in row):
                     return None
-            ys.append(y)
-        return self.v @ IntMatrix.from_columns(ys, rows=self.v.rows)
+                row = tuple(x // d for x in row)
+            y.append(row)
+        y += [(0,) * b.cols] * (self.v.rows - r)
+        return self.v @ IntMatrix(self.v.rows, b.cols, tuple(y))
 
 
-def _pivot(a: list[list[int]], k: int, rows: int, cols: int) -> Optional[tuple[int, int]]:
-    """Nonzero entry of a[k:, k:] with minimal |value|, lowest (i, j) on ties."""
-    best = None
-    best_abs = None
-    for i in range(k, rows):
-        ai = a[i]
-        for j in range(k, cols):
-            x = ai[j]
-            if x != 0:
-                ax = -x if x < 0 else x
-                if best_abs is None or ax < best_abs:
-                    best, best_abs = (i, j), ax
-                    if ax == 1:
-                        return best
-    return best
+def _identity_rows(n: int) -> list[list[int]]:
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        row[i] = 1
+        rows.append(row)
+    return rows
+
+
+def _least_abs(row: list[int]) -> int:
+    """Least nonzero |entry| of `row`, or 0 if the row is zero."""
+    return min(map(abs, filter(None, row))) if any(row) else 0
 
 
 def snf(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form of an integer matrix.
 
-    Pivots are chosen by minimal absolute value with lowest-index tie-break,
-    so the returned (U, S, V) is deterministic.
+    Pivots are chosen by minimal absolute value with lowest-index tie-break
+    (the first such entry of s[k:, k:] in row-major order), so the returned
+    (U, S, V) is deterministic.  Rows k and below are zero left of column k,
+    so the search reads a list holding each row's least nonzero |entry|,
+    refreshed only for the rows an operation changes.  The factorization
+    stops once the remaining block is zero.  V is kept by columns while
+    factoring and transposed once at the end.
     """
     rows, cols = a.rows, a.cols
     s = [list(r) for r in a.data]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i1, i2):
-        if i1 != i2:
-            s[i1], s[i2] = s[i2], s[i1]
-            u[i1], u[i2] = u[i2], u[i1]
-
-    def swap_cols(j1, j2):
-        if j1 != j2:
-            for r in s:
-                r[j1], r[j2] = r[j2], r[j1]
-            for r in v:
-                r[j1], r[j2] = r[j2], r[j1]
+    u = _identity_rows(rows)
+    vt = _identity_rows(cols)  # vt[j] is column j of V
+    least = list(map(_least_abs, s))  # least[i]: row i's least nonzero |entry|
 
     def add_row(dst, src, c):
-        # row_dst += c * row_src
-        sd, ss = s[dst], s[src]
-        for j in range(cols):
-            sd[j] += c * ss[j]
-        ud, us = u[dst], u[src]
-        for j in range(rows):
-            ud[j] += c * us[j]
-
-    def negate_row(i):
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
+        # row_dst += c * row_src, in S and U
+        sd = s[dst]  # both rows are zero left of column k
+        sd[k:] = [x + c * y for x, y in zip(sd[k:], s[src][k:])]
+        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+        least[dst] = _least_abs(sd)
 
     for k in range(min(rows, cols)):
         while True:
-            piv = _pivot(s, k, rows, cols)
-            if piv is None:
+            # The pivot: the first row holding the least |entry| left, then
+            # the first column of that row holding it.
+            left = least[k:]
+            p = min(filter(None, left)) if any(left) else 0
+            if not p:
                 break
-            swap_rows(k, piv[0])
-            swap_cols(k, piv[1])
+            i = least.index(p, k)
+            si = s[i]
+            j = [*map(abs, si)].index(p)
+            if i != k:
+                s[i], s[k] = s[k], si
+                u[i], u[k] = u[k], u[i]
+                least[i], least[k] = least[k], p
+            if j != k:
+                for r in s[k:]:  # rows above k are zero in columns k and j
+                    r[j], r[k] = r[k], r[j]
+                vt[j], vt[k] = vt[k], vt[j]
             p = s[k][k]
             dirty = False
             for i in range(k + 1, rows):
-                if s[i][k] != 0:
+                if s[i][k]:
                     add_row(i, k, -(s[i][k] // p))
-                    if s[i][k] != 0:
+                    if s[i][k]:
                         dirty = True
             if dirty:
                 continue
             # Column k of S is now p e_k, so a column operation changes only
             # row k of S; V takes the whole operation.
-            sk = s[k]
+            sk, vk = s[k], vt[k]
             for j in range(k + 1, cols):
-                if sk[j] != 0:
+                if sk[j]:
                     c = -(sk[j] // p)
                     sk[j] += c * p
-                    for r in v:
-                        r[j] += c * r[k]
-                    if sk[j] != 0:
+                    vt[j] = [x + c * y for x, y in zip(vt[j], vk)]
+                    if sk[j]:
                         dirty = True
             if dirty:
+                least[k] = _least_abs(sk)
                 continue
             if p == 1 or p == -1:  # a unit divides every entry left
                 break
-            # Row/column k are clear; enforce divisibility of the remaining block.
-            offender = None
+            # Row/column k are clear; enforce divisibility of the remaining
+            # block: the first row holding an entry that p does not divide.
             for i in range(k + 1, rows):
-                si = s[i]
-                for j in range(k + 1, cols):
-                    if si[j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
+                if gcd(*s[i]) % p:
+                    add_row(k, i, 1)
                     break
-            if offender is None:
+            else:
                 break
-            add_row(k, offender, 1)
+        if not p:
+            break  # the remaining block is zero
         if s[k][k] < 0:
-            negate_row(k)
+            s[k] = [-x for x in s[k]]
+            u[k] = [-x for x in u[k]]
 
     return SmithDecomposition(IntMatrix(rows, rows, tuple(map(tuple, u))),
                               IntMatrix(rows, cols, tuple(map(tuple, s))),
-                              IntMatrix(cols, cols, tuple(map(tuple, v))))
+                              IntMatrix(cols, cols, tuple(zip(*vt))))
 
 
 def cokernel_invariants(a: IntMatrix) -> tuple[int, tuple[int, ...]]:

@@ -10,7 +10,11 @@ uses homkit's lattice routines, `lll_reduce` among them, but not the
 periodic construction (t - T, divided difference) of
 `free_resolution_over_r`.  And `snf_reference` is not independent at all:
 it is a frozen copy of the package's Smith form from before its shortcuts,
-for exact comparison of U, S and V.  `natural_map_by_generators` builds
+for exact comparison of U, S and V; likewise `columns_reference`,
+`transpose_reference`, `hstack_reference`, `vstack_reference`,
+`kron_reference` and `from_columns_reference` are frozen copies of the
+package's comprehension definitions of those matrix operations, kept to
+pin their zero-dimension shapes.  `natural_map_by_generators` builds
 the UCT natural map class by class, the way the package did before it
 built it in one pass per degree.  `cone_triangle_is_exact` reads the
 package's own triangle homology maps and only checks exactness at each
@@ -423,3 +427,39 @@ def cone_triangle_is_exact(f: ChainMap) -> bool:
     """Exactness of the 6-periodic homology sequence of f's cone triangle."""
     maps = triangle_homology_maps(f)
     return all(is_exact_pair(maps[i - 1], maps[i]) for i in range(6))
+
+
+# Frozen comprehension definitions of the IntMatrix plumbing, compared
+# with the package's on 0 x n, n x 0 and 0 x 0 matrices.
+
+def columns_reference(m: IntMatrix) -> list[tuple[int, ...]]:
+    return [tuple(m.data[i][j] for i in range(m.rows)) for j in range(m.cols)]
+
+
+def transpose_reference(m: IntMatrix) -> IntMatrix:
+    return IntMatrix(m.cols, m.rows, tuple(columns_reference(m)))
+
+
+def hstack_reference(*mats: IntMatrix) -> IntMatrix:
+    rows = mats[0].rows
+    data = tuple(tuple(x for m in mats for x in m.data[i]) for i in range(rows))
+    return IntMatrix(rows, sum(m.cols for m in mats), data)
+
+
+def vstack_reference(*mats: IntMatrix) -> IntMatrix:
+    data = tuple(row for m in mats for row in m.data)
+    return IntMatrix(sum(m.rows for m in mats), mats[0].cols, data)
+
+
+def kron_reference(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    data = tuple(
+        tuple(a.data[i][j] * b.data[k][l] for j in range(a.cols) for l in range(b.cols))
+        for i in range(a.rows) for k in range(b.rows))
+    return IntMatrix(a.rows * b.rows, a.cols * b.cols, data)
+
+
+def from_columns_reference(columns: list[tuple[int, ...]], rows: Optional[int] = None) -> IntMatrix:
+    if rows is None:
+        rows = len(columns[0]) if columns else 0
+    return IntMatrix(rows, len(columns), tuple(
+        tuple(int(col[i]) for col in columns) for i in range(rows)))

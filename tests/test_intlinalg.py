@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
+from homkit import percomplex
 from homkit.errors import InputError
 from homkit.intlinalg import (
     IntMatrix,
+    block_diag,
     cokernel_invariants,
     hstack,
     kernel_basis,
@@ -17,22 +20,73 @@ from homkit.intlinalg import (
     solve,
     solve_matrix,
     subquotient,
+    vstack,
 )
+from homkit.percomplex import direct_sum, homotopy_classes
+from homkit.randgen import random_complex
 
 from .oracles import (
     column_reduction_kernel,
+    columns_reference,
     det_bareiss,
     determinantal_divisor_diagonal,
+    from_columns_reference,
+    hstack_reference,
+    kron_reference,
     solve_fraction,
     snf_reference,
     solve_lattice,
     subquotient_presentation_oracle,
+    transpose_reference,
+    vstack_reference,
 )
 
 
 def random_matrix(rng, rows, cols, bound):
     return IntMatrix.from_rows(
         [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+def homotopy_class_systems(monkeypatch, pairs: int, max_cells: int) -> list[IntMatrix]:
+    """The l, n and presentation matrices `homotopy_classes` builds for
+    [A, B], A and B sums of 2-3 `random_complex(max_rank=3)`, those with at
+    most `max_cells` entries."""
+    rng = random.Random(15)
+    seen: list[tuple[IntMatrix, IntMatrix]] = []
+
+    def recording(l, n):
+        seen.append((l, n))
+        return subquotient(l, n)
+
+    monkeypatch.setattr(percomplex, "subquotient", recording)
+    out = []
+    for _ in range(pairs):
+        a, b = (_summed(rng) for _ in range(2))
+        hc = homotopy_classes(a, b)
+        l, n = seen.pop()
+        out += [m for m in (l, n, hc.presentation) if m.rows * m.cols <= max_cells]
+    return out
+
+
+def _summed(rng):
+    return reduce(direct_sum, [random_complex(rng, max_rank=3) for _ in range(rng.randint(2, 3))])
+
+
+def early_stop_and_gcd_cases(rng) -> list[IntMatrix]:
+    """Rank-deficient block-diagonal matrices ending in a zero block, whose
+    factorization stops before its last rows and columns; matrices with no
+    unit entry, whose pivots need the divisibility step; 0 x n and n x 0."""
+    out = []
+    for _ in range(40):
+        a = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), 5)
+        out.append(block_diag(a, a, IntMatrix.zero(rng.randint(1, 4), rng.randint(1, 4))))
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        out.append(IntMatrix.from_rows(
+            [[rng.choice((0, 2, -2, 3, -3, 4, 6, -6, 9, 12)) * rng.choice((1, 2, 3))
+              for _ in range(cols)] for _ in range(rows)], cols=cols))
+        out.append(random_matrix(rng, rows, cols, 4).scale(rng.choice((2, 3, 6))))
+    out += [IntMatrix.zero(0, n) for n in range(4)] + [IntMatrix.zero(n, 0) for n in range(4)]
+    return out
 
 
 class TestSnf:
@@ -104,6 +158,18 @@ class TestSnf:
                 a = random_matrix(rng, rows, cols, 10 ** 6)
             assert snf(a) == snf_reference(a), a
 
+    def test_matches_reference_pivots_on_homotopy_class_systems(self, monkeypatch):
+        # The Kronecker systems of [A, B], up to about 5,000 entries: these
+        # run the row-minimum pivot search over many rows and columns.
+        mats = homotopy_class_systems(monkeypatch, 40, 5_000)
+        assert max(m.rows * m.cols for m in mats) > 4_000
+        for a in mats:
+            assert snf(a) == snf_reference(a), (a.rows, a.cols)
+
+    def test_matches_reference_pivots_on_early_stop_and_gcd_cases(self):
+        for a in early_stop_and_gcd_cases(random.Random(77)):
+            assert snf(a) == snf_reference(a), a
+
 
 class TestCokernelInvariants:
     def test_cyclic(self):
@@ -167,6 +233,47 @@ class TestSolveAndLattices:
             assert sq.to_coords(ambient) == IntMatrix.from_columns(
                 [solve_fraction(basis_cols, list(col)) for col in ambient.columns()],
                 rows=sq.ngens)
+
+    def test_solve_against_oracles_on_reference_decompositions(self, monkeypatch):
+        # Against solve_lattice and solve_fraction, on the decompositions of
+        # the reference pivot tests: right-hand sides a @ x, and the same
+        # with one column U^-1 c that fails only the divisor test (an entry
+        # of c before the rank off its diagonal entry's multiples) or only
+        # the zero-row test (an entry of c past the rank nonzero).
+        rng = random.Random(61)
+        mats = early_stop_and_gcd_cases(rng) + homotopy_class_systems(monkeypatch, 6, 1_500)
+        fails = {"divisor": 0, "zero row": 0}
+        for a in mats:
+            dec = snf(a)
+            assert dec == snf_reference(a)
+            r, diag = dec.rank, dec.diagonal
+            rows = [list(row) for row in a.data]
+            good = [a.apply([rng.randint(-3, 3) for _ in range(a.cols)]) for _ in range(2)]
+            assert all(solve_lattice(rows, a.cols, list(col)) is not None for col in good)
+            x = dec.solve(IntMatrix.from_columns(good, rows=a.rows))
+            assert x is not None and a @ x == IntMatrix.from_columns(good, rows=a.rows)
+            if r == a.cols:  # independent columns: X is unique
+                a_cols = [list(col) for col in a.columns()]
+                assert x == IntMatrix.from_columns(
+                    [solve_fraction(a_cols, list(col)) for col in good], rows=a.cols)
+            c = [diag[i] * rng.randint(-3, 3) if i < r else 0 for i in range(a.rows)]
+            bad = {}
+            big = [i for i in range(r) if diag[i] > 1]
+            if big:
+                bad["divisor"] = c[:]
+                bad["divisor"][rng.choice(big)] += 1
+            if r < a.rows:
+                bad["zero row"] = c[:]
+                bad["zero row"][rng.randrange(r, a.rows)] = rng.choice((-2, -1, 1, 5))
+            u_cols = [list(col) for col in dec.u.columns()]
+            for test, c in bad.items():
+                col = tuple(solve_fraction(u_cols, c))  # U^-1 c
+                assert solve_lattice(rows, a.cols, list(col)) is None
+                cols = good[:]
+                cols.insert(rng.randint(0, 2), col)
+                assert dec.solve(IntMatrix.from_columns(cols, rows=a.rows)) is None
+                fails[test] += 1
+        assert min(fails.values()) >= 20, fails
 
     def test_solve_matrix_edge_shapes(self):
         # One unsolvable column makes the whole system unsolvable.
@@ -284,6 +391,34 @@ class TestIntMatrix:
         b = IntMatrix.from_rows([[3], [4]])
         k = a.kron(b)
         assert k.data == ((3, 6), (4, 8))
+
+    def test_zero_dimension_plumbing_matches_reference(self):
+        rng = random.Random(5)
+        shapes = [(0, 0), (0, 1), (0, 3), (1, 0), (3, 0), (2, 3), (1, 1)]
+        mats = [random_matrix(rng, r, c, 4) for r, c in shapes]
+        for m in mats:
+            assert m.columns() == columns_reference(m)
+            assert m.transpose() == transpose_reference(m)
+            cols = m.columns()
+            assert IntMatrix.from_columns(cols, rows=m.rows) == from_columns_reference(cols, rows=m.rows)
+            assert IntMatrix.from_columns(cols) == from_columns_reference(cols)
+            for other in mats:
+                assert m.kron(other) == kron_reference(m, other)
+                if other.rows == m.rows:
+                    assert hstack(m, other, m) == hstack_reference(m, other, m)
+                if other.cols == m.cols:
+                    assert vstack(m, other, m) == vstack_reference(m, other, m)
+
+    def test_from_columns_rejects_wrong_lengths(self):
+        with pytest.raises(InputError):
+            IntMatrix.from_columns([(1, 2, 3)], rows=2)
+        with pytest.raises(InputError):
+            IntMatrix.from_columns([(1,)], rows=2)
+        with pytest.raises(InputError):
+            IntMatrix.from_columns([(1, 2), (3,)])
+        with pytest.raises(InputError):
+            IntMatrix.from_columns([(1,), (2, 3)])
+        assert IntMatrix.from_columns([(1, 2), (3, 4)], rows=2).data == ((1, 3), (2, 4))
 
     def test_shape_validation(self):
         with pytest.raises(InputError):
