@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InternalCheckError
 from . import abgroups, jsonio, randgen, relhom, repmod
-from .intlinalg import snf
+from .intlinalg import IntMatrix, snf
 from .percomplex import (
     homology,
     homotopy_classes,
@@ -211,6 +211,9 @@ def _cmd_selftest(args) -> dict:
         m = randgen.random_matrix(rng, rng.randint(0, 4), rng.randint(0, 4))
         dec = snf(m)
         _check(dec.u @ m @ dec.v == dec.s, "U A V != S")
+        mx = m @ IntMatrix.from_rows([[j + 1, 2 - j] for j in range(m.cols)], cols=2)
+        x = dec.solve(mx)
+        _check(x is not None and m @ x == mx, "solving A X = A x by the Smith form failed")
         diag = dec.diagonal
         _check(all(d >= 0 for d in diag), "negative Smith diagonal entry")
         _check(all(b % a == 0 for a, b in zip(diag, diag[1:]) if a),

@@ -20,7 +20,11 @@ so its kernel, surjectivity and lifts read that group's decomposition.
 `snf` keeps dense rows and rescans nothing: it reads each pivot off a list
 of the rows' least nonzero |entries|, refreshed only for the rows an
 operation changes, and stops once the remaining block is zero.  The pivot
-rule (minimal |value|, lowest (i, j) on ties) is frozen.
+rule (minimal |value|, lowest (i, j) on ties) is frozen.  A decomposition
+keeps S and the row and column operations that made it: `solve` replays
+them on the rows of b, dense U and V are built only when read, and the
+decomposition of a kernel basis is read off the column operations
+(`kernel_decomposition`), so `subquotient` factors only L.
 """
 
 from __future__ import annotations
@@ -72,9 +76,13 @@ class IntMatrix:
         n = len(entries)
         rows = n if rows is None else rows
         cols = n if cols is None else cols
-        return cls(rows, cols, tuple(
-            tuple(entries[i] if i == j and i < n else 0 for j in range(cols))
-            for i in range(rows)))
+        zero = (0,) * cols
+        data = [zero] * rows
+        for i in range(min(n, rows, cols)):
+            row = list(zero)
+            row[i] = entries[i]
+            data[i] = tuple(row)
+        return cls(rows, cols, tuple(data))
 
     @classmethod
     def column_vector(cls, vec: Sequence[int]) -> "IntMatrix":
@@ -200,16 +208,61 @@ def unvec(v: Sequence[int], rows: int, cols: int) -> IntMatrix:
         tuple(v[j * rows + i] for j in range(cols)) for i in range(rows)))
 
 
+Op = tuple[int, int, int]
+
+
+def _replay(ops, rows: list) -> list:
+    """Apply the line operations `ops` in order to `rows`, a list of rows,
+    in place, and return it.  (i, j, c) adds c times row j to row i; c = 0
+    swaps rows i and j, and i = j negates row i.  A row is replaced, never
+    mutated, so rows may be shared tuples."""
+    for i, j, c in ops:
+        if not c:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif i == j:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        row[i] = 1
+        rows.append(row)
+    return rows
+
+
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """Unimodular U, V and diagonal S with U @ A @ V = S.
+    """Unimodular U, V and diagonal S with U @ A @ V = S, kept as the
+    elimination steps that made them.
 
     Diagonal entries are nonnegative, each divides the next, zeros trail.
+    `row_ops` are the row operations that took A to S, in order, so U is
+    their product; `col_ops` are the column operations, and V is theirs.
+    Each is a line operation as `_replay` reads it; a column operation
+    (i, j, c) adds c times column j to column i, or swaps them, and never
+    negates.  Solving replays the steps; dense `u` and `v` are built from
+    them only when read.
     """
 
-    u: IntMatrix
     s: IntMatrix
-    v: IntMatrix
+    row_ops: tuple[Op, ...]
+    col_ops: tuple[Op, ...]
+
+    @cached_property
+    def u(self) -> IntMatrix:
+        n = self.s.rows
+        return IntMatrix(n, n, tuple(map(tuple, _replay(self.row_ops, _identity_rows(n)))))
+
+    @cached_property
+    def v(self) -> IntMatrix:
+        # Column operations on V are row operations on its transpose.
+        n = self.s.cols
+        return IntMatrix(n, n, tuple(zip(*_replay(self.col_ops, _identity_rows(n)))))
 
     @cached_property
     def diagonal(self) -> Vector:
@@ -223,12 +276,23 @@ class SmithDecomposition:
     @property
     def cokernel_invariants(self) -> tuple[int, tuple[int, ...]]:
         """Canonical form of coker(A): (free rank, invariant factors >= 2)."""
-        return self.u.rows - self.rank, tuple(d for d in self.diagonal if d >= 2)
+        return self.s.rows - self.rank, tuple(d for d in self.diagonal if d >= 2)
 
     def kernel_basis(self) -> IntMatrix:
         """The columns of V past the rank: a basis of ker(A), which is saturated."""
         r = self.rank
         return IntMatrix(self.v.rows, self.v.cols - r, tuple(row[r:] for row in self.v.data))
+
+    def kernel_decomposition(self) -> "SmithDecomposition":
+        """Decomposition of the basis K = kernel_basis().  V^-1 K is I below
+        `rank` zero rows, so K's U is V^-1 with rows `rank`.. moved first,
+        its S is [I; 0] and its V is I.  V^-1 is the column operations
+        undone in order, each turned into the row operation it is on V^-1."""
+        n, r = self.s.cols, self.rank
+        ops = tuple((j, i, -c) if c else (i, j, 0) for i, j, c in self.col_ops)
+        if r:
+            ops += tuple((i, r + i, 0) for i in range(n - r))
+        return SmithDecomposition(IntMatrix.diagonal((1,) * (n - r), rows=n), ops, ())
 
     def image_witness(self) -> IntMatrix:
         """The first `rank` columns T of V: A @ T is a basis of A's column lattice."""
@@ -239,8 +303,8 @@ class SmithDecomposition:
         """Decomposition (U, S's first `rank` columns, I) of the basis
         A @ image_witness(): U A T is those columns of U A V = S."""
         r = self.rank
-        return SmithDecomposition(self.u, IntMatrix(self.s.rows, r, tuple(
-            row[:r] for row in self.s.data)), IntMatrix.identity(r))
+        return SmithDecomposition(IntMatrix(self.s.rows, r, tuple(
+            row[:r] for row in self.s.data)), self.row_ops, ())
 
     def preimage_basis(self, ncols: int) -> IntMatrix:
         """For A = [a | t], a with `ncols` columns: a basis of the lattice
@@ -256,11 +320,13 @@ class SmithDecomposition:
         has no integer solution.  S Y = U b is solved row by row: a row of
         U b at or past the rank must be zero, and a row before it is divided
         by its diagonal entry (unless that is 1) with no remainder; then
-        X = V Y.  U and V are each applied in one product."""
-        if b.rows != self.u.rows:
+        X = V Y.  U b replays the row operations on the rows of b, and V Y
+        the column operations, last first, each as the row operation it is
+        on Y, so no n x n matrix is formed."""
+        if b.rows != self.s.rows:
             raise InputError("solve: right-hand side has wrong row count")
         r = self.rank  # the nonzero diagonal entries come first
-        ub = (self.u @ b).data
+        ub = _replay(self.row_ops, list(b.data))
         if any(map(any, ub[r:])):
             return None
         y = []
@@ -268,19 +334,11 @@ class SmithDecomposition:
             if d != 1:
                 if any(x % d for x in row):
                     return None
-                row = tuple(x // d for x in row)
+                row = [x // d for x in row]
             y.append(row)
-        y += [(0,) * b.cols] * (self.v.rows - r)
-        return self.v @ IntMatrix(self.v.rows, b.cols, tuple(y))
-
-
-def _identity_rows(n: int) -> list[list[int]]:
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        row[i] = 1
-        rows.append(row)
-    return rows
+        y += [(0,) * b.cols] * (self.s.cols - r)
+        y = _replay(((j, i, c) for i, j, c in reversed(self.col_ops)), y)
+        return IntMatrix(self.s.cols, b.cols, tuple(map(tuple, y)))
 
 
 def _least_abs(row: list[int]) -> int:
@@ -293,23 +351,23 @@ def snf(a: IntMatrix) -> SmithDecomposition:
 
     Pivots are chosen by minimal absolute value with lowest-index tie-break
     (the first such entry of s[k:, k:] in row-major order), so the returned
-    (U, S, V) is deterministic.  Rows k and below are zero left of column k,
-    so the search reads a list holding each row's least nonzero |entry|,
-    refreshed only for the rows an operation changes.  The factorization
-    stops once the remaining block is zero.  V is kept by columns while
-    factoring and transposed once at the end.
+    decomposition is deterministic.  Rows k and below are zero left of
+    column k, so the search reads a list holding each row's least nonzero
+    |entry|, refreshed only for the rows an operation changes.  The
+    factorization stops once the remaining block is zero.  S is kept dense;
+    U and V are kept as the row and column operations done.
     """
     rows, cols = a.rows, a.cols
     s = [list(r) for r in a.data]
-    u = _identity_rows(rows)
-    vt = _identity_rows(cols)  # vt[j] is column j of V
+    row_ops: list[Op] = []
+    col_ops: list[Op] = []
     least = list(map(_least_abs, s))  # least[i]: row i's least nonzero |entry|
 
     def add_row(dst, src, c):
-        # row_dst += c * row_src, in S and U
+        # row_dst += c * row_src
         sd = s[dst]  # both rows are zero left of column k
         sd[k:] = [x + c * y for x, y in zip(sd[k:], s[src][k:])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+        row_ops.append((dst, src, c))
         least[dst] = _least_abs(sd)
 
     for k in range(min(rows, cols)):
@@ -325,12 +383,12 @@ def snf(a: IntMatrix) -> SmithDecomposition:
             j = [*map(abs, si)].index(p)
             if i != k:
                 s[i], s[k] = s[k], si
-                u[i], u[k] = u[k], u[i]
+                row_ops.append((i, k, 0))
                 least[i], least[k] = least[k], p
             if j != k:
                 for r in s[k:]:  # rows above k are zero in columns k and j
                     r[j], r[k] = r[k], r[j]
-                vt[j], vt[k] = vt[k], vt[j]
+                col_ops.append((j, k, 0))
             p = s[k][k]
             dirty = False
             for i in range(k + 1, rows):
@@ -341,13 +399,13 @@ def snf(a: IntMatrix) -> SmithDecomposition:
             if dirty:
                 continue
             # Column k of S is now p e_k, so a column operation changes only
-            # row k of S; V takes the whole operation.
-            sk, vk = s[k], vt[k]
+            # row k of S.
+            sk = s[k]
             for j in range(k + 1, cols):
                 if sk[j]:
                     c = -(sk[j] // p)
                     sk[j] += c * p
-                    vt[j] = [x + c * y for x, y in zip(vt[j], vk)]
+                    col_ops.append((j, k, c))
                     if sk[j]:
                         dirty = True
             if dirty:
@@ -367,11 +425,10 @@ def snf(a: IntMatrix) -> SmithDecomposition:
             break  # the remaining block is zero
         if s[k][k] < 0:
             s[k] = [-x for x in s[k]]
-            u[k] = [-x for x in u[k]]
+            row_ops.append((k, k, -1))
 
-    return SmithDecomposition(IntMatrix(rows, rows, tuple(map(tuple, u))),
-                              IntMatrix(rows, cols, tuple(map(tuple, s))),
-                              IntMatrix(cols, cols, tuple(zip(*vt))))
+    return SmithDecomposition(IntMatrix(rows, cols, tuple(map(tuple, s))),
+                              tuple(row_ops), tuple(col_ops))
 
 
 def cokernel_invariants(a: IntMatrix) -> tuple[int, tuple[int, ...]]:
@@ -545,10 +602,8 @@ def subquotient(l: IntMatrix, n: IntMatrix) -> Subquotient:
     """
     if l.cols != n.rows:
         raise InputError("subquotient: shapes are incompatible")
-    if not (l @ n).is_zero():
-        raise InputError("not a subcomplex: L @ N is nonzero")
     dec = snf(l)
-    k = dec.kernel_basis()  # when l has rank 0, V and so k are the identity
-    # The error cannot happen when l @ n = 0: the kernel is saturated.
-    return _quotient_over(k, SmithDecomposition(k, k, k) if dec.rank == 0 else snf(k), n,
-                          "not a subcomplex: image does not lie in the kernel")
+    # The kernel is saturated, so N's columns lie in its lattice exactly
+    # when l @ n = 0: solving N in K's coordinates is the subcomplex check.
+    return _quotient_over(dec.kernel_basis(), dec.kernel_decomposition(), n,
+                          "not a subcomplex: L @ N is nonzero")

@@ -193,19 +193,27 @@ class UctReport:
     abelian groups are not determined by the sequence alone.
     """
 
-    hom_part: DirectSum
-    ext_part: DirectSum
-    middle: HomotopyClasses
     natural: GroupHom
-    kernel_group: SubquotientGroup  # basis: coordinates in the middle
+    ext_part: DirectSum
+
+    @property
+    def hom_part(self) -> DirectSum:
+        return self.natural.target
+
+    @property
+    def middle(self) -> HomotopyClasses:
+        return self.natural.source
+
+    @property
+    def kernel_group(self) -> SubquotientGroup:
+        """The kernel of the natural map; basis: coordinates in the middle."""
+        return self.natural.kernel()
 
 
 def uct_sequence(a: PeriodicComplex, b: PeriodicComplex) -> UctReport:
     """Assemble and verify the sequence 0 -> Ext-part -> [A, B] -> Hom-part -> 0."""
     ha, hb = homology(a), homology(b)
-    natural = _natural_map(a, b, ha, hb)
-    report = UctReport(natural.target, graded_ext_shifted(ha, hb), natural.source, natural,
-                       natural.kernel())
+    report = UctReport(_natural_map(a, b, ha, hb), graded_ext_shifted(ha, hb))
     _verify_uct(report)
     return report
 
@@ -226,10 +234,19 @@ def _verify_uct(r: UctReport) -> None:
 
 @dataclass(frozen=True)
 class PhantomSubgroup:
-    """The subgroup of [A, B] of classes vanishing on homology."""
+    """The subgroup of [A, B] of classes vanishing on homology: the kernel
+    of the natural map [A, B] -> gradedHom(H A, H B)."""
 
-    group: SubquotientGroup  # basis: coordinates in the middle group
-    homotopy: HomotopyClasses
+    natural: GroupHom
+
+    @property
+    def group(self) -> SubquotientGroup:
+        """The kernel; basis: coordinates in the middle group."""
+        return self.natural.kernel()
+
+    @property
+    def homotopy(self) -> HomotopyClasses:
+        return self.natural.source
 
     def generator_maps(self) -> list[ChainMap]:
         return [self.homotopy.representative(self.homotopy.element(c))
@@ -238,8 +255,7 @@ class PhantomSubgroup:
 
 def phantom_subgroup(a: PeriodicComplex, b: PeriodicComplex) -> PhantomSubgroup:
     """Kernel of [A, B] -> gradedHom(H A, H B), with generator certificates."""
-    natural = _natural_map(a, b, homology(a), homology(b))
-    return PhantomSubgroup(natural.kernel(), natural.source)
+    return PhantomSubgroup(_natural_map(a, b, homology(a), homology(b)))
 
 
 def triangle_homology_maps(f: ChainMap) -> list[GroupHom]:

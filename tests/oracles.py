@@ -31,7 +31,6 @@ from typing import Optional
 from homkit.abgroups import graded_hom, is_exact_pair
 from homkit.intlinalg import (
     IntMatrix,
-    SmithDecomposition,
     kernel_basis,
     lll_reduce,
     preimage_gens,
@@ -315,9 +314,10 @@ def _reference_pivot(a: list[list[int]], k: int, rows: int, cols: int) -> Option
     return best
 
 
-def snf_reference(a: IntMatrix) -> SmithDecomposition:
+def snf_reference(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """`homkit.intlinalg.snf` as it stood before its unit-pivot and column
-    shortcuts, kept verbatim so that U, S and V can be compared exactly.
+    shortcuts, kept verbatim so that U, S and V can be compared exactly with
+    a decomposition's `(u, s, v)`; it returns them as that triple.
 
     Smith normal form of an integer matrix.
 
@@ -399,9 +399,28 @@ def snf_reference(a: IntMatrix) -> SmithDecomposition:
         if s[k][k] < 0:
             negate_row(k)
 
-    return SmithDecomposition(IntMatrix(rows, rows, tuple(map(tuple, u))),
-                              IntMatrix(rows, cols, tuple(map(tuple, s))),
-                              IntMatrix(cols, cols, tuple(map(tuple, v))))
+    return (IntMatrix(rows, rows, tuple(map(tuple, u))),
+            IntMatrix(rows, cols, tuple(map(tuple, s))),
+            IntMatrix(cols, cols, tuple(map(tuple, v))))
+
+
+def solve_dense(u: IntMatrix, s: IntMatrix, v: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
+    """X with A @ X = b given U A V = S, or None, by dense products: U b,
+    then S Y = U b row by row (a row past the rank must be zero, a row
+    before it divisible by its diagonal entry), then X = V Y.  The formula
+    `SmithDecomposition.solve` used before it replayed its operations."""
+    r = sum(1 for i in range(min(s.rows, s.cols)) if s[i, i])
+    ub = (u @ b).data
+    if any(map(any, ub[r:])):
+        return None
+    y = []
+    for i, row in enumerate(ub[:r]):
+        d = s[i, i]
+        if any(x % d for x in row):
+            return None
+        y.append(tuple(x // d for x in row))
+    y += [(0,) * b.cols] * (v.rows - r)
+    return v @ IntMatrix(v.rows, b.cols, tuple(y))
 
 
 def natural_map_by_generators(a: PeriodicComplex, b: PeriodicComplex) -> IntMatrix:

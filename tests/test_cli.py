@@ -390,12 +390,12 @@ class TestSelftestUnderOptimize:
         # Under -O every assert is stripped; the selftest must still catch a
         # wrong Smith form and report an internal error.
         script = (
-            "import sys\n"
+            "import dataclasses, sys\n"
             "import homkit.cli as cli\n"
-            "from homkit.intlinalg import SmithDecomposition, snf\n"
+            "from homkit.intlinalg import snf\n"
             "def broken(m):\n"
             "    dec = snf(m)\n"
-            "    return SmithDecomposition(dec.u, dec.s.scale(2), dec.v)\n"
+            "    return dataclasses.replace(dec, s=dec.s.scale(2))\n"
             "cli.snf = broken\n"
             "sys.exit(cli.main(['selftest', '--seed', '0']))\n")
         env = dict(os.environ)

@@ -4,7 +4,7 @@ from functools import reduce
 
 import pytest
 
-from homkit import percomplex
+from homkit import intlinalg, percomplex
 from homkit.errors import InputError
 from homkit.intlinalg import (
     IntMatrix,
@@ -33,8 +33,9 @@ from .oracles import (
     from_columns_reference,
     hstack_reference,
     kron_reference,
-    solve_fraction,
     snf_reference,
+    solve_dense,
+    solve_fraction,
     solve_lattice,
     subquotient_presentation_oracle,
     transpose_reference,
@@ -70,6 +71,30 @@ def homotopy_class_systems(monkeypatch, pairs: int, max_cells: int) -> list[IntM
 
 def _summed(rng):
     return reduce(direct_sum, [random_complex(rng, max_rank=3) for _ in range(rng.randint(2, 3))])
+
+
+def reference_pivot_matrices(rng, count: int) -> list[IntMatrix]:
+    """Random matrices up to 9 x 9, zero dimensions included, of four kinds
+    in turn: small entries, mostly units and zeros, zero rows and columns,
+    and entries up to 10**6."""
+    out = []
+    for i in range(count):
+        rows, cols = rng.randint(0, 9), rng.randint(0, 9)
+        kind = i % 4
+        if kind == 0:
+            a = random_matrix(rng, rows, cols, 3)
+        elif kind == 1:  # mostly units and zeros
+            a = IntMatrix.from_rows([[rng.choice((-1, -1, 0, 0, 1, 1, 2)) for _ in range(cols)]
+                                     for _ in range(rows)], cols=cols)
+        elif kind == 2:  # zero rows and columns
+            zr = set(rng.sample(range(rows), rows // 3))
+            zc = set(rng.sample(range(cols), cols // 3))
+            a = IntMatrix.from_rows([[0 if r in zr or c in zc else rng.randint(-9, 9)
+                                      for c in range(cols)] for r in range(rows)], cols=cols)
+        else:
+            a = random_matrix(rng, rows, cols, 10 ** 6)
+        out.append(a)
+    return out
 
 
 def early_stop_and_gcd_cases(rng) -> list[IntMatrix]:
@@ -140,23 +165,9 @@ class TestSnf:
     def test_matches_reference_pivots(self):
         # U, S and V equal those of the frozen copy of the earlier snf, entry
         # for entry: the unit-pivot and column shortcuts change no pivot.
-        rng = random.Random(2_024)
-        for i in range(2_000):
-            rows, cols = rng.randint(0, 9), rng.randint(0, 9)
-            kind = i % 4
-            if kind == 0:
-                a = random_matrix(rng, rows, cols, 3)
-            elif kind == 1:  # mostly units and zeros
-                a = IntMatrix.from_rows([[rng.choice((-1, -1, 0, 0, 1, 1, 2)) for _ in range(cols)]
-                                         for _ in range(rows)], cols=cols)
-            elif kind == 2:  # zero rows and columns
-                zr = set(rng.sample(range(rows), rows // 3))
-                zc = set(rng.sample(range(cols), cols // 3))
-                a = IntMatrix.from_rows([[0 if r in zr or c in zc else rng.randint(-9, 9)
-                                          for c in range(cols)] for r in range(rows)], cols=cols)
-            else:
-                a = random_matrix(rng, rows, cols, 10 ** 6)
-            assert snf(a) == snf_reference(a), a
+        for a in reference_pivot_matrices(random.Random(2_024), 2_000):
+            dec = snf(a)
+            assert (dec.u, dec.s, dec.v) == snf_reference(a), a
 
     def test_matches_reference_pivots_on_homotopy_class_systems(self, monkeypatch):
         # The Kronecker systems of [A, B], up to about 5,000 entries: these
@@ -164,11 +175,47 @@ class TestSnf:
         mats = homotopy_class_systems(monkeypatch, 40, 5_000)
         assert max(m.rows * m.cols for m in mats) > 4_000
         for a in mats:
-            assert snf(a) == snf_reference(a), (a.rows, a.cols)
+            dec = snf(a)
+            assert (dec.u, dec.s, dec.v) == snf_reference(a), (a.rows, a.cols)
 
     def test_matches_reference_pivots_on_early_stop_and_gcd_cases(self):
         for a in early_stop_and_gcd_cases(random.Random(77)):
-            assert snf(a) == snf_reference(a), a
+            dec = snf(a)
+            assert (dec.u, dec.s, dec.v) == snf_reference(a), a
+
+    def test_replayed_solve_matches_the_dense_formula(self, monkeypatch):
+        # On the three reference-pivot ensembles, solving by replaying the
+        # operations gives exactly X = V Y from U b and S, and None on the
+        # same right-hand sides: a @ x, and a @ x with one entry moved.
+        rng = random.Random(83)
+        mats = (reference_pivot_matrices(random.Random(2_024), 400)
+                + homotopy_class_systems(monkeypatch, 6, 1_500)
+                + early_stop_and_gcd_cases(random.Random(77)))
+        outcomes = {"solved": 0, "none": 0}
+        for a in mats:
+            cols = [a.apply([rng.randint(-3, 3) for _ in range(a.cols)]) for _ in range(2)]
+            bs = [IntMatrix.from_columns(cols, rows=a.rows)]
+            if a.rows:
+                moved = list(cols[0])
+                moved[rng.randrange(a.rows)] += rng.choice((-1, 1, 2))
+                bs += [IntMatrix.from_columns([tuple(moved)], rows=a.rows),
+                       IntMatrix.from_columns([cols[1], tuple(moved)], rows=a.rows)]
+            dec = snf(a)
+            got = [dec.solve(b) for b in bs]
+            for b, x in zip(bs, got):
+                assert x == solve_dense(dec.u, dec.s, dec.v, b), a
+                outcomes["none" if x is None else "solved"] += 1
+        assert min(outcomes.values()) >= 200, outcomes
+
+    def test_solve_rank_and_invariants_build_no_dense_u_or_v(self):
+        # A decomposition keeps its operations; only reading u or v builds them.
+        rng = random.Random(19)
+        for a in early_stop_and_gcd_cases(rng)[:40]:
+            dec = snf(a)
+            dec.rank, dec.cokernel_invariants
+            dec.solve(a @ IntMatrix.identity(a.cols))
+            assert "u" not in vars(dec) and "v" not in vars(dec)
+            assert dec.u.rows == a.rows and "u" in vars(dec)
 
 
 class TestCokernelInvariants:
@@ -245,7 +292,7 @@ class TestSolveAndLattices:
         fails = {"divisor": 0, "zero row": 0}
         for a in mats:
             dec = snf(a)
-            assert dec == snf_reference(a)
+            assert (dec.u, dec.s, dec.v) == snf_reference(a)
             r, diag = dec.rank, dec.diagonal
             rows = [list(row) for row in a.data]
             good = [a.apply([rng.randint(-3, 3) for _ in range(a.cols)]) for _ in range(2)]
@@ -364,6 +411,63 @@ class TestSubquotient:
         coords = [(1, 0), (0, 3), (-2, 5)]
         ambient = IntMatrix.from_columns([sq.from_coords(c) for c in coords])
         assert sq.to_coords(ambient) == IntMatrix.from_columns(coords)
+
+    def test_matches_the_kernel_basis_factored_again(self):
+        # K's decomposition read off L's operations gives the basis,
+        # presentation and coordinates that factoring K itself gives: with
+        # K's columns independent, coordinates are unique.
+        rng = random.Random(43)
+        cases = []
+        for i in range(160):
+            rows, cols = rng.randint(0, 6), rng.randint(0, 7)
+            if i % 4 == 0:
+                cases.append(IntMatrix.zero(rows, cols))
+            else:  # with rows >= cols, mostly of full column rank
+                rows = cols + rng.randint(0, 2) if i % 4 == 1 else rows
+                cases.append(random_matrix(rng, rows, cols, 4))
+        seen = {"rank 0": 0, "full column rank": 0, "zero dimension": 0, "outside": 0}
+        for l in cases:
+            k = kernel_basis(l)
+            n = IntMatrix.from_columns([k.apply([rng.randint(-3, 3) for _ in range(k.cols)])
+                                        for _ in range(rng.randint(0, 3))], rows=l.cols)
+            sq, factored = subquotient(l, n), snf(k)
+            assert sq.basis == k
+            assert sq.presentation == factored.solve(n)
+            ambient = IntMatrix.from_columns([k.apply([rng.randint(-5, 5) for _ in range(k.cols)])
+                                              for _ in range(3)], rows=l.cols)
+            assert sq.to_coords(ambient) == factored.solve(ambient)
+            outside = [j for j in range(l.cols) if any(l.column(j))]
+            if outside:  # a unit vector off the kernel
+                e = IntMatrix.from_columns([tuple(int(i == outside[0]) for i in range(l.cols))])
+                assert factored.solve(e) is None
+                with pytest.raises(InputError, match="does not lie"):
+                    sq.to_coords(e)
+            seen["rank 0"] += k.cols == l.cols
+            seen["full column rank"] += k.cols == 0
+            seen["zero dimension"] += 0 in (l.rows, l.cols)
+            seen["outside"] += bool(outside)
+        assert min(seen.values()) >= 15, seen
+
+    def test_factors_only_l_and_builds_no_dense_u(self, monkeypatch):
+        # subquotient factors L once; its coordinates replay operations, so
+        # neither L's decomposition nor K's builds a dense U.
+        made = []
+
+        def recording(a):
+            made.append(snf_original(a))
+            return made[-1]
+
+        snf_original = intlinalg.snf
+        monkeypatch.setattr(intlinalg, "snf", recording)
+        rng = random.Random(47)
+        for _ in range(40):
+            l = random_matrix(rng, rng.randint(0, 4), rng.randint(0, 6), 3)
+            k = snf_original(l).kernel_basis()
+            made.clear()
+            sq = subquotient(l, IntMatrix.from_columns([k.apply([1] * k.cols)], rows=l.cols))
+            sq.to_coords(sq.basis)
+            assert len(made) == 1
+            assert "u" not in vars(made[0]) and "u" not in vars(sq.basis_smith)
 
     def test_against_column_reduction_oracle(self):
         rng = random.Random(41)
