@@ -9,6 +9,10 @@ of P as generator representatives.  Ext1 is a cokernel whose coordinates
 are a cocycle's entries.  So individual classes can be evaluated and
 compared exactly; this is what makes the kappa invariant of
 `homkit.relhom` testable rather than an opaque list of invariant factors.
+`SubquotientGroup.reduced` presents the same P/Q by its invariant factors,
+on the generators of the presentation's Smith basis that no unit relation
+kills, with representatives and coordinates read off the decomposition
+the group already holds; the UCT is stated on such groups.
 """
 
 from __future__ import annotations
@@ -298,7 +302,7 @@ class GroupHom:
         sol = self._cokernel.smith.solve(targets)
         if sol is None:
             return None
-        return IntMatrix(self.source.ngens, sol.cols, sol.data[:self.source.ngens])
+        return sol[:self.source.ngens, :]
 
     def inverse_matrix(self) -> IntMatrix:
         """A matrix inducing the inverse homomorphism; requires bijectivity."""
@@ -364,6 +368,28 @@ class SubquotientGroup(FgAbGroup):
         if el.owner is not self:
             raise InputError("element does not belong to this group")
         return self._sq.from_coords(el.coords)
+
+    def reduced(self) -> SubquotientGroup:
+        """The same group P/Q on the generators of its presentation's Smith
+        basis whose invariant factor is not 1, presented by its invariant
+        factors as `from_invariants` lays them out.
+
+        With U M V = S for the presentation M, new generator i is column i
+        of B U^-1 for the basis B, and the coordinates of old coordinates x
+        are the rows of U x past the t unit factors.  The columns of U^-1
+        before t are relations, so the new basis's decomposition is the old
+        one rebased by U (`SmithDecomposition.rebased`), and a lookup keeps
+        only the coordinates past t.  Only M's decomposition is read, which
+        `canonical` needs anyway.
+        """
+        dec, sq = self.smith, self._sq
+        t = dec.diagonal.count(1)  # the unit factors come first
+        torsion = self.torsion
+        ngens = self.ngens - t
+        return SubquotientGroup(Subquotient(
+            sq.basis @ dec.u_inverse_columns(t),
+            IntMatrix.diagonal(torsion, rows=ngens, cols=len(torsion)),
+            sq.basis_smith.rebased(dec, sq.basis_smith.s.cols - sq.ngens)))
 
 
 def _kronecker_pair_subquotient(x: IntMatrix, target: FgAbGroup) -> Subquotient:

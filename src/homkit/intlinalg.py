@@ -25,6 +25,11 @@ keeps S and the row and column operations that made it: `solve` replays
 them on the rows of b, dense U and V are built only when read, and the
 decomposition of a kernel basis is read off the column operations
 (`kernel_decomposition`), so `subquotient` factors only L.
+
+The constructor checks a matrix's shape, as do `from_rows` and
+`from_columns`; matrices built here from matrices that passed it
+(products, stacks, slices, Kronecker products, replayed operations) are
+made without the check.
 """
 
 from __future__ import annotations
@@ -99,8 +104,13 @@ class IntMatrix:
             return cls(rows, 0, ((),) * rows)
         return cls(rows, len(columns), tuple(zip(*(map(int, col) for col in columns))))
 
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        return self.data[ij[0]][ij[1]]
+    def __getitem__(self, ij: tuple[int | slice, int | slice]) -> int | IntMatrix:
+        """Entry (i, j); for two slices of step 1, the block they pick."""
+        i, j = ij
+        if isinstance(i, slice):
+            data = tuple(row[j] for row in self.data[i])
+            return _matrix(len(data), len(range(*j.indices(self.cols))), data)
+        return self.data[i][j]
 
     def column(self, j: int) -> Vector:
         return tuple(self.data[i][j] for i in range(self.rows))
@@ -109,22 +119,22 @@ class IntMatrix:
         return list(zip(*self.data)) if self.rows else [()] * self.cols
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(self.columns()))
+        return _matrix(self.cols, self.rows, tuple(self.columns()))
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(tuple(-x for x in row) for row in self.data))
+        return _matrix(self.rows, self.cols, tuple(tuple(-x for x in row) for row in self.data))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise InputError("matrix shape mismatch in addition")
-        return IntMatrix(self.rows, self.cols, tuple(
+        return _matrix(self.rows, self.cols, tuple(
             tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + (-other)
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(tuple(c * x for x in row) for row in self.data))
+        return _matrix(self.rows, self.cols, tuple(tuple(c * x for x in row) for row in self.data))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         """Product, row by row: each row of the result sums the rows of
@@ -140,7 +150,7 @@ class IntMatrix:
                     acc = ([a * b for b in brow] if acc is None
                            else [x + a * b for x, b in zip(acc, brow)])
             out.append(zero if acc is None else tuple(acc))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        return _matrix(self.rows, other.cols, tuple(out))
 
     def apply(self, vec: Sequence[int]) -> Vector:
         if len(vec) != self.cols:
@@ -161,7 +171,23 @@ class IntMatrix:
                 for a in arow:
                     row += [a * b for b in brow] if a else zero
                 data.append(tuple(row))
-        return IntMatrix(self.rows * other.rows, self.cols * other.cols, tuple(data))
+        return _matrix(self.rows * other.rows, self.cols * other.cols, tuple(data))
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _matrix(rows: int, cols: int, data: tuple[Vector, ...]) -> IntMatrix:
+    """IntMatrix(rows, cols, data) without the shape check, for data built
+    from matrices that passed it (products, stacks, blocks, Kronecker
+    products, replayed operations): the public constructor, `from_rows`,
+    `from_columns` and the JSON parser keep the check."""
+    m = _new(IntMatrix)
+    _set(m, "rows", rows)
+    _set(m, "cols", cols)
+    _set(m, "data", data)
+    return m
 
 
 def hstack(*mats: IntMatrix) -> IntMatrix:
@@ -171,7 +197,7 @@ def hstack(*mats: IntMatrix) -> IntMatrix:
     if any(m.rows != rows for m in mats):
         raise InputError("hstack: row counts differ")
     data = tuple(sum(parts, ()) for parts in zip(*(m.data for m in mats)))
-    return IntMatrix(rows, sum(m.cols for m in mats), data)
+    return _matrix(rows, sum(m.cols for m in mats), data)
 
 
 def vstack(*mats: IntMatrix) -> IntMatrix:
@@ -181,7 +207,7 @@ def vstack(*mats: IntMatrix) -> IntMatrix:
     if any(m.cols != cols for m in mats):
         raise InputError("vstack: column counts differ")
     data = tuple(row for m in mats for row in m.data)
-    return IntMatrix(sum(m.rows for m in mats), cols, data)
+    return _matrix(sum(m.rows for m in mats), cols, data)
 
 
 def block(grid: Sequence[Sequence[IntMatrix]]) -> IntMatrix:
@@ -204,7 +230,7 @@ def vec(m: IntMatrix) -> Vector:
 def unvec(v: Sequence[int], rows: int, cols: int) -> IntMatrix:
     if len(v) != rows * cols:
         raise InputError("unvec: length mismatch")
-    return IntMatrix(rows, cols, tuple(
+    return _matrix(rows, cols, tuple(
         tuple(v[j * rows + i] for j in range(cols)) for i in range(rows)))
 
 
@@ -244,9 +270,9 @@ class SmithDecomposition:
     `row_ops` are the row operations that took A to S, in order, so U is
     their product; `col_ops` are the column operations, and V is theirs.
     Each is a line operation as `_replay` reads it; a column operation
-    (i, j, c) adds c times column j to column i, or swaps them, and never
-    negates.  Solving replays the steps; dense `u` and `v` are built from
-    them only when read.
+    (i, j, c) adds c times column j to column i, swaps them, or negates
+    column i (`snf` never negates a column).  Solving replays the steps;
+    dense `u` and `v` are built from them only when read.
     """
 
     s: IntMatrix
@@ -256,13 +282,13 @@ class SmithDecomposition:
     @cached_property
     def u(self) -> IntMatrix:
         n = self.s.rows
-        return IntMatrix(n, n, tuple(map(tuple, _replay(self.row_ops, _identity_rows(n)))))
+        return _matrix(n, n, tuple(map(tuple, _replay(self.row_ops, _identity_rows(n)))))
 
     @cached_property
     def v(self) -> IntMatrix:
         # Column operations on V are row operations on its transpose.
         n = self.s.cols
-        return IntMatrix(n, n, tuple(zip(*_replay(self.col_ops, _identity_rows(n)))))
+        return _matrix(n, n, tuple(zip(*_replay(self.col_ops, _identity_rows(n)))))
 
     @cached_property
     def diagonal(self) -> Vector:
@@ -280,8 +306,7 @@ class SmithDecomposition:
 
     def kernel_basis(self) -> IntMatrix:
         """The columns of V past the rank: a basis of ker(A), which is saturated."""
-        r = self.rank
-        return IntMatrix(self.v.rows, self.v.cols - r, tuple(row[r:] for row in self.v.data))
+        return self.v[:, self.rank:]
 
     def kernel_decomposition(self) -> "SmithDecomposition":
         """Decomposition of the basis K = kernel_basis().  V^-1 K is I below
@@ -296,15 +321,32 @@ class SmithDecomposition:
 
     def image_witness(self) -> IntMatrix:
         """The first `rank` columns T of V: A @ T is a basis of A's column lattice."""
-        r = self.rank
-        return IntMatrix(self.v.rows, r, tuple(row[:r] for row in self.v.data))
+        return self.v[:, :self.rank]
 
     def image_decomposition(self) -> "SmithDecomposition":
         """Decomposition (U, S's first `rank` columns, I) of the basis
         A @ image_witness(): U A T is those columns of U A V = S."""
-        r = self.rank
-        return SmithDecomposition(IntMatrix(self.s.rows, r, tuple(
-            row[:r] for row in self.s.data)), self.row_ops, ())
+        return SmithDecomposition(self.s[:, :self.rank], self.row_ops, ())
+
+    def u_inverse_columns(self, start: int) -> IntMatrix:
+        """Columns `start`.. of U^-1: those columns of the identity with the
+        row operations undone, last first, so no dense U is formed."""
+        n = self.s.rows
+        rows = [[int(i - start == j) for j in range(n - start)] for i in range(n)]
+        # (i, j, -c) undoes (i, j, c); a swap or a negation undoes itself.
+        rows = _replay(((i, j, -c) for i, j, c in reversed(self.row_ops)), rows)
+        return _matrix(n, n - start, tuple(map(tuple, rows)))
+
+    def rebased(self, dec: "SmithDecomposition", offset: int) -> "SmithDecomposition":
+        """Decomposition of A W', where W is the U of `dec` (whose matrix has
+        one row per column of A from `offset` on) and W' = diag(I, W^-1).
+        U (A W') (W' ^-1 V) = S, so S and the row operations stay, and W's
+        row operations, last first, come before V's as the column
+        operations they are: adding c times row j to row i is, on the
+        right, adding c times column i to column j."""
+        ops = tuple((j + offset, i + offset, c) if c and i != j else (i + offset, j + offset, c)
+                    for i, j, c in reversed(dec.row_ops))
+        return SmithDecomposition(self.s, self.row_ops, ops + self.col_ops)
 
     def preimage_basis(self, ncols: int) -> IntMatrix:
         """For A = [a | t], a with `ncols` columns: a basis of the lattice
@@ -313,7 +355,7 @@ class SmithDecomposition:
         k = self.kernel_basis()
         if ncols == k.rows:
             return k
-        return lattice_basis(IntMatrix(ncols, k.cols, k.data[:ncols]))
+        return lattice_basis(k[:ncols, :])
 
     def solve(self, b: IntMatrix) -> Optional[IntMatrix]:
         """X with A @ X = b for the factored A, or None if some column of b
@@ -338,7 +380,7 @@ class SmithDecomposition:
             y.append(row)
         y += [(0,) * b.cols] * (self.s.cols - r)
         y = _replay(((j, i, c) for i, j, c in reversed(self.col_ops)), y)
-        return IntMatrix(self.s.cols, b.cols, tuple(map(tuple, y)))
+        return _matrix(self.s.cols, b.cols, tuple(map(tuple, y)))
 
 
 def _least_abs(row: list[int]) -> int:
@@ -427,7 +469,7 @@ def snf(a: IntMatrix) -> SmithDecomposition:
             s[k] = [-x for x in s[k]]
             row_ops.append((k, k, -1))
 
-    return SmithDecomposition(IntMatrix(rows, cols, tuple(map(tuple, s))),
+    return SmithDecomposition(_matrix(rows, cols, tuple(map(tuple, s))),
                               tuple(row_ops), tuple(col_ops))
 
 
@@ -550,9 +592,13 @@ class Subquotient:
 
     `basis` has one column per generator (a basis of the sublattice P), and
     `presentation` presents the quotient in those coordinates: one row per
-    generator, one column per relation.  `basis_smith` is the basis's Smith
-    decomposition, made with the basis and read by every coordinate lookup;
-    the group built on the presentation factors that.
+    generator, one column per relation.  `basis_smith` is the Smith
+    decomposition of [D | basis], made with the basis and read by every
+    coordinate lookup; the group built on the presentation factors that.
+    The columns of D (none, unless generators were dropped, as
+    `abgroups.SubquotientGroup.reduced` does) complete the basis to one of
+    P and lie in Q, so a vector's coordinates are the last `ngens` rows
+    of its solve.
     """
 
     basis: IntMatrix
@@ -572,7 +618,7 @@ class Subquotient:
         x = self.basis_smith.solve(ambient)
         if x is None:
             raise InputError("vector does not lie in the subgroup")
-        return x
+        return x[x.rows - self.ngens:, :] if x.rows > self.ngens else x
 
 
 def _quotient_over(basis: IntMatrix, dec: SmithDecomposition, q_gens: IntMatrix,

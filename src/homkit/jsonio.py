@@ -103,8 +103,18 @@ def matrix_from_json(doc: Any, what: str = "matrix") -> IntMatrix:
     for i, row in enumerate(data):
         if not isinstance(row, Sequence) or isinstance(row, (str, bytes)) or len(row) != cols:
             raise InputError(f"{what}: row {i} does not have {cols} entries")
-        parsed.append([_parse_bigint(x, f"{what}[{i}]") for x in row])
-    return IntMatrix.from_rows(parsed, cols=cols)
+        parsed.append(tuple(_parse_entry(x, what, i) for x in row))
+    return IntMatrix(rows, cols, tuple(parsed))
+
+
+def _parse_entry(value: Any, what: str, i: int) -> int:
+    """`_parse_bigint` of an entry in row i of a matrix, labelled
+    `what[i]`; the label is only formatted for a message."""
+    if type(value) is str and _DECIMAL.fullmatch(value):
+        return decimal_to_int(value)
+    if type(value) is int:
+        return value
+    return int(_parse_bigint(value, f"{what}[{i}]"))
 
 
 def matrix_to_json(m: IntMatrix) -> dict:

@@ -219,13 +219,14 @@ class HomotopyClasses(SubquotientGroup):
         amb = self.ambient(el)
         return ChainMap(self.source, self.target, self._component(amb, 0), self._component(amb, 1))
 
-    def induced_matrices(self, degree: int, ha: SubquotientGroup,
+    def induced_matrices(self, maps: IntMatrix, degree: int, ha: SubquotientGroup,
                          hb: SubquotientGroup) -> list[IntMatrix]:
-        """For each generator of [A, B], the matrix of the map it induces from
+        """For each column of `maps`, a vectorized chain map A -> B (such as
+        a basis column of [A, B]), the matrix of the map it induces from
         ha = H_degree(A) to hb = H_degree(B), as `induced_map` writes it; one
         solve for all."""
         return _induced_matrices([self._component(g, degree)
-                                  for g in self.basis.columns()], ha, hb)
+                                  for g in maps.columns()], ha, hb)
 
     def is_null_homotopic(self, f: ChainMap) -> bool:
         return self.class_of(f).is_zero()
@@ -268,8 +269,7 @@ def _induced_matrices(mats: Sequence[IntMatrix], ha: SubquotientGroup,
         return []
     x = hb.to_coords(hstack(*(m @ ha.basis for m in mats)))
     k = ha.ngens
-    return [IntMatrix(x.rows, k, tuple(row[g * k:(g + 1) * k] for row in x.data))
-            for g in range(len(mats))]
+    return [x[:, g * k:(g + 1) * k] for g in range(len(mats))]
 
 
 def induced_map(f: ChainMap, ha: GradedAbGroup, hb: GradedAbGroup) -> GradedGroupHom:

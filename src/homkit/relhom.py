@@ -5,7 +5,12 @@ form an ideal of the homotopy category, and every notion here (monic, epic,
 exact, projective resolution, derived Ext, the universal-coefficient sequence
 and the kappa invariant) is computed through that ideal.  Morphism groups
 [A, B] are always produced by brute-force linear algebra, never inferred from
-the short exact sequence that constrains them.
+the short exact sequence that constrains them.  The universal-coefficient
+sequence concerns groups up to isomorphism, so `uct_sequence` builds its
+Hom and Ext parts, natural map, kernel and checks on Smith-reduced
+presentations of H(A), H(B) and the brute-forced [A, B]
+(`SubquotientGroup.reduced`); the other entry points keep the
+presentations `homology` and `homotopy_classes` return.
 """
 
 from __future__ import annotations
@@ -161,11 +166,13 @@ def ideal_ext_from_resolution(res: Resolution, b: PeriodicComplex, n: int) -> Fg
     return pull.cokernel_group()
 
 
-def _natural_map(a: PeriodicComplex, b: PeriodicComplex, ha: GradedAbGroup,
+def _natural_map(hc: HomotopyClasses, middle: SubquotientGroup, ha: GradedAbGroup,
                  hb: GradedAbGroup) -> GroupHom:
-    """The natural map [A, B] -> gradedHom(H A, H B), for ha = H(A) and
-    hb = H(B); its source is the `HomotopyClasses` group and its target the
-    Hom part, a `DirectSum` of `HomGroup`s.
+    """The natural map [A, B] -> gradedHom(H A, H B), for hc = [A, B], a
+    presentation `middle` of it whose basis columns are chain maps (hc
+    itself, or `hc.reduced()`), and presentations ha, hb of H(A) and H(B)
+    whose basis columns are cycles; its source is `middle` and its target
+    the Hom part, a `DirectSum` of `HomGroup`s.
 
     In each degree, `induced_matrices` gives the matrices X_g of the maps
     H(A) -> H(B) induced by every generator g in one solve;
@@ -173,15 +180,15 @@ def _natural_map(a: PeriodicComplex, b: PeriodicComplex, ha: GradedAbGroup,
     classes of all of them in Hom.  The columns are those of the
     class-by-class `induced_map` and `from_matrix`.
     """
-    hc = homotopy_classes(a, b)
     hom_part = graded_hom(ha, hb)
     blocks = []
     for degree, part in enumerate(hom_part.parts):
-        coords = part.from_matrices(hc.induced_matrices(degree, part.source, part.target))
+        coords = part.from_matrices(hc.induced_matrices(middle.basis, degree, part.source,
+                                                        part.target))
         if coords is None:
             raise InternalCheckError("natural map: an induced map does not respect relations")
         blocks.append(coords)
-    return GroupHom(hc, hom_part, vstack(*blocks), check=False)
+    return GroupHom(middle, hom_part, vstack(*blocks), check=False)
 
 
 @dataclass(frozen=True)
@@ -201,7 +208,8 @@ class UctReport:
         return self.natural.target
 
     @property
-    def middle(self) -> HomotopyClasses:
+    def middle(self) -> SubquotientGroup:
+        """[A, B], brute-forced and then Smith-reduced; basis: chain maps."""
         return self.natural.source
 
     @property
@@ -210,10 +218,21 @@ class UctReport:
         return self.natural.kernel()
 
 
+def _reduced(h: GradedAbGroup) -> GradedAbGroup:
+    return GradedAbGroup(h.even.reduced(), h.odd.reduced())
+
+
 def uct_sequence(a: PeriodicComplex, b: PeriodicComplex) -> UctReport:
-    """Assemble and verify the sequence 0 -> Ext-part -> [A, B] -> Hom-part -> 0."""
-    ha, hb = homology(a), homology(b)
-    report = UctReport(_natural_map(a, b, ha, hb), graded_ext_shifted(ha, hb))
+    """Assemble and verify the sequence 0 -> Ext-part -> [A, B] -> Hom-part -> 0.
+
+    H(A), H(B) and [A, B] are Smith-reduced first (`SubquotientGroup.reduced`):
+    the sequence concerns the groups up to isomorphism, and every group,
+    map and check below is built on generators that are not killed by a
+    unit relation.  [A, B] is still brute-forced from the complexes.
+    """
+    ha, hb = _reduced(homology(a)), _reduced(homology(b))
+    hc = homotopy_classes(a, b)
+    report = UctReport(_natural_map(hc, hc.reduced(), ha, hb), graded_ext_shifted(ha, hb))
     _verify_uct(report)
     return report
 
@@ -255,7 +274,8 @@ class PhantomSubgroup:
 
 def phantom_subgroup(a: PeriodicComplex, b: PeriodicComplex) -> PhantomSubgroup:
     """Kernel of [A, B] -> gradedHom(H A, H B), with generator certificates."""
-    return PhantomSubgroup(_natural_map(a, b, homology(a), homology(b)))
+    hc = homotopy_classes(a, b)
+    return PhantomSubgroup(_natural_map(hc, hc, homology(a), homology(b)))
 
 
 def triangle_homology_maps(f: ChainMap) -> list[GroupHom]:

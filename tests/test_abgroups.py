@@ -26,12 +26,14 @@ from homkit.intlinalg import (
     block_diag,
     cokernel_invariants,
     hstack,
+    kernel_basis,
     lattice_basis,
     lattice_contains,
     lattice_quotient,
     preimage_gens,
     solve,
     solve_matrix,
+    subquotient,
     unvec,
     vec,
 )
@@ -428,6 +430,67 @@ class TestGroupHom:
                 ker, again = f.kernel(), f.kernel_group()
                 assert ker is again
         assert liftable >= 60
+
+
+class TestReduced:
+    @staticmethod
+    def _subquotient(rng, i) -> SubquotientGroup:
+        """A random subquotient of one of five kinds in turn: a lattice
+        quotient (whose basis decomposition has factors other than 1), a
+        kernel over a random map, a Hom group, a kernel of a group map, and
+        a group already reduced once."""
+        kind = i % 5
+        if kind == 0:
+            p = random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), 4)
+            q = p @ random_matrix(rng, p.cols, rng.randint(0, 4), 3)
+            return SubquotientGroup(lattice_quotient(p, q))
+        if kind == 1:
+            l = random_matrix(rng, rng.randint(0, 3), rng.randint(0, 6), 2)
+            k = kernel_basis(l)
+            return SubquotientGroup(subquotient(l, k @ random_matrix(rng, k.cols, 3, 3)))
+        if kind == 2:
+            return hom(random_group(rng), random_group(rng))
+        if kind == 3:
+            g = FgAbGroup(random_matrix(rng, 3, rng.randint(0, 3), 4))
+            target = random_group(rng)
+            for _ in range(20):  # a random matrix that respects relations
+                m = random_matrix(rng, target.ngens, g.ngens, 3)
+                if target.relation_coords(m @ g.presentation) is not None:
+                    return GroupHom(g, target, m).kernel()
+            return GroupHom.zero(g, target).kernel()
+        return TestReduced._subquotient(rng, rng.randrange(4)).reduced()
+
+    def test_same_group_presented_by_its_invariant_factors(self):
+        rng = random.Random(151)
+        dropped = 0
+        for i in range(200):
+            g = self._subquotient(rng, i)
+            r = g.reduced()
+            assert r.canonical == g.canonical
+            assert r.presentation == FgAbGroup.from_invariants(*g.canonical).presentation
+            assert r.basis.rows == g.basis.rows and r.ngens == r.rank + len(r.torsion)
+            dropped += r.ngens < g.ngens
+        assert dropped >= 60
+
+    def test_coordinates_round_trip_modulo_relations(self):
+        # to_coords of the reduced group is an isomorphism g -> r: it maps
+        # relations into relations and is bijective; carrying coordinates
+        # there and back gives the same element, and the reduced basis's
+        # own coordinates come back exactly.
+        rng = random.Random(157)
+        for i in range(200):
+            g = self._subquotient(rng, i)
+            r = g.reduced()
+            forth = GroupHom(g, r, r.to_coords(g.basis))
+            back = GroupHom(r, g, g.to_coords(r.basis))
+            assert forth.is_isomorphism() and back.is_isomorphism()
+            assert (back.compose(forth) - GroupHom.identity(g)).is_zero()
+            assert (forth.compose(back) - GroupHom.identity(r)).is_zero()
+            x = random_matrix(rng, g.ngens, 3, 9)
+            assert all(g.coords_are_zero(col) for col in
+                       (g.to_coords(r.basis @ r.to_coords(g.basis @ x)) - x).columns())
+            y = random_matrix(rng, r.ngens, 3, 9)
+            assert r.to_coords(r.basis @ y) == y
 
 
 class TestGraded:

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +45,8 @@ from .oracles import (
     transpose_reference,
     vstack_reference,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def random_matrix(rng, rows, cols, bound):
@@ -216,6 +222,36 @@ class TestSnf:
             dec.solve(a @ IntMatrix.identity(a.cols))
             assert "u" not in vars(dec) and "v" not in vars(dec)
             assert dec.u.rows == a.rows and "u" in vars(dec)
+
+
+    def test_u_inverse_columns_undo_u(self):
+        rng = random.Random(131)
+        for a in reference_pivot_matrices(rng, 160):
+            dec = snf(a)
+            starts = sorted({0, a.rows // 2, a.rows})
+            inverses = [dec.u_inverse_columns(start) for start in starts]
+            assert "u" not in vars(dec)  # undone from the operations, with no dense U
+            for start, inverse in zip(starts, inverses):
+                assert dec.u @ inverse == IntMatrix.identity(a.rows)[:, start:]
+
+    def test_rebased_decomposition_factors_the_rebased_matrix(self):
+        # U (B W') (W'^-1 V) = S for W' = diag(I, W^-1), W the U of another
+        # decomposition; on a basis B, solving B W' x returns x.
+        rng = random.Random(137)
+        seen = 0
+        for a in reference_pivot_matrices(random.Random(139), 120):
+            offset = rng.randint(0, 2)
+            b = random_matrix(rng, a.rows + offset + rng.randint(0, 2), a.rows + offset, 3)
+            dec, db = snf(a), snf(b)
+            moved = db.rebased(dec, offset)
+            w = block_diag(IntMatrix.identity(offset), dec.u_inverse_columns(0))
+            assert moved.s == db.s and moved.row_ops == db.row_ops
+            assert moved.u @ (b @ w) @ moved.v == moved.s
+            if db.rank == b.cols:
+                x = random_matrix(rng, b.cols, 2, 5)
+                assert moved.solve(b @ w @ x) == x
+                seen += 1
+        assert seen >= 40
 
 
 class TestCokernelInvariants:
@@ -523,6 +559,53 @@ class TestIntMatrix:
         with pytest.raises(InputError):
             IntMatrix.from_columns([(1,), (2, 3)])
         assert IntMatrix.from_columns([(1, 2), (3, 4)], rows=2).data == ((1, 3), (2, 4))
+
+    def test_slices_pick_blocks(self):
+        rng = random.Random(149)
+        for rows, cols in [(0, 0), (0, 3), (3, 0), (4, 5), (1, 1)]:
+            m = random_matrix(rng, rows, cols, 5)
+            for r0, r1, c0, c1 in [(0, rows, 0, cols), (1, rows, 0, cols - 1), (0, 0, 0, cols),
+                                   (rows // 2, rows, cols // 2, cols)]:
+                r1, c1 = max(r1, r0), max(c1, c0)
+                assert m[r0:r1, c0:c1] == IntMatrix.from_rows(
+                    [row[c0:c1] for row in m.data[r0:r1]], cols=c1 - c0)
+            if rows and cols:
+                assert m[rows - 1, cols - 1] == m.data[-1][-1]
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_public_paths_check_shapes(self, flags):
+        # Matrices the package builds from checked ones skip the shape
+        # check; every path that takes outside data keeps it, and it is not
+        # an assert, so it also holds under python -O.
+        script = (
+            "from homkit.errors import InputError\n"
+            "from homkit.intlinalg import IntMatrix\n"
+            "from homkit.jsonio import matrix_from_json\n"
+            "bad = [\n"
+            "    lambda: IntMatrix(2, 2, ((1, 2),)),\n"
+            "    lambda: IntMatrix(1, 2, ((1, 2, 3),)),\n"
+            "    lambda: IntMatrix(-1, 0, ()),\n"
+            "    lambda: IntMatrix.from_rows([[1, 2], [3]]),\n"
+            "    lambda: IntMatrix.from_rows([[1, 2]], cols=3),\n"
+            "    lambda: IntMatrix.from_columns([(1, 2), (3,)]),\n"
+            "    lambda: IntMatrix.from_columns([(1,)], rows=2),\n"
+            "    lambda: matrix_from_json({'rows': 1, 'cols': 2, 'data': [['1']]}),\n"
+            "    lambda: matrix_from_json({'rows': 2, 'cols': 1, 'data': [['1']]}),\n"
+            "]\n"
+            "raised = 0\n"
+            "for make in bad:\n"
+            "    try:\n"
+            "        make()\n"
+            "    except InputError:\n"
+            "        raised += 1\n"
+            "print(raised, len(bad))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["9", "9"]
 
     def test_shape_validation(self):
         with pytest.raises(InputError):

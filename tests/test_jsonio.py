@@ -42,6 +42,25 @@ class TestMatrix:
         with pytest.raises(InputError):
             matrix_from_json([1, 2])
 
+    @pytest.mark.parametrize("data, what, message", [
+        ([["1", "2"], ["3", "x"]], "a.json.d", "a.json.d[1]: not a decimal integer string: 'x'"),
+        ([["1", True]], "m", "m[0]: expected a decimal string"),
+        ([["1", 1.5]], "hh.json.lambda", "hh.json.lambda[0]: expected a decimal string"),
+        ([["1", "2"], ["3"]], "m", "m: row 1 does not have 2 entries"),
+        ([["1", "x" * 5000]], "m",
+         "m[0]: not a decimal integer string: 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
+    ])
+    def test_entry_messages_in_full(self, data, what, message):
+        # The `what[i]` label names the row of the bad entry.
+        doc = {"rows": len(data), "cols": 2, "data": data}
+        with pytest.raises(InputError) as info:
+            matrix_from_json(doc, what)
+        assert str(info.value) == message
+
+    def test_entries_are_plain_ints(self):
+        m = matrix_from_json({"rows": 1, "cols": 3, "data": [["-4", 5, "0"]]})
+        assert m.data == ((-4, 5, 0),) and all(type(x) is int for x in m.data[0])
+
     @pytest.mark.parametrize("key", ["rows", "cols"])
     def test_rejects_negative_sizes(self, key):
         doc = {"rows": 0, "cols": 0, "data": [], key: -2}

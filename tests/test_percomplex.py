@@ -279,8 +279,8 @@ class TestInducedOnHomology:
             hc = homotopy_classes(a, b)
             ha, hb = homology(a), homology(b)
             maps = [induced_map(g, ha, hb) for g in hc.generators()]
-            assert hc.induced_matrices(0, ha.even, hb.even) == [m.even.matrix for m in maps]
-            assert hc.induced_matrices(1, ha.odd, hb.odd) == [m.odd.matrix for m in maps]
+            assert hc.induced_matrices(hc.basis, 0, ha.even, hb.even) == [m.even.matrix for m in maps]
+            assert hc.induced_matrices(hc.basis, 1, ha.odd, hb.odd) == [m.odd.matrix for m in maps]
 
 
 class TestTensorComplex:
