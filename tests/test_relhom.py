@@ -269,10 +269,10 @@ class TestUct:
 
     def test_natural_map_matches_class_by_class_oracle(self):
         # On criterion-1 complexes and on sums of two or three of them, the
-        # one-pass natural map over today's presentations (phantom_subgroup's)
-        # equals the per-generator construction entry for entry, and the
-        # report's map over the Smith-reduced groups is that map conjugated
-        # by the reduction isomorphisms.
+        # one-pass natural map over the unreduced presentations (as
+        # phantom_subgroup builds it) equals the per-generator construction
+        # entry for entry, and the report's map over the Smith-reduced
+        # groups is that map conjugated by the reduction isomorphisms.
         rng = random.Random(8_111)
         nontrivial = 0
         for i in range(60):
