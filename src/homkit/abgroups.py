@@ -5,7 +5,10 @@ relations) and canonicalized to (rank, invariant factors) via Smith form.
 Every group that is a subquotient P/Q of some Z^n -- kernels, homology of a
 pair, Hom and Tor1 here, and homology, [A, B] and phantom subgroups in the
 modules built on this one -- is a `SubquotientGroup`, which keeps a basis
-of P as generator representatives.  Ext1 is a cokernel whose coordinates
+of P as generator representatives.  Hom is the one builder of Kronecker
+pair systems and `tensor` the one cokernel builder: with A's relation
+basis R and Â = coker(R^T) = Ext^1(A, Z), Tor1(A, B) is Hom(Â, B) and
+Ext1(A, B) has the presentation of Â ⊗ B, a cokernel whose coordinates
 are a cocycle's entries.  So individual classes can be evaluated and
 compared exactly; this is what makes the kappa invariant of
 `homkit.relhom` testable rather than an opaque list of invariant factors.
@@ -261,24 +264,20 @@ class GroupHom:
         return FgAbGroup(self.image_gens())
 
     @cached_property
-    def _kernel_gens(self) -> IntMatrix:
-        return self._cokernel.smith.preimage_basis(self.source.ngens)
-
     def kernel_gens(self) -> IntMatrix:
         """Basis of the preimage in Z^{source gens} of the kernel subgroup:
         as `intlinalg.preimage_gens(matrix, target relations)`."""
-        return self._kernel_gens
+        return self._cokernel.smith.preimage_basis(self.source.ngens)
 
     @cached_property
     def _kernel(self) -> SubquotientGroup:
-        return SubquotientGroup(lattice_quotient(self.kernel_gens(), self.source.presentation))
+        return SubquotientGroup(lattice_quotient(self.kernel_gens, self.source.presentation))
 
     def kernel(self) -> SubquotientGroup:
         """Kernel subgroup; its basis columns are source-group coordinates."""
         return self._kernel
 
-    def kernel_group(self) -> SubquotientGroup:
-        return self.kernel()
+    kernel_group = kernel
 
     def cokernel_group(self) -> FgAbGroup:
         return self._cokernel
@@ -287,7 +286,7 @@ class GroupHom:
         return self._cokernel.is_trivial()
 
     def is_injective(self) -> bool:
-        return self.kernel_group().is_trivial()
+        return self.kernel().is_trivial()
 
     def is_isomorphism(self) -> bool:
         return self.is_surjective() and self.is_injective()
@@ -325,7 +324,7 @@ def is_exact_pair(f: GroupHom, g: GroupHom) -> bool:
     if not g.compose(f).is_zero():
         raise InputError("is_exact_pair: composite is not zero")
     return (g.target.relation_coords(g.matrix @ g.source.presentation) is not None
-            and f.lift(g.kernel_gens()) is not None)
+            and f.lift(g.kernel_gens) is not None)
 
 
 class DirectSum(FgAbGroup):
@@ -392,32 +391,25 @@ class SubquotientGroup(FgAbGroup):
             sq.basis_smith.rebased(dec, sq.basis_smith.s.cols - sq.ngens)))
 
 
-def _kronecker_pair_subquotient(x: IntMatrix, target: FgAbGroup) -> Subquotient:
-    """Pairs (Y, Z) with Y @ X^T = M_B @ Z, modulo the pairs (M_B @ W, W @ X^T)
-    and (0, K @ V) for the kernel basis K of M_B, the target's presentation,
-    read off its Smith form; vectorized as vec(Y) + vec(Z).
-
-    Hom(A, B) takes X = M_A^T and Tor_1(A, B) A's relation basis.
-    """
-    mb = target.presentation
-    m, k = x.cols, x.rows
-    gb, rb = mb.rows, mb.cols
-    kb = target.smith.kernel_basis()
-    l = hstack(x.kron(IntMatrix.identity(gb)), -(IntMatrix.identity(k).kron(mb)))
-    n1 = vstack(IntMatrix.identity(m).kron(mb), x.kron(IntMatrix.identity(rb)))
-    n2 = vstack(IntMatrix.zero(gb * m, k * kb.cols), IntMatrix.identity(k).kron(kb))
-    return subquotient(l, hstack(n1, n2))
-
-
 class HomGroup(SubquotientGroup):
     """Hom(A, B) with per-class matrix certificates and evaluation pairing.
 
     Classes are stored over pairs (X, Y) with X @ M_A = M_B @ Y, where M_A,
-    M_B are the presentations; X alone determines the homomorphism.
+    M_B are the presentations, vectorized as vec(X) + vec(Y), modulo the
+    pairs (M_B @ W, W @ M_A) and (0, K @ V) for the kernel basis K of M_B,
+    read off B's Smith form; X alone determines the homomorphism.  This is
+    the one Kronecker pair builder: `Tor1Group` is a Hom group too.
     """
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup):
-        super().__init__(_kronecker_pair_subquotient(source.presentation.transpose(), target))
+        ma_t, mb = source.presentation.transpose(), target.presentation
+        ga, ra = ma_t.cols, ma_t.rows
+        gb, rb = mb.rows, mb.cols
+        kb = target.smith.kernel_basis()
+        l = hstack(ma_t.kron(IntMatrix.identity(gb)), -(IntMatrix.identity(ra).kron(mb)))
+        n1 = vstack(IntMatrix.identity(ga).kron(mb), ma_t.kron(IntMatrix.identity(rb)))
+        n2 = vstack(IntMatrix.zero(gb * ga, ra * kb.cols), IntMatrix.identity(ra).kron(kb))
+        super().__init__(subquotient(l, hstack(n1, n2)))
         self.source = source
         self.target = target
 
@@ -465,21 +457,20 @@ class HomGroup(SubquotientGroup):
 
 
 class Ext1Group(FgAbGroup):
-    """Ext^1(A, B), computed from a length-1 free resolution of A.
+    """Ext^1(A, B), computed from a length-1 free resolution of A; always
+    finite for finitely generated A, B.
 
-    The resolution 0 -> Z^m --rel--> Z^g -> A is A's relation basis, so
+    The resolution 0 -> Z^m --R--> Z^g -> A is A's relation basis, so
     cocycle coordinates are reproducible.  Every matrix Z^m -> Z^{gens of B}
-    is a cocycle, so the group is the cokernel of the coboundaries: its
+    is a cocycle, so the group is the cokernel of the coboundaries, which is
+    the presentation of Â ⊗ B for Â = coker(R^T) = Ext^1(A, Z): its
     generators are the entries of a cocycle, and a class's coordinates are
     vec of its cocycle.
     """
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup):
         self.resolution = source.relation_basis[0]
-        gb = target.ngens
-        m = self.resolution.cols
-        super().__init__(hstack(self.resolution.transpose().kron(IntMatrix.identity(gb)),
-                                IntMatrix.identity(m).kron(target.presentation)))
+        super().__init__(tensor(FgAbGroup(self.resolution.transpose()), target).presentation)
         self.target = target
 
     def from_cocycle(self, x: IntMatrix) -> GroupElement:
@@ -488,21 +479,18 @@ class Ext1Group(FgAbGroup):
         return self.element(vec(x))
 
 
-class Tor1Group(SubquotientGroup):
-    """Tor_1(A, B) from a length-1 free resolution of A tensored with B."""
+class Tor1Group(HomGroup):
+    """Tor_1(A, B) = Hom(Â, B) for Â = coker(R^T) = Ext^1(A, Z), where R is
+    A's relation basis: both are the kernel of R ⊗ 1_B.  So `source` is Â,
+    and a class is zero exactly when its map Â -> B (`to_hom`) is."""
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup):
-        super().__init__(_kronecker_pair_subquotient(source.relation_basis[0], target))
+        super().__init__(FgAbGroup(source.relation_basis[0].transpose()), target)
 
 
-def hom(a: FgAbGroup, b: FgAbGroup) -> HomGroup:
-    """The group Hom(A, B), with evaluation pairing."""
-    return HomGroup(a, b)
-
-
-def ext1(a: FgAbGroup, b: FgAbGroup) -> Ext1Group:
-    """The group Ext^1(A, B); always finite for finitely generated A, B."""
-    return Ext1Group(a, b)
+hom = HomGroup
+ext1 = Ext1Group
+tor1 = Tor1Group
 
 
 def tensor(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
@@ -510,10 +498,6 @@ def tensor(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
     ma, mb = a.presentation, b.presentation
     return FgAbGroup(hstack(ma.kron(IntMatrix.identity(mb.rows)),
                             IntMatrix.identity(ma.rows).kron(mb)))
-
-
-def tor1(a: FgAbGroup, b: FgAbGroup) -> Tor1Group:
-    return Tor1Group(a, b)
 
 
 def graded_hom(a: GradedAbGroup, b: GradedAbGroup) -> DirectSum:
@@ -532,4 +516,4 @@ def homology_of_pair(f: GroupHom, g: GroupHom) -> SubquotientGroup:
     its basis columns are coordinates over the middle group's generators."""
     if not g.compose(f).is_zero():
         raise InputError("homology_of_pair: composite is not zero")
-    return SubquotientGroup(lattice_quotient(g.kernel_gens(), f.image_gens()))
+    return SubquotientGroup(lattice_quotient(g.kernel_gens, f.image_gens()))

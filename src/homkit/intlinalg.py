@@ -575,10 +575,6 @@ def lattice_contains(outer: IntMatrix, inner: IntMatrix) -> bool:
     return solve_matrix(outer, inner) is not None
 
 
-def lattices_equal(a: IntMatrix, b: IntMatrix) -> bool:
-    return lattice_contains(a, b) and lattice_contains(b, a)
-
-
 def preimage_gens(a: IntMatrix, target_gens: IntMatrix) -> IntMatrix:
     """Basis of the lattice {x : a @ x lies in the column lattice of target_gens}."""
     if a.rows != target_gens.rows:

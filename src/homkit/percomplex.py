@@ -240,8 +240,7 @@ class HomotopyClasses(SubquotientGroup):
                 for e in IntMatrix.identity(self.ngens).columns()]
 
 
-def homotopy_classes(a: PeriodicComplex, b: PeriodicComplex) -> HomotopyClasses:
-    return HomotopyClasses(a, b)
+homotopy_classes = HomotopyClasses
 
 
 @dataclass(frozen=True)

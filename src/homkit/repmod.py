@@ -36,7 +36,7 @@ from .intlinalg import (
     Vector,
     hstack,
     kernel_basis,
-    lattices_equal,
+    lattice_contains,
     lll_reduce,
     preimage_gens,
     solve,
@@ -176,7 +176,7 @@ class FreeResolutionR:
         rel = module.presentation
         ker = preimage_gens(self.augmentation, rel)
         for delta in self.deltas:
-            if not lattices_equal(ker, delta):
+            if not (lattice_contains(ker, delta) and lattice_contains(delta, ker)):
                 return False
             ker = kernel_basis(delta)
         return True

@@ -50,6 +50,30 @@ def canon(rank, *torsion):
     return (rank, tuple(torsion))
 
 
+def redundant_presentation(rng, group):
+    """The same group on other generators, with more relations: a random
+    unimodular change of generators (row shears), then dependent and zero
+    relation columns, in shuffled order."""
+    m = group.presentation
+    n = m.rows
+    rows = [list(r) for r in m.data]
+    for _ in range(3 * n if n >= 2 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    cols = list(IntMatrix.from_rows(rows, cols=m.cols).columns())
+    base = list(cols)
+    for _ in range(rng.randint(1, 2)):
+        combo = (0,) * n
+        for col in base:
+            k = rng.randint(-2, 2)
+            combo = tuple(x + k * y for x, y in zip(combo, col))
+        cols.append(combo)
+    cols += [(0,) * n] * rng.randint(0, 2)
+    rng.shuffle(cols)
+    return FgAbGroup(IntMatrix.from_columns(cols, rows=n))
+
+
 class TestCanonicalForms:
     def test_represention_invariance(self):
         # Z/2 + Z/3 and Z/6 have the same canonical form.
@@ -162,6 +186,26 @@ class TestBinaryOps:
                 split_r = DirectSum([op(other, p) for p in parts])
                 assert is_isomorphic(joined_r, split_r), op.__name__
 
+    def test_redundant_presentations(self):
+        # Redundant presentations send Hom and Tor_1 through the kernel of
+        # the target's presentation and a relation basis that is not the
+        # presentation; every functor still gives the canonical form it
+        # gives on the from_invariants presentations.
+        rng = random.Random(191)
+        kernels = relation_bases = 0
+        for _ in range(60):
+            a = random_group(rng, factors=(2, 3, 4, 6))
+            b = random_group(rng, factors=(2, 3, 4, 6))
+            ra, rb = redundant_presentation(rng, a), redundant_presentation(rng, b)
+            assert ra.canonical == a.canonical and rb.canonical == b.canonical
+            kernels += rb.smith.kernel_basis().cols > 0
+            relation_bases += ra.relation_basis[0] != ra.presentation
+            for op in (hom, ext1, tensor, tor1):
+                want = op(a, b).canonical
+                for x, y in ((ra, b), (a, rb), (ra, rb)):
+                    assert op(x, y).canonical == want, (op.__name__, x, y)
+        assert kernels >= 30 and relation_bases >= 30
+
     def test_ext1_always_finite(self):
         rng = random.Random(31)
         for _ in range(30):
@@ -210,6 +254,26 @@ class TestHomCertificates:
         with pytest.raises(InputError):
             h.evaluate(foreign, Z2.element((1,)))
         assert h.to_matrix(h.element((1,))) == IntMatrix.from_rows([[2]])
+
+    def test_tor1_class_is_zero_exactly_when_its_map_is(self):
+        # Tor_1(A, B) is Hom(Â, B) for Â = coker(R^T), R A's relation basis.
+        rng = random.Random(193)
+        zeros = nonzeros = 0
+        for _ in range(40):
+            a = redundant_presentation(rng, random_group(rng, factors=(2, 3, 4, 6)))
+            b = redundant_presentation(rng, random_group(rng, factors=(2, 3, 4, 6)))
+            t = tor1(a, b)
+            assert t.source.presentation == a.relation_basis[0].transpose()
+            assert t.target is b
+            for _ in range(4):
+                el = t.element([rng.randint(-3, 3) for _ in range(t.ngens)])
+                for x in (el, t.torsion_order() * el):
+                    f = t.to_hom(x)
+                    GroupHom(f.source, f.target, f.matrix)  # maps relations into relations
+                    assert x.is_zero() == f.is_zero()
+                    zeros += x.is_zero()
+                    nonzeros += not x.is_zero()
+        assert zeros and nonzeros
 
     def test_ext_cocycle_roundtrip(self):
         e = ext1(Z2, Z2)
@@ -357,7 +421,7 @@ class TestGroupHom:
             f = GroupHom(source, target, random_matrix(rng, target.ngens, source.ngens),
                          check=False)
             assert f.cokernel_group() is f.cokernel_group()
-            f.kernel_gens()
+            f.kernel_gens
             calls.clear()
             f.cokernel_group().canonical, f.is_surjective()
             f.lift(f.matrix @ random_matrix(rng, source.ngens, rng.randint(1, 2)))
@@ -392,7 +456,7 @@ class TestGroupHom:
             f = GroupHom(k, k, d.matrix.scale(rng.choice((1, 1, 2))), check=False)
             coker = d.cokernel_group()
             g = GroupHom(k, coker, IntMatrix.identity(k.ngens), check=False)
-            g.kernel_gens(), f.cokernel_group().smith, g.target.canonical
+            g.kernel_gens, f.cokernel_group().smith, g.target.canonical
             calls.clear()
             exact = is_exact_pair(f, g)
             assert calls == []
@@ -414,7 +478,7 @@ class TestGroupHom:
                 f = GroupHom(source, target, random_matrix(rng, target.ngens, source.ngens),
                              check=False)
             image = f.image_gens()
-            assert f.kernel_gens() == preimage_gens(f.matrix, target.presentation)
+            assert f.kernel_gens == preimage_gens(f.matrix, target.presentation)
             coker, alone = f.cokernel_group(), FgAbGroup(image)
             assert coker.presentation == image and coker.smith == alone.smith
             assert coker.canonical == alone.canonical

@@ -17,7 +17,7 @@ from homkit.intlinalg import (
     hstack,
     kernel_basis,
     lattice_basis,
-    lattices_equal,
+    lattice_contains,
     lll_reduce,
     preimage_gens,
     snf,
@@ -52,6 +52,10 @@ ROOT = Path(__file__).resolve().parent.parent
 def random_matrix(rng, rows, cols, bound):
     return IntMatrix.from_rows(
         [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+def lattices_equal(a, b):
+    return lattice_contains(a, b) and lattice_contains(b, a)
 
 
 def homotopy_class_systems(monkeypatch, pairs: int, max_cells: int) -> list[IntMatrix]:

@@ -150,7 +150,7 @@ def test_no_memo_keyed_on_arguments():
 
 # Routines that factor their first argument (or solve against it).
 _FACTORING = {"snf", "kernel_basis", "lattice_basis", "cokernel_invariants", "lattice_contains",
-              "lattices_equal", "solve", "solve_matrix", "preimage_gens"}
+              "solve", "solve_matrix", "preimage_gens"}
 
 
 def _presentation_factorings(tree: ast.Module) -> list[tuple[int, str]]:
