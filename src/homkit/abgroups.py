@@ -371,24 +371,10 @@ class SubquotientGroup(FgAbGroup):
     def reduced(self) -> SubquotientGroup:
         """The same group P/Q on the generators of its presentation's Smith
         basis whose invariant factor is not 1, presented by its invariant
-        factors as `from_invariants` lays them out.
-
-        With U M V = S for the presentation M, new generator i is column i
-        of B U^-1 for the basis B, and the coordinates of old coordinates x
-        are the rows of U x past the t unit factors.  The columns of U^-1
-        before t are relations, so the new basis's decomposition is the old
-        one rebased by U (`SmithDecomposition.rebased`), and a lookup keeps
-        only the coordinates past t.  Only M's decomposition is read, which
-        `canonical` needs anyway.
-        """
-        dec, sq = self.smith, self._sq
-        t = dec.diagonal.count(1)  # the unit factors come first
-        torsion = self.torsion
-        ngens = self.ngens - t
-        return SubquotientGroup(Subquotient(
-            sq.basis @ dec.u_inverse_columns(t),
-            IntMatrix.diagonal(torsion, rows=ngens, cols=len(torsion)),
-            sq.basis_smith.rebased(dec, sq.basis_smith.s.cols - sq.ngens)))
+        factors as `from_invariants` lays them out (`Subquotient.reduced`).
+        Only the presentation's decomposition is read, which `canonical`
+        needs anyway."""
+        return SubquotientGroup(self._sq.reduced(self.smith))
 
 
 class HomGroup(SubquotientGroup):
@@ -437,10 +423,9 @@ class HomGroup(SubquotientGroup):
         ys = self.target.relation_coords(hstack(*(x @ ma for x in xs)))
         if ys is None:
             return None
-        ycols = ys.transpose().data  # Y_g is columns g*r .. (g+1)*r - 1
-        r = ma.cols
+        r = ma.cols  # Y_g is columns g*r .. (g+1)*r - 1 of ys
         return self.to_coords(IntMatrix.from_columns(
-            [vec(x) + sum(ycols[g * r:(g + 1) * r], ()) for g, x in enumerate(xs)],
+            [vec(x) + vec(ys[:, g * r:(g + 1) * r]) for g, x in enumerate(xs)],
             rows=self.basis.rows))
 
     def to_matrix(self, el: GroupElement) -> IntMatrix:

@@ -22,9 +22,10 @@ of the rows' least nonzero |entries|, refreshed only for the rows an
 operation changes, and stops once the remaining block is zero.  The pivot
 rule (minimal |value|, lowest (i, j) on ties) is frozen.  A decomposition
 keeps S and the row and column operations that made it: `solve` replays
-them on the rows of b, dense U and V are built only when read, and the
-decomposition of a kernel basis is read off the column operations
-(`kernel_decomposition`), so `subquotient` factors only L.
+them on the rows of b, and dense U and V are built only when read.  A
+decomposition answers what its factored matrix does; those derived from
+one (of a lattice, kernel or reduced basis) are built by `Subquotient`'s
+three constructors, which alone read the operations.
 
 The constructor checks a matrix's shape, as do `from_rows` and
 `from_columns`; matrices built here from matrices that passed it
@@ -308,45 +309,9 @@ class SmithDecomposition:
         """The columns of V past the rank: a basis of ker(A), which is saturated."""
         return self.v[:, self.rank:]
 
-    def kernel_decomposition(self) -> "SmithDecomposition":
-        """Decomposition of the basis K = kernel_basis().  V^-1 K is I below
-        `rank` zero rows, so K's U is V^-1 with rows `rank`.. moved first,
-        its S is [I; 0] and its V is I.  V^-1 is the column operations
-        undone in order, each turned into the row operation it is on V^-1."""
-        n, r = self.s.cols, self.rank
-        ops = tuple((j, i, -c) if c else (i, j, 0) for i, j, c in self.col_ops)
-        if r:
-            ops += tuple((i, r + i, 0) for i in range(n - r))
-        return SmithDecomposition(IntMatrix.diagonal((1,) * (n - r), rows=n), ops, ())
-
     def image_witness(self) -> IntMatrix:
         """The first `rank` columns T of V: A @ T is a basis of A's column lattice."""
         return self.v[:, :self.rank]
-
-    def image_decomposition(self) -> "SmithDecomposition":
-        """Decomposition (U, S's first `rank` columns, I) of the basis
-        A @ image_witness(): U A T is those columns of U A V = S."""
-        return SmithDecomposition(self.s[:, :self.rank], self.row_ops, ())
-
-    def u_inverse_columns(self, start: int) -> IntMatrix:
-        """Columns `start`.. of U^-1: those columns of the identity with the
-        row operations undone, last first, so no dense U is formed."""
-        n = self.s.rows
-        rows = [[int(i - start == j) for j in range(n - start)] for i in range(n)]
-        # (i, j, -c) undoes (i, j, c); a swap or a negation undoes itself.
-        rows = _replay(((i, j, -c) for i, j, c in reversed(self.row_ops)), rows)
-        return _matrix(n, n - start, tuple(map(tuple, rows)))
-
-    def rebased(self, dec: "SmithDecomposition", offset: int) -> "SmithDecomposition":
-        """Decomposition of A W', where W is the U of `dec` (whose matrix has
-        one row per column of A from `offset` on) and W' = diag(I, W^-1).
-        U (A W') (W' ^-1 V) = S, so S and the row operations stay, and W's
-        row operations, last first, come before V's as the column
-        operations they are: adding c times row j to row i is, on the
-        right, adding c times column i to column j."""
-        ops = tuple((j + offset, i + offset, c) if c and i != j else (i + offset, j + offset, c)
-                    for i, j, c in reversed(dec.row_ops))
-        return SmithDecomposition(self.s, self.row_ops, ops + self.col_ops)
 
     def preimage_basis(self, ncols: int) -> IntMatrix:
         """For A = [a | t], a with `ncols` columns: a basis of the lattice
@@ -589,12 +554,12 @@ class Subquotient:
     `basis` has one column per generator (a basis of the sublattice P), and
     `presentation` presents the quotient in those coordinates: one row per
     generator, one column per relation.  `basis_smith` is the Smith
-    decomposition of [D | basis], made with the basis and read by every
-    coordinate lookup; the group built on the presentation factors that.
-    The columns of D (none, unless generators were dropped, as
-    `abgroups.SubquotientGroup.reduced` does) complete the basis to one of
-    P and lie in Q, so a vector's coordinates are the last `ngens` rows
-    of its solve.
+    decomposition of [D | basis], read by every coordinate lookup; the
+    group built on the presentation factors that.  The columns of D (none,
+    unless `reduced` dropped generators) complete the basis to one of P and
+    lie in Q, so a vector's coordinates are the last `ngens` rows of its
+    solve.  The constructors `lattice_quotient`, `subquotient` and
+    `reduced` build the basis's decomposition from one they already hold.
     """
 
     basis: IntMatrix
@@ -616,6 +581,31 @@ class Subquotient:
             raise InputError("vector does not lie in the subgroup")
         return x[x.rows - self.ngens:, :] if x.rows > self.ngens else x
 
+    def reduced(self, dec: SmithDecomposition) -> "Subquotient":
+        """The same P/Q on the generators of the presentation's Smith basis
+        whose invariant factor is not 1, for its decomposition `dec`:
+        U M V = S, with t unit factors.  The basis is B U^-1's columns past
+        t, undone from the row operations with no dense U; the presentation
+        is S's block past t.  The columns before t lie in Q and join D, so
+        [D | B] becomes [D | B] W' for W' = diag(I, U^-1), and
+        U_b ([D | B] W') (W'^-1 V_b) = S_b keeps S_b and its row operations:
+        U's row operations, last first, come before V_b's as the column
+        operations they are (adding c times row j to row i is, on the right,
+        adding c times column i to column j)."""
+        t = dec.diagonal.count(1)  # the unit factors come first
+        n = dec.s.rows
+        # Columns t.. of U^-1: (i, j, -c) undoes (i, j, c); a swap or a
+        # negation undoes itself.
+        w = _replay(((i, j, -c) for i, j, c in reversed(dec.row_ops)),
+                    [[int(i - t == j) for j in range(n - t)] for i in range(n)])
+        b = self.basis_smith
+        offset = b.s.cols - self.ngens
+        ops = tuple((j + offset, i + offset, c) if c and i != j else (i + offset, j + offset, c)
+                    for i, j, c in reversed(dec.row_ops))
+        return Subquotient(self.basis @ _matrix(n, n - t, tuple(map(tuple, w))),
+                           dec.s[t:, t:dec.rank],
+                           SmithDecomposition(b.s, b.row_ops, ops + b.col_ops))
+
 
 def _quotient_over(basis: IntMatrix, dec: SmithDecomposition, q_gens: IntMatrix,
                    message: str) -> Subquotient:
@@ -629,23 +619,34 @@ def _quotient_over(basis: IntMatrix, dec: SmithDecomposition, q_gens: IntMatrix,
 
 def lattice_quotient(p_gens: IntMatrix, q_gens: IntMatrix) -> Subquotient:
     """The quotient lattice(p_gens)/lattice(q_gens); Q must be contained in P.
-    The one factorization of p_gens gives the basis and its decomposition."""
+    With U A V = S for A = p_gens, the basis is A T for V's first `rank`
+    columns T, and U (A T) is those columns of S."""
     if p_gens.rows != q_gens.rows:
         raise InputError("lattice_quotient: ambient dimensions differ")
     dec = snf(p_gens)
-    return _quotient_over(p_gens @ dec.image_witness(), dec.image_decomposition(), q_gens,
+    return _quotient_over(p_gens @ dec.image_witness(),
+                          SmithDecomposition(dec.s[:, :dec.rank], dec.row_ops, ()), q_gens,
                           "denominator lattice is not contained in the numerator")
 
 
 def subquotient(l: IntMatrix, n: IntMatrix) -> Subquotient:
     """ker(l)/im(n), with coordinates in a stored basis of ker(l).
 
-    Requires l @ n = 0; rejects other inputs as "not a subcomplex".
+    Requires l @ n = 0; rejects other inputs as "not a subcomplex".  Only
+    l is factored: with U l V = S of rank r, the basis K is V's columns
+    past r, and V^-1 K is I below r zero rows, so K's U is V^-1 (the column
+    operations undone in order, as row operations) with rows r.. moved
+    first, its S is [I; 0] and its V is I.
     """
     if l.cols != n.rows:
         raise InputError("subquotient: shapes are incompatible")
     dec = snf(l)
+    m, r = dec.s.cols, dec.rank
+    ops = tuple((j, i, -c) if c else (i, j, 0) for i, j, c in dec.col_ops)
+    if r:
+        ops += tuple((i, r + i, 0) for i in range(m - r))
     # The kernel is saturated, so N's columns lie in its lattice exactly
     # when l @ n = 0: solving N in K's coordinates is the subcomplex check.
-    return _quotient_over(dec.kernel_basis(), dec.kernel_decomposition(), n,
-                          "not a subcomplex: L @ N is nonzero")
+    return _quotient_over(dec.kernel_basis(),
+                          SmithDecomposition(IntMatrix.diagonal((1,) * (m - r), rows=m), ops, ()),
+                          n, "not a subcomplex: L @ N is nonzero")

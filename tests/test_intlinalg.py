@@ -23,6 +23,7 @@ from homkit.intlinalg import (
     snf,
     solve,
     solve_matrix,
+    Subquotient,
     subquotient,
     vstack,
 )
@@ -227,35 +228,6 @@ class TestSnf:
             assert "u" not in vars(dec) and "v" not in vars(dec)
             assert dec.u.rows == a.rows and "u" in vars(dec)
 
-
-    def test_u_inverse_columns_undo_u(self):
-        rng = random.Random(131)
-        for a in reference_pivot_matrices(rng, 160):
-            dec = snf(a)
-            starts = sorted({0, a.rows // 2, a.rows})
-            inverses = [dec.u_inverse_columns(start) for start in starts]
-            assert "u" not in vars(dec)  # undone from the operations, with no dense U
-            for start, inverse in zip(starts, inverses):
-                assert dec.u @ inverse == IntMatrix.identity(a.rows)[:, start:]
-
-    def test_rebased_decomposition_factors_the_rebased_matrix(self):
-        # U (B W') (W'^-1 V) = S for W' = diag(I, W^-1), W the U of another
-        # decomposition; on a basis B, solving B W' x returns x.
-        rng = random.Random(137)
-        seen = 0
-        for a in reference_pivot_matrices(random.Random(139), 120):
-            offset = rng.randint(0, 2)
-            b = random_matrix(rng, a.rows + offset + rng.randint(0, 2), a.rows + offset, 3)
-            dec, db = snf(a), snf(b)
-            moved = db.rebased(dec, offset)
-            w = block_diag(IntMatrix.identity(offset), dec.u_inverse_columns(0))
-            assert moved.s == db.s and moved.row_ops == db.row_ops
-            assert moved.u @ (b @ w) @ moved.v == moved.s
-            if db.rank == b.cols:
-                x = random_matrix(rng, b.cols, 2, 5)
-                assert moved.solve(b @ w @ x) == x
-                seen += 1
-        assert seen >= 40
 
 
 class TestCokernelInvariants:
@@ -508,6 +480,57 @@ class TestSubquotient:
             sq.to_coords(sq.basis)
             assert len(made) == 1
             assert "u" not in vars(made[0]) and "u" not in vars(sq.basis_smith)
+
+    def test_reduced_basis_undoes_u_from_its_operations(self):
+        # For U M V = S with t unit factors, the reduced basis is B W for
+        # W = U^-1's columns past t, so U W = I[:, t:]; it is built from the
+        # row operations, with no dense U.
+        rng = random.Random(131)
+        ts = set()
+        for a in reference_pivot_matrices(rng, 160):
+            b = random_matrix(rng, rng.randint(0, 4), a.rows, 3)
+            sq, dec = Subquotient(b, a, snf(b)), snf(a)
+            r = sq.reduced(dec)
+            assert "u" not in vars(dec)
+            t = dec.diagonal.count(1)
+            w = solve_matrix(dec.u, IntMatrix.identity(a.rows))[:, t:]
+            assert dec.u @ w == IntMatrix.identity(a.rows)[:, t:]
+            assert r.basis == b @ w
+            assert r.presentation == dec.s[t:, t:dec.rank]
+            ts.add((t > 0, t < a.rows))
+        assert {(False, True), (True, True), (True, False)} <= ts, ts
+
+    def test_reduced_decomposition_factors_d_and_the_reduced_basis(self):
+        # [D | B] with U_b [D | B] V_b = S_b, reduced along U M V = S: the
+        # new basis_smith keeps S_b and U_b's operations and factors
+        # [D' | B'] = [D | B] diag(I, U^-1); on a basis, solving returns the
+        # exact coordinates.  Reducing twice moves a nonzero offset along.
+        rng = random.Random(137)
+        seen = {"solved": 0, "offset and unit factors": 0, "reduced twice with offset": 0}
+        for a in reference_pivot_matrices(random.Random(139), 120):
+            offset = rng.randint(0, 2)
+            c = random_matrix(rng, a.rows + offset + rng.randint(0, 2), a.rows + offset, 3)
+            sq, d = Subquotient(c[:, offset:], a, snf(c)), c[:, :offset]
+            for rounds in (1, 2):
+                dec = snf(sq.presentation)
+                r = sq.reduced(dec)
+                t = dec.diagonal.count(1)
+                w = solve_matrix(dec.u, IntMatrix.identity(sq.ngens))
+                seen["offset and unit factors"] += d.cols > 0 and t > 0
+                seen["reduced twice with offset"] += rounds == 2 and d.cols > 0
+                d = hstack(d, sq.basis @ w[:, :t])
+                moved = r.basis_smith
+                assert moved.s == sq.basis_smith.s and moved.row_ops == sq.basis_smith.row_ops
+                assert r.basis == sq.basis @ w[:, t:]
+                assert moved.u @ hstack(d, r.basis) @ moved.v == moved.s
+                if moved.rank == c.cols:
+                    x = random_matrix(rng, c.cols, 2, 5)
+                    assert moved.solve(hstack(d, r.basis) @ x) == x
+                    y = x[c.cols - r.ngens:, :]
+                    assert r.to_coords(r.basis @ y) == y
+                    seen["solved"] += 1
+                sq = r
+        assert min(seen.values()) >= 40, seen
 
     def test_against_column_reduction_oracle(self):
         rng = random.Random(41)

@@ -15,13 +15,14 @@ from homkit.abgroups import (
     is_exact_pair,
     is_isomorphic,
 )
-from homkit.intlinalg import IntMatrix, block_diag, hstack, lattice_contains
+from homkit.intlinalg import IntMatrix, block_diag, hstack, lattice_contains, unvec, vec
 from homkit.percomplex import (
     ChainMap,
     PeriodicComplex,
     direct_sum,
     homology,
     homotopy_classes,
+    induced_map,
     mapping_cone,
     moore_complex,
     suspension,
@@ -428,6 +429,35 @@ class TestLaws:
         check()
         assert sum(nontrivial) >= 30
 
+
+    def test_kappa_is_natural_in_the_target(self):
+        # kappa(g o f) = H(g)_* kappa(f) for a phantom f: A -> B and any
+        # g: B -> C.  Part 0, Ext(H0 A, H1 B), is pushed along the odd map
+        # of H(g) and part 1 along the even one; a cocycle x goes to H(g) x.
+        essential = []
+
+        @derandomized(236)
+        def check(rng):
+            a, b, c = (random_complex(rng) for _ in range(3))
+            gens = phantom_subgroup(a, b).generator_maps()
+            f = ChainMap.zero(a, b)
+            for gen in gens:
+                k = rng.randint(-2, 2)
+                f = f + ChainMap(a, b, gen.f0.scale(k), gen.f1.scale(k))
+            g = random_chain_map(rng, b, c)
+            before, after = kappa(f), kappa(g.compose(f))
+            hg = induced_map(g, homology(b), homology(c))
+            pushed, start = (), 0
+            for part, h in zip(before.owner.parts, (hg.odd, hg.even)):
+                x = unvec(before.coords[start:start + part.ngens],
+                          part.target.ngens, part.resolution.cols)
+                pushed += vec(h.matrix @ x)
+                start += part.ngens
+            assert after == after.owner.element(pushed)  # the difference's coords are zero
+            essential.append(not before.is_zero())
+
+        check()
+        assert len(essential) >= 200 and sum(essential) >= 40, sum(essential)
 
 class TestKappa:
     def test_kappa_of_zero_vanishes(self):

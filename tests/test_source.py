@@ -252,3 +252,22 @@ def test_every_public_name_has_a_reader_outside_the_tests():
         unread += [f"{path.stem}.{qualname}" for qualname, name in _public_definitions(tree)
                    if name not in read]
     assert SRC.is_dir() and not unread, unread
+
+
+# A decomposition's elimination steps, and a subquotient's decomposition of
+# its basis, which only intlinalg's constructors build on.
+_SMITH_INTERNALS = {"row_ops", "col_ops", "basis_smith"}
+
+
+def test_only_intlinalg_reads_smith_operations():
+    # Every decomposition derived from another (of a lattice, kernel or
+    # reduced basis) is built in intlinalg, so no other module needs the
+    # operations or a subquotient's basis decomposition.
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "intlinalg.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno} {node.attr}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr in _SMITH_INTERNALS]
+    assert SRC.is_dir() and not offenders, offenders
