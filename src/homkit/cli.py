@@ -83,6 +83,14 @@ def _load_object(path: str) -> dict:
     return doc
 
 
+def _load_endomorphism(doc: dict, key: str, group: abgroups.FgAbGroup, path: str) -> IntMatrix:
+    """The matrix doc[key] of an endomorphism of `group`, checked for shape."""
+    m = jsonio.matrix_from_json(doc.get(key), f"{path}.{key}")
+    if m.rows != group.ngens or m.cols != group.ngens:
+        raise InputError(f"{path}.{key}: homomorphism matrix has wrong shape")
+    return m
+
+
 def _load_chain_map(a_path: str, b_path: str, map_path: str):
     a = _load_complex(a_path)
     b = _load_complex(b_path)
@@ -170,16 +178,16 @@ def _cmd_ring_tor(args, m_path: str, n_path: str) -> dict:
 def _cmd_hh(args, path: str) -> dict:
     doc = _load_object(path)
     group = jsonio.group_from_json(doc.get("group"), f"{path}.group")
-    lam = jsonio.matrix_from_json(doc.get("lambda"), f"{path}.lambda")
-    rho = jsonio.matrix_from_json(doc.get("rho"), f"{path}.rho")
+    lam = _load_endomorphism(doc, "lambda", group, path)
+    rho = _load_endomorphism(doc, "rho", group, path)
     return jsonio.group_to_json(repmod.hochschild(group, lam, rho, args.n, args.variant))
 
 
 def _cmd_pv(args, path: str) -> dict:
     doc = _load_object(path)
     k = jsonio.graded_group_from_json(doc, what=path)
-    alpha_even = jsonio.matrix_from_json(doc.get("alpha_even"), f"{path}.alpha_even")
-    alpha_odd = jsonio.matrix_from_json(doc.get("alpha_odd"), f"{path}.alpha_odd")
+    alpha_even = _load_endomorphism(doc, "alpha_even", k.even, path)
+    alpha_odd = _load_endomorphism(doc, "alpha_odd", k.odd, path)
     report = repmod.pv_sequence(k, alpha_even, alpha_odd)
     return {"degree0": {"coker_end": jsonio.group_to_json(report.degree0.coker_end),
                         "ker_end": jsonio.group_to_json(report.degree0.ker_end)},

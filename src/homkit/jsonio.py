@@ -79,15 +79,19 @@ def _preview(value: str) -> str:
     return repr(value) if len(value) <= 24 else f"{value[:20]!r}... ({len(value)} characters)"
 
 
-def _parse_bigint(value: Any, what: str) -> int:
-    """Accept decimal strings (canonical) and plain ints (convenience)."""
+def _parse_bigint(value: Any, what: str, row: int | None = None) -> int:
+    """Accept decimal strings (canonical) and plain ints (convenience), as a
+    plain int.  An entry in row `row` of a matrix is labelled `what[row]`;
+    the label is only formatted for a message."""
     if isinstance(value, str):
-        if not _DECIMAL.fullmatch(value):
-            raise InputError(f"{what}: not a decimal integer string: {_preview(value)}")
-        return decimal_to_int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise InputError(f"{what}: expected a decimal string")
+        if _DECIMAL.fullmatch(value):
+            return decimal_to_int(value)
+        message = f"not a decimal integer string: {_preview(value)}"
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    else:
+        message = "expected a decimal string"
+    raise InputError(f"{what if row is None else f'{what}[{row}]'}: {message}")
 
 
 def matrix_from_json(doc: Any, what: str = "matrix") -> IntMatrix:
@@ -103,18 +107,8 @@ def matrix_from_json(doc: Any, what: str = "matrix") -> IntMatrix:
     for i, row in enumerate(data):
         if not isinstance(row, Sequence) or isinstance(row, (str, bytes)) or len(row) != cols:
             raise InputError(f"{what}: row {i} does not have {cols} entries")
-        parsed.append(tuple(_parse_entry(x, what, i) for x in row))
+        parsed.append(tuple(_parse_bigint(x, what, i) for x in row))
     return IntMatrix(rows, cols, tuple(parsed))
-
-
-def _parse_entry(value: Any, what: str, i: int) -> int:
-    """`_parse_bigint` of an entry in row i of a matrix, labelled
-    `what[i]`; the label is only formatted for a message."""
-    if type(value) is str and _DECIMAL.fullmatch(value):
-        return decimal_to_int(value)
-    if type(value) is int:
-        return value
-    return int(_parse_bigint(value, f"{what}[{i}]"))
 
 
 def matrix_to_json(m: IntMatrix) -> dict:

@@ -12,9 +12,10 @@ odd-degree one.
 
 Sign conventions are frozen here once and for all: suspension negates both
 differentials, and the cone differential carries the minus sign on its
-source-suspension block.  The triangle rotation axioms hold for these
-choices up to the signs exercised by the tests; the octahedron axiom is not
-verified anywhere (recorded as untested).
+source-suspension block.  `TestLaws` in tests/test_relhom.py checks rotation
+(cone(iota) -> SB is homotopic to (-Sf) o p, for Sf = (f1, f0) and the
+homotopy equivalence p = (0, pi): cone(iota) -> SA) and the octahedral axiom
+on u = (id, g): C_f -> C_gf and v = (f[1], id): C_gf -> C_g.
 """
 
 from __future__ import annotations
@@ -128,20 +129,16 @@ def homology_group(x: PeriodicComplex, degree: int) -> SubquotientGroup:
 def moore_complex(g: GradedAbGroup) -> PeriodicComplex:
     """A periodic complex with prescribed homology.
 
-    Folds a length-1 free resolution of each graded piece: with
-    G0 = coker(M0), G1 = coker(M1) and both M injective, the complex has
-    even part Z^{n0} + Z^{m1}, odd part Z^{m0} + Z^{n1}, D = M1 on the
-    second summand and E = M0 on the first.
+    Folds a length-1 free resolution of each graded piece: for G0 = coker(M0)
+    and G1 = coker(M1), with M0 (n0 x m0) and M1 (n1 x m1) injective, it is
+    the direct sum of (Z^{n0}, Z^{m0}, D = 0, E = M0), with homology G0 in
+    even degree, and (Z^{m1}, Z^{n1}, D = M1, E = 0), with G1 in odd degree.
     """
     m0 = FgAbGroup.from_invariants(*g.even.canonical).presentation
     m1 = FgAbGroup.from_invariants(*g.odd.canonical).presentation
-    n0, r0 = m0.rows, m0.cols
-    n1, r1 = m1.rows, m1.cols
-    d = block([[IntMatrix.zero(r0, n0), IntMatrix.zero(r0, r1)],
-               [IntMatrix.zero(n1, n0), m1]])
-    e = block([[m0, IntMatrix.zero(n0, n1)],
-               [IntMatrix.zero(r1, r0), IntMatrix.zero(r1, n1)]])
-    return PeriodicComplex(n0 + r1, r0 + n1, d, e)
+    return direct_sum(
+        PeriodicComplex(m0.rows, m0.cols, IntMatrix.zero(m0.cols, m0.rows), m0),
+        PeriodicComplex(m1.cols, m1.rows, m1, IntMatrix.zero(m1.cols, m1.rows)))
 
 
 def suspension(x: PeriodicComplex) -> PeriodicComplex:

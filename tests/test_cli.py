@@ -316,6 +316,25 @@ class TestFailureModes:
         assert error("ring-tor", ring, ring, "--n", "1") == \
             f"{ring}.ring.poly: polynomial must have degree >= 1"
 
+    def test_shape_errors_name_the_matrix(self, tmp_path, capsys):
+        # An hh or pv matrix of the wrong shape for its group is named by
+        # its file and field, like every other validation failure.
+        one = {"rows": 1, "cols": 1, "data": [["1"]]}
+        wide = {"rows": 1, "cols": 2, "data": [["1", "0"]]}
+        hh = {"group": {"rank": 1, "torsion": []}, "lambda": one, "rho": one}
+        pv = {"even": {"rank": 1, "torsion": []}, "odd": {"rank": 0, "torsion": []},
+              "alpha_even": one, "alpha_odd": {"rows": 0, "cols": 0, "data": []}}
+        cases = [("hh", hh, key, ("--n", "0")) for key in ("lambda", "rho")]
+        cases += [("pv", pv, key, ()) for key in ("alpha_even", "alpha_odd")]
+        for command, doc, key, extra in cases:
+            path = write(tmp_path, f"{command}.json", {**doc, key: wide})
+            code, out = run(capsys, command, path, *extra)
+            assert code == 2 and out["error"] == {
+                "code": "validation",
+                "message": f"{path}.{key}: homomorphism matrix has wrong shape"}
+            code, out = run(capsys, command, write(tmp_path, "ok.json", doc), *extra)
+            assert code == 0, out
+
     def test_kappa_requires_phantom(self, tmp_path, capsys):
         a = write(tmp_path, "a.json", MOORE_Z2)
         ident = write(tmp_path, "id.json", {

@@ -61,6 +61,19 @@ class TestMatrix:
         m = matrix_from_json({"rows": 1, "cols": 3, "data": [["-4", 5, "0"]]})
         assert m.data == ((-4, 5, 0),) and all(type(x) is int for x in m.data[0])
 
+    def test_subclassed_values_parse_to_plain_ints(self):
+        # A document built in Python may hold int or str subclasses; the one
+        # integer parser hands on plain ints wherever it reads them.
+        class Big(int):
+            pass
+
+        class Text(str):
+            pass
+
+        m = matrix_from_json({"rows": 1, "cols": 2, "data": [[Big(3), Text("-7")]]})
+        assert m.data == ((3, -7),) and all(type(x) is int for x in m.data[0])
+        assert group_from_json({"rank": 0, "torsion": [Big(2), Text("4")]}).canonical == (0, (2, 4))
+
     @pytest.mark.parametrize("key", ["rows", "cols"])
     def test_rejects_negative_sizes(self, key):
         doc = {"rows": 0, "cols": 0, "data": [], key: -2}

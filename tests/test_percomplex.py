@@ -85,6 +85,18 @@ class TestHomology:
         free = moore_complex(GradedAbGroup(FgAbGroup.free(1), TRIV))
         assert (free.even_rank, free.odd_rank) == (1, 0)
         assert free.d.is_zero() and free.e.is_zero()
+        # (Z + Z/4, Z/2), nontrivial in both degrees: M0 = [4; 0] is 2x1 and
+        # M1 = [2] is 1x1, so the even part is Z^2 + Z^1, the odd part is
+        # Z^1 + Z^1, D = M1 on the second summands and E = M0 on the first.
+        g = GradedAbGroup(FgAbGroup.from_invariants(1, (4,)), Z2)
+        x = moore_complex(g)
+        assert (x.even_rank, x.odd_rank) == (3, 2)
+        m0, m1 = IntMatrix.from_rows([[4], [0]]), IntMatrix.from_rows([[2]])
+        assert x.d[0:1, 0:2] == IntMatrix.zero(1, 2) and x.d[0:1, 2:3] == IntMatrix.zero(1, 1)
+        assert x.d[1:2, 0:2] == IntMatrix.zero(1, 2) and x.d[1:2, 2:3] == m1
+        assert x.e[0:2, 0:1] == m0 and x.e[0:2, 1:2] == IntMatrix.zero(2, 1)
+        assert x.e[2:3, 0:1] == IntMatrix.zero(1, 1) and x.e[2:3, 1:2] == IntMatrix.zero(1, 1)
+        assert homology(x).is_isomorphic_to(g)
 
     def test_homology_basis_is_cycles(self):
         rng = random.Random(19)

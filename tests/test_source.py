@@ -190,6 +190,34 @@ def test_presentations_are_factored_only_by_their_group():
     assert SRC.is_dir() and not offenders, offenders
 
 
+def _name_reads(tree: ast.Module, name: str) -> list[tuple[int, str]]:
+    """(line, enclosing Class.function) of each read of the global `name`."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope += (node.name,)
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+            found.append((node.lineno, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_integers_are_parsed_only_by_parse_bigint():
+    # One parser reads every integer of a document (matrix entries, torsion
+    # coefficients, ring polynomials), so the accepted forms and the error
+    # messages are written once.
+    path = SRC / "jsonio.py"
+    reads = _name_reads(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)),
+                        "_DECIMAL")
+    offenders = [f"jsonio.py:{line} in {scope or 'module'}"
+                 for line, scope in reads if scope != "_parse_bigint"]
+    assert reads and not offenders, offenders
+
+
 def _docstrings(tree: ast.Module) -> set[int]:
     """ids of the string constants that are module, class or function docstrings."""
     found = set()
