@@ -153,14 +153,24 @@ _FACTORING = {"snf", "kernel_basis", "lattice_basis", "cokernel_invariants", "la
               "solve", "solve_matrix", "preimage_gens"}
 
 
+def _scoped_nodes(tree: ast.Module):
+    """Each node of `tree` with its enclosing Class.function ("" at module
+    level)."""
+    def visit(node: ast.AST, scope: tuple[str, ...]):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope += (node.name,)
+        yield node, ".".join(scope)
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    return visit(tree, ())
+
+
 def _presentation_factorings(tree: ast.Module) -> list[tuple[int, str]]:
     """(line, enclosing Class.function) of each call that hands a name or
     attribute `presentation` to one of the _FACTORING routines."""
     found = []
-
-    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope += (node.name,)
+    for node, scope in _scoped_nodes(tree):
         if isinstance(node, ast.Call) and node.args:
             func, first = node.func, node.args[0]
             name = func.id if isinstance(func, ast.Name) else (
@@ -169,11 +179,7 @@ def _presentation_factorings(tree: ast.Module) -> list[tuple[int, str]]:
             arg = first.id if isinstance(first, ast.Name) else (
                 first.attr if isinstance(first, ast.Attribute) else None)
             if name in _FACTORING and arg == "presentation":
-                found.append((node.lineno, ".".join(scope)))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(tree, ())
+                found.append((node.lineno, scope))
     return found
 
 
@@ -190,29 +196,15 @@ def test_presentations_are_factored_only_by_their_group():
     assert SRC.is_dir() and not offenders, offenders
 
 
-def _name_reads(tree: ast.Module, name: str) -> list[tuple[int, str]]:
-    """(line, enclosing Class.function) of each read of the global `name`."""
-    found = []
-
-    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope += (node.name,)
-        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
-            found.append((node.lineno, ".".join(scope)))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(tree, ())
-    return found
-
-
 def test_integers_are_parsed_only_by_parse_bigint():
     # One parser reads every integer of a document (matrix entries, torsion
     # coefficients, ring polynomials), so the accepted forms and the error
     # messages are written once.
     path = SRC / "jsonio.py"
-    reads = _name_reads(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)),
-                        "_DECIMAL")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    reads = [(node.lineno, scope) for node, scope in _scoped_nodes(tree)
+             if isinstance(node, ast.Name) and node.id == "_DECIMAL"
+             and isinstance(node.ctx, ast.Load)]
     offenders = [f"jsonio.py:{line} in {scope or 'module'}"
                  for line, scope in reads if scope != "_parse_bigint"]
     assert reads and not offenders, offenders
