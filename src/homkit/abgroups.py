@@ -20,7 +20,6 @@ the group already holds; the UCT is stated on such groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from typing import Optional, Sequence
@@ -31,6 +30,7 @@ from .intlinalg import (
     SmithDecomposition,
     Subquotient,
     Vector,
+    _record,
     block_diag,
     hstack,
     lattice_quotient,
@@ -151,7 +151,7 @@ def _same_coords(a: FgAbGroup, b: FgAbGroup) -> bool:
     return a is b or a.presentation == b.presentation
 
 
-@dataclass(frozen=True)
+@_record
 class GroupElement:
     """Element of an FgAbGroup, stored as coordinates over its generators.
 
@@ -188,7 +188,7 @@ class GroupElement:
         raise TypeError("GroupElement is unhashable")
 
 
-@dataclass(frozen=True)
+@_record
 class GradedAbGroup:
     """Z/2-graded finitely generated abelian group."""
 

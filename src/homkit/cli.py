@@ -10,6 +10,13 @@ written is a validation failure, reported on stdout.
 
 Every command is declared once, in `COMMANDS`; the argument parser is built
 from that table.
+
+A job runs in a fresh process, so what `import homkit.cli` loads is paid by
+every job: intlinalg, abgroups, percomplex, jsonio and repmod.  relhom is
+imported by the six handlers that call it, and randgen (with `random`) by
+`selftest` alone.  repmod stays eager, through jsonio: the benchmark's
+tracer (bench/tracing.py) resolves `repmod.RModule.__init__` on the loaded
+module, and a traced run that never imported repmod fails there.
 """
 
 from __future__ import annotations
@@ -17,14 +24,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import random
 import sys
 from functools import cache
 from math import gcd
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InternalCheckError
-from . import abgroups, jsonio, randgen, relhom, repmod
+from . import abgroups, jsonio, repmod
 from .intlinalg import IntMatrix, snf
 from .percomplex import (
     homology,
@@ -84,10 +90,13 @@ def _load_object(path: str) -> dict:
 
 
 def _load_endomorphism(doc: dict, key: str, group: abgroups.FgAbGroup, path: str) -> IntMatrix:
-    """The matrix doc[key] of an endomorphism of `group`, checked for shape."""
+    """The matrix doc[key] of an endomorphism of `group`, checked for shape
+    and for mapping relations into relations, with errors naming the field."""
     m = jsonio.matrix_from_json(doc.get(key), f"{path}.{key}")
-    if m.rows != group.ngens or m.cols != group.ngens:
-        raise InputError(f"{path}.{key}: homomorphism matrix has wrong shape")
+    try:
+        abgroups.GroupHom(group, group, m)
+    except InputError as exc:
+        raise InputError(f"{path}.{key}: {exc}") from None
     return m
 
 
@@ -131,6 +140,7 @@ def _cmd_cone(args, *paths: str) -> dict:
 
 
 def _cmd_uct(args, a_path: str, b_path: str) -> dict:
+    from . import relhom
     report = relhom.uct_sequence(_load_complex(a_path), _load_complex(b_path))
     return {"hom_part": jsonio.group_to_json(report.hom_part),
             "ext_part": jsonio.group_to_json(report.ext_part),
@@ -140,11 +150,13 @@ def _cmd_uct(args, a_path: str, b_path: str) -> dict:
 
 
 def _cmd_ext(args, a_path: str, b_path: str) -> dict:
+    from . import relhom
     return jsonio.group_to_json(
         relhom.ideal_ext(_load_complex(a_path), _load_complex(b_path), args.n))
 
 
 def _cmd_resolve(args, a_path: str) -> dict:
+    from . import relhom
     res = relhom.projective_resolution(_load_complex(a_path))
     return {"p0": jsonio.complex_to_json(res.p0),
             "p1": jsonio.complex_to_json(res.p1),
@@ -153,12 +165,14 @@ def _cmd_resolve(args, a_path: str) -> dict:
 
 
 def _cmd_classify(args, *paths: str) -> dict:
+    from . import relhom
     flags = relhom.classify(_load_chain_map(*paths))
     return {"phantom": flags.phantom, "monic": flags.monic,
             "epic": flags.epic, "equivalence": flags.equivalence}
 
 
 def _cmd_kappa(args, *paths: str) -> dict:
+    from . import relhom
     el = relhom.kappa(_load_chain_map(*paths))
     return {"ext_part": jsonio.group_to_json(el.owner),
             "coords": [jsonio.int_to_decimal(c) for c in el.coords],
@@ -197,6 +211,7 @@ def _cmd_pv(args, path: str) -> dict:
 
 
 def _cmd_kunneth_check(args, a_path: str, b_path: str) -> dict:
+    from . import relhom
     a, b = _load_complex(a_path), _load_complex(b_path)
     computed = homology(tensor_complex(a, b))
     predicted = relhom.kunneth_prediction(homology(a), homology(b))
@@ -212,6 +227,10 @@ def _check(ok: bool, what: str) -> None:
 
 
 def _cmd_selftest(args) -> dict:
+    import random
+
+    from . import randgen, relhom
+
     rng = random.Random(args.seed)
     checks: dict[str, int] = {}
 

@@ -29,23 +29,89 @@ three constructors, which alone read the operations.
 
 The constructor checks a matrix's shape, as do `from_rows` and
 `from_columns`; matrices built here from matrices that passed it
-(products, stacks, slices, Kronecker products, replayed operations) are
-made without the check.
+(products, stacks, slices, Kronecker products, replayed operations), and
+the diagonal, identity and zero matrices, built to their shape, are made
+without the check.
+
+The package's immutable value classes, here and in the modules built on
+this one, are declared with `_record`, which builds their constructor,
+equality, hash and repr from the annotated fields without `dataclasses`
+(whose import and generated code cost a cold start more than a small job).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .errors import InputError
 
 Vector = tuple[int, ...]
 
+_new = object.__new__
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+def _frozen(self, name: str, *value: object) -> None:
+    raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+
+def _record(cls: Optional[type] = None, *, uncompared: tuple[str, ...] = ()):
+    """Make `cls` a frozen value class on its own annotated fields, in order,
+    as `@dataclass(frozen=True)` would, with no generated source: a
+    positional `__init__` that stores the fields and then runs
+    `__post_init__` if the class defines one; `__setattr__` and
+    `__delattr__` that raise; `__eq__` and `__hash__` on the fields not
+    named in `uncompared`; and a `Name(field=value, ...)` repr.  An
+    `__eq__`, `__hash__` or `__repr__` the class defines is kept.
+    Instances keep their `__dict__`, so `cached_property` and `_matrix`
+    work on them.  Fields are stored with `object.__setattr__`, as by the
+    dataclass: reading `self.__dict__` would give each instance a dict of
+    its own, larger and slower to read than the shared-key layout."""
+    if cls is None:
+        return lambda cls: _record(cls, uncompared=uncompared)
+    names = tuple(cls.__annotations__)
+    arity = len(names)
+    indexed = tuple(enumerate(names))  # a zip per call would cost more
+    post_init = vars(cls).get("__post_init__")
+    compared = [n for n in names if n not in uncompared]
+    key = attrgetter(*compared) if compared else lambda self: ()
+
+    def __init__(self, *args: object) -> None:
+        if len(args) != arity:
+            raise TypeError(f"{cls.__name__}() takes {arity} arguments ({len(args)} given)")
+        for i, name in indexed:
+            _set(self, name, args[i])
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        return f"{type(self).__qualname__}({fields})"
+
+    own = vars(cls)
+    cls.__init__ = __init__
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    if "__eq__" not in own:
+        cls.__eq__ = __eq__
+    if own.get("__hash__") is None:
+        cls.__hash__ = __hash__
+    if "__repr__" not in own:
+        cls.__repr__ = __repr__
+    return cls
+
+
+@_record
 class IntMatrix:
     """Dense matrix of arbitrary-precision integers, row-major.
 
@@ -71,29 +137,34 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls.diagonal((1,) * n, n, n)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
+        return cls.diagonal((), rows, cols)
 
     @classmethod
     def diagonal(cls, entries: Sequence[int], rows: Optional[int] = None, cols: Optional[int] = None) -> "IntMatrix":
+        """The rows x cols matrix with `entries` down its diagonal (n x n for
+        n entries by default), built to its shape, so only the sizes are
+        checked."""
         n = len(entries)
         rows = n if rows is None else rows
         cols = n if cols is None else cols
+        if rows < 0 or cols < 0:
+            raise InputError("matrix dimensions must be nonnegative")
         zero = (0,) * cols
         data = [zero] * rows
         for i in range(min(n, rows, cols)):
             row = list(zero)
             row[i] = entries[i]
             data[i] = tuple(row)
-        return cls(rows, cols, tuple(data))
+        return _matrix(rows, cols, tuple(data))
 
     @classmethod
     def column_vector(cls, vec: Sequence[int]) -> "IntMatrix":
         """The one-column matrix of `vec`, as long as `vec` is."""
-        return cls(len(vec), 1, tuple((x,) for x in vec))
+        return _matrix(len(vec), 1, tuple((x,) for x in vec))
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
@@ -173,10 +244,6 @@ class IntMatrix:
                     row += [a * b for b in brow] if a else zero
                 data.append(tuple(row))
         return _matrix(self.rows * other.rows, self.cols * other.cols, tuple(data))
-
-
-_new = object.__new__
-_set = object.__setattr__
 
 
 def _matrix(rows: int, cols: int, data: tuple[Vector, ...]) -> IntMatrix:
@@ -262,7 +329,7 @@ def _identity_rows(n: int) -> list[list[int]]:
     return rows
 
 
-@dataclass(frozen=True)
+@_record
 class SmithDecomposition:
     """Unimodular U, V and diagonal S with U @ A @ V = S, kept as the
     elimination steps that made them.
@@ -547,7 +614,7 @@ def preimage_gens(a: IntMatrix, target_gens: IntMatrix) -> IntMatrix:
     return snf(hstack(a, target_gens)).preimage_basis(a.cols)
 
 
-@dataclass(frozen=True)
+@_record(uncompared=("basis_smith",))
 class Subquotient:
     """A subquotient P/Q of some Z^n with elements addressable by coordinates.
 
@@ -564,7 +631,7 @@ class Subquotient:
 
     basis: IntMatrix
     presentation: IntMatrix
-    basis_smith: SmithDecomposition = field(compare=False)
+    basis_smith: SmithDecomposition
 
     @property
     def ngens(self) -> int:

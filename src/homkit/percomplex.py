@@ -20,13 +20,13 @@ on u = (id, g): C_f -> C_gf and v = (f[1], id): C_gf -> C_g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError
 from .abgroups import FgAbGroup, GradedAbGroup, GroupElement, GroupHom, SubquotientGroup
 from .intlinalg import (
     IntMatrix,
+    _record,
     block,
     block_diag,
     hstack,
@@ -37,7 +37,7 @@ from .intlinalg import (
 )
 
 
-@dataclass(frozen=True)
+@_record
 class PeriodicComplex:
     """2-periodic complex: d has matrix D in even degrees, E in odd degrees."""
 
@@ -69,7 +69,7 @@ def direct_sum(a: PeriodicComplex, b: PeriodicComplex) -> PeriodicComplex:
                            block_diag(a.d, b.d), block_diag(a.e, b.e))
 
 
-@dataclass(frozen=True)
+@_record
 class ChainMap:
     """Degree-0 chain map between periodic complexes."""
 
@@ -240,7 +240,7 @@ class HomotopyClasses(SubquotientGroup):
 homotopy_classes = HomotopyClasses
 
 
-@dataclass(frozen=True)
+@_record
 class GradedGroupHom:
     """Pair of homomorphisms between the graded pieces of two graded groups."""
 

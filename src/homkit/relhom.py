@@ -15,7 +15,6 @@ presentations `homology` and `homotopy_classes` return.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError, InternalCheckError
@@ -34,7 +33,7 @@ from .abgroups import (
     tensor,
     tor1,
 )
-from .intlinalg import IntMatrix, vstack
+from .intlinalg import IntMatrix, _record, vstack
 from .percomplex import (
     ChainMap,
     HomotopyClasses,
@@ -49,7 +48,7 @@ from .percomplex import (
 )
 
 
-@dataclass(frozen=True)
+@_record
 class MorphismClassification:
     """Flags for a chain map relative to the homology ideal."""
 
@@ -92,7 +91,7 @@ def is_i_exact(objects: Sequence[PeriodicComplex], maps: Sequence[ChainMap], deg
             and is_exact_pair(hin.odd, hout.odd))
 
 
-@dataclass(frozen=True)
+@_record
 class Resolution:
     """Length-1 projective resolution P1 -> P0 -> A.
 
@@ -191,7 +190,7 @@ def _natural_map(hc: HomotopyClasses, middle: SubquotientGroup, ha: GradedAbGrou
     return GroupHom(middle, hom_part, vstack(*blocks), check=False)
 
 
-@dataclass(frozen=True)
+@_record
 class UctReport:
     """Both ends, the brute-force middle, and the connecting data of the
     universal-coefficient sequence for a pair of complexes.
@@ -251,7 +250,7 @@ def _verify_uct(r: UctReport) -> None:
         raise InternalCheckError("UCT: torsion-order bookkeeping failed")
 
 
-@dataclass(frozen=True)
+@_record
 class PhantomSubgroup:
     """The subgroup of [A, B] of classes vanishing on homology: the kernel
     of the natural map [A, B] -> gradedHom(H A, H B)."""

@@ -16,7 +16,6 @@ H_*(Z; M (x) N); these equal Ext/Tor over Z[t, 1/t] only when M is Z-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Literal, Optional, Sequence, Union
 
@@ -34,6 +33,7 @@ from .abgroups import (
 from .intlinalg import (
     IntMatrix,
     Vector,
+    _record,
     hstack,
     kernel_basis,
     lattice_contains,
@@ -61,7 +61,7 @@ def _combine(x: Sequence[int], powers: Sequence[IntMatrix]) -> IntMatrix:
                                              for j in range(cols)) for i in range(rows)))
 
 
-@dataclass(frozen=True)
+@_record
 class QuotientRing:
     """Z[t]/(p(t)) for a monic p of degree >= 1; coefficients low-to-high."""
 
@@ -121,7 +121,7 @@ class QuotientRing:
         return _combine(self.coefficients, _powers(m, len(self.coefficients)))
 
 
-@dataclass(frozen=True)
+@_record
 class LaurentRing:
     """Z[t, 1/t]; t acts as an automorphism on its modules."""
 
@@ -152,7 +152,7 @@ class RModule(FgAbGroup):
         return self._t_hom.inverse_matrix()
 
 
-@dataclass(frozen=True)
+@_record
 class FreeResolutionR:
     """Augmented complex F_len -> ... -> F_0 -> M of free modules over Z[t]/(p).
 
@@ -420,7 +420,7 @@ def hochschild(m: FgAbGroup, lam: IntMatrix, rho: IntMatrix, degree: int,
                        degree, homological=variant == "homology")
 
 
-@dataclass(frozen=True)
+@_record
 class PvEnds:
     """End groups of the PV extension in one degree."""
 
@@ -428,7 +428,7 @@ class PvEnds:
     ker_end: FgAbGroup  # ker(alpha - 1) on K_*
 
 
-@dataclass(frozen=True)
+@_record
 class PvReport:
     """Ends and exactness certificate of the Pimsner-Voiculescu sequence.
 

@@ -317,21 +317,34 @@ class TestFailureModes:
             f"{ring}.ring.poly: polynomial must have degree >= 1"
 
     def test_shape_errors_name_the_matrix(self, tmp_path, capsys):
-        # An hh or pv matrix of the wrong shape for its group is named by
-        # its file and field, like every other validation failure.
+        # An hh or pv matrix of the wrong shape for its group, or one that
+        # does not map relations into relations, is named by its file and
+        # field, like every other validation failure.
+        def cases(even, alpha_even, odd, alpha_odd, bad, message):
+            hh = {"group": even, "lambda": alpha_even, "rho": alpha_even}
+            pv = {"even": even, "odd": odd, "alpha_even": alpha_even, "alpha_odd": alpha_odd}
+            return [(command, doc, key, extra, bad, message)
+                    for command, doc, keys, extra in (("hh", hh, ("lambda", "rho"), ("--n", "0")),
+                                                      ("pv", pv, ("alpha_even", "alpha_odd"), ()))
+                    for key in keys]
+
+        z, trivial = {"rank": 1, "torsion": []}, {"rank": 0, "torsion": []}
         one = {"rows": 1, "cols": 1, "data": [["1"]]}
+        empty = {"rows": 0, "cols": 0, "data": []}
         wide = {"rows": 1, "cols": 2, "data": [["1", "0"]]}
-        hh = {"group": {"rank": 1, "torsion": []}, "lambda": one, "rho": one}
-        pv = {"even": {"rank": 1, "torsion": []}, "odd": {"rank": 0, "torsion": []},
-              "alpha_even": one, "alpha_odd": {"rows": 0, "cols": 0, "data": []}}
-        cases = [("hh", hh, key, ("--n", "0")) for key in ("lambda", "rho")]
-        cases += [("pv", pv, key, ()) for key in ("alpha_even", "alpha_odd")]
-        for command, doc, key, extra in cases:
-            path = write(tmp_path, f"{command}.json", {**doc, key: wide})
+        # On Z/2 + Z (the torsion generator e0 first), [[1, 0], [1, 1]] sends
+        # the relation 2 e0 to 2 e0 + 2 e1.
+        z2_z = {"rank": 1, "torsion": ["2"]}
+        ident = {"rows": 2, "cols": 2, "data": [["1", "0"], ["0", "1"]]}
+        shear = {"rows": 2, "cols": 2, "data": [["1", "0"], ["1", "1"]]}
+        for command, doc, key, extra, bad, message in (
+                cases(z, one, trivial, empty, wide, "homomorphism matrix has wrong shape")
+                + cases(z2_z, ident, z2_z, ident, shear,
+                        "matrix does not map relations into relations")):
+            path = write(tmp_path, f"{command}.json", {**doc, key: bad})
             code, out = run(capsys, command, path, *extra)
             assert code == 2 and out["error"] == {
-                "code": "validation",
-                "message": f"{path}.{key}: homomorphism matrix has wrong shape"}
+                "code": "validation", "message": f"{path}.{key}: {message}"}
             code, out = run(capsys, command, write(tmp_path, "ok.json", doc), *extra)
             assert code == 0, out
 
@@ -404,17 +417,40 @@ class TestCommandTable:
         assert usage.index("--out") < usage.index("<command>")
 
 
+class TestColdStart:
+    def test_import_loads_only_what_every_job_needs(self):
+        # Each job runs in a fresh process, so what `import homkit.cli` loads
+        # is paid by every job.  It must not load dataclasses (which pulls in
+        # inspect, ast and dis), nor relhom and randgen, which only some
+        # commands call.  repmod stays loaded: the benchmark's tracer looks
+        # up repmod.RModule.__init__ on the loaded module when it builds its
+        # plan, and a traced run that never imported repmod fails there.
+        script = ("import sys\n"
+                  "before = set(sys.modules)\n"
+                  "import homkit.cli\n"
+                  "print(' '.join(sorted(set(sys.modules) - before)))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "homkit.cli" in loaded and "homkit.repmod" in loaded
+        assert not loaded & {"dataclasses", "inspect", "homkit.relhom", "homkit.randgen"}
+
+
 class TestSelftestUnderOptimize:
     def test_sabotaged_check_fails_under_python_O(self):
         # Under -O every assert is stripped; the selftest must still catch a
         # wrong Smith form and report an internal error.
         script = (
-            "import dataclasses, sys\n"
+            "import sys\n"
             "import homkit.cli as cli\n"
-            "from homkit.intlinalg import snf\n"
+            "from homkit.intlinalg import SmithDecomposition, snf\n"
             "def broken(m):\n"
             "    dec = snf(m)\n"
-            "    return dataclasses.replace(dec, s=dec.s.scale(2))\n"
+            "    return SmithDecomposition(dec.s.scale(2), dec.row_ops, dec.col_ops)\n"
             "cli.snf = broken\n"
             "sys.exit(cli.main(['selftest', '--seed', '0']))\n")
         env = dict(os.environ)

@@ -10,14 +10,17 @@ import pytest
 
 from homkit import intlinalg, percomplex
 from homkit.errors import InputError
+from homkit.abgroups import FgAbGroup, GroupElement
 from homkit.intlinalg import (
     IntMatrix,
+    SmithDecomposition,
     block_diag,
     cokernel_invariants,
     hstack,
     kernel_basis,
     lattice_basis,
     lattice_contains,
+    lattice_quotient,
     lll_reduce,
     preimage_gens,
     snf,
@@ -29,6 +32,7 @@ from homkit.intlinalg import (
 )
 from homkit.percomplex import direct_sum, homotopy_classes
 from homkit.randgen import random_complex
+from homkit.repmod import LaurentRing, QuotientRing
 
 from .oracles import (
     column_reduction_kernel,
@@ -637,7 +641,66 @@ class TestIntMatrix:
     def test_shape_validation(self):
         with pytest.raises(InputError):
             IntMatrix(2, 2, ((1, 2),))
+        for make in (lambda: IntMatrix.identity(-1), lambda: IntMatrix.zero(2, -1),
+                     lambda: IntMatrix.diagonal((1,), rows=-1)):
+            with pytest.raises(InputError):
+                make()
         with pytest.raises(InputError):
             IntMatrix.from_rows([[1]]) @ IntMatrix.from_rows([[1, 2], [3, 4]])
         with pytest.raises(InputError):
             hstack(IntMatrix.zero(1, 1), IntMatrix.zero(2, 1))
+
+
+class TestRecord:
+    """The value classes `intlinalg._record` builds keep the contract of the
+    frozen dataclasses they replaced."""
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        m = IntMatrix.from_rows([[1, 2]])
+        for change in (lambda: setattr(m, "rows", 3), lambda: delattr(m, "data"),
+                       lambda: setattr(m, "extra", 0)):
+            with pytest.raises(AttributeError):
+                change()
+        assert (m.rows, m.cols, m.data) == (1, 2, ((1, 2),)) and not hasattr(m, "extra")
+
+    def test_equal_fields_mean_equal_objects_with_equal_hashes(self):
+        a = IntMatrix.from_rows([[1, 2], [3, 4]])
+        b = IntMatrix(2, 2, ((1, 2), (3, 4)))
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+        assert a != a.transpose() and len({a, b, a.transpose()}) == 2
+        assert a != (2, 2, ((1, 2), (3, 4)))  # another type never compares equal
+        dec = snf(a)
+        again = SmithDecomposition(dec.s, dec.row_ops, dec.col_ops)
+        assert again == dec and hash(again) == hash(dec)
+        assert QuotientRing((-1, 0, 1)) == QuotientRing((-1, 0, 1))
+        assert hash(QuotientRing((-1, 0, 1))) == hash(QuotientRing((-1, 0, 1)))
+
+    def test_subquotient_ignores_basis_smith_when_comparing(self):
+        sq = lattice_quotient(IntMatrix.from_rows([[2, 1], [4, 3]]),
+                              IntMatrix.from_rows([[4], [8]]))
+        other = Subquotient(sq.basis, sq.presentation, snf(sq.basis.scale(3)))
+        assert other.basis_smith != sq.basis_smith
+        assert other == sq and hash(other) == hash(sq)
+        assert Subquotient(sq.basis, sq.presentation.scale(2), sq.basis_smith) != sq
+
+    def test_laurent_rings_are_equal(self):
+        assert LaurentRing() == LaurentRing() and hash(LaurentRing()) == hash(LaurentRing())
+        assert LaurentRing() != QuotientRing((-1, 0, 1))
+
+    def test_group_element_keeps_its_own_equality_and_stays_unhashable(self):
+        g = FgAbGroup.cyclic(4)
+        x, y = GroupElement(g, (1,)), GroupElement(g, (5,))
+        assert x.coords != y.coords and x == y  # equal modulo the relation 4
+        assert x != GroupElement(g, (2,))
+        with pytest.raises(TypeError):
+            hash(x)
+
+    def test_repr_is_unchanged(self):
+        assert repr(IntMatrix.from_rows([[1, 2]])) == "IntMatrix(rows=1, cols=2, data=((1, 2),))"
+        assert repr(LaurentRing()) == "LaurentRing()"
+
+    def test_wrong_argument_count_raises_type_error(self):
+        for make in (lambda: IntMatrix(1, 1), lambda: IntMatrix(1, 1, ((1,),), 0),
+                     lambda: LaurentRing(0), lambda: QuotientRing()):
+            with pytest.raises(TypeError):
+                make()
