@@ -89,15 +89,15 @@ def _load_object(path: str) -> dict:
     return doc
 
 
-def _load_endomorphism(doc: dict, key: str, group: abgroups.FgAbGroup, path: str) -> IntMatrix:
-    """The matrix doc[key] of an endomorphism of `group`, checked for shape
+def _load_endomorphism(doc: dict, key: str, group: abgroups.FgAbGroup,
+                       path: str) -> abgroups.GroupHom:
+    """The endomorphism of `group` with matrix doc[key], checked for shape
     and for mapping relations into relations, with errors naming the field."""
     m = jsonio.matrix_from_json(doc.get(key), f"{path}.{key}")
     try:
-        abgroups.GroupHom(group, group, m)
+        return abgroups.GroupHom(group, group, m)
     except InputError as exc:
         raise InputError(f"{path}.{key}: {exc}") from None
-    return m
 
 
 def _load_chain_map(a_path: str, b_path: str, map_path: str):
@@ -194,7 +194,7 @@ def _cmd_hh(args, path: str) -> dict:
     group = jsonio.group_from_json(doc.get("group"), f"{path}.group")
     lam = _load_endomorphism(doc, "lambda", group, path)
     rho = _load_endomorphism(doc, "rho", group, path)
-    return jsonio.group_to_json(repmod.hochschild(group, lam, rho, args.n, args.variant))
+    return jsonio.group_to_json(repmod.hochschild(lam, rho, args.n, args.variant))
 
 
 def _cmd_pv(args, path: str) -> dict:
@@ -202,7 +202,7 @@ def _cmd_pv(args, path: str) -> dict:
     k = jsonio.graded_group_from_json(doc, what=path)
     alpha_even = _load_endomorphism(doc, "alpha_even", k.even, path)
     alpha_odd = _load_endomorphism(doc, "alpha_odd", k.odd, path)
-    report = repmod.pv_sequence(k, alpha_even, alpha_odd)
+    report = repmod.pv_sequence(alpha_even, alpha_odd)
     return {"degree0": {"coker_end": jsonio.group_to_json(report.degree0.coker_end),
                         "ker_end": jsonio.group_to_json(report.degree0.ker_end)},
             "degree1": {"coker_end": jsonio.group_to_json(report.degree1.coker_end),
@@ -277,7 +277,8 @@ def _cmd_selftest(args) -> dict:
     for _ in range(8):
         k = randgen.random_graded_group(rng, max_rank=1)
         ae, ao = randgen.random_graded_automorphism(rng, k)
-        repmod.pv_sequence(k, ae, ao)
+        repmod.pv_sequence(abgroups.GroupHom(k.even, k.even, ae),
+                           abgroups.GroupHom(k.odd, k.odd, ao))
     checks["pv_reports"] = 8
 
     rings = ((-1, 0, 1), (-1, 0, 0, 1), (-1, 0, 0, 0, 1), (2, 0, 1), (1, 1))

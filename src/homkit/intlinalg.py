@@ -58,26 +58,23 @@ def _frozen(self, name: str, *value: object) -> None:
     raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
 
 
-def _record(cls: Optional[type] = None, *, uncompared: tuple[str, ...] = ()):
+def _record(cls: type) -> type:
     """Make `cls` a frozen value class on its own annotated fields, in order,
     as `@dataclass(frozen=True)` would, with no generated source: a
     positional `__init__` that stores the fields and then runs
     `__post_init__` if the class defines one; `__setattr__` and
-    `__delattr__` that raise; `__eq__` and `__hash__` on the fields not
-    named in `uncompared`; and a `Name(field=value, ...)` repr.  An
-    `__eq__`, `__hash__` or `__repr__` the class defines is kept.
-    Instances keep their `__dict__`, so `cached_property` and `_matrix`
-    work on them.  Fields are stored with `object.__setattr__`, as by the
-    dataclass: reading `self.__dict__` would give each instance a dict of
-    its own, larger and slower to read than the shared-key layout."""
-    if cls is None:
-        return lambda cls: _record(cls, uncompared=uncompared)
+    `__delattr__` that raise; `__eq__` and `__hash__` on all the fields;
+    and a `Name(field=value, ...)` repr.  An `__eq__`, `__hash__` or
+    `__repr__` the class defines is kept.  Instances keep their
+    `__dict__`, so `cached_property` and `_matrix` work on them.  Fields
+    are stored with `object.__setattr__`, as by the dataclass: reading
+    `self.__dict__` would give each instance a dict of its own, larger and
+    slower to read than the shared-key layout."""
     names = tuple(cls.__annotations__)
     arity = len(names)
     indexed = tuple(enumerate(names))  # a zip per call would cost more
     post_init = vars(cls).get("__post_init__")
-    compared = [n for n in names if n not in uncompared]
-    key = attrgetter(*compared) if compared else lambda self: ()
+    key = attrgetter(*names) if names else lambda self: ()
 
     def __init__(self, *args: object) -> None:
         if len(args) != arity:
@@ -614,7 +611,7 @@ def preimage_gens(a: IntMatrix, target_gens: IntMatrix) -> IntMatrix:
     return snf(hstack(a, target_gens)).preimage_basis(a.cols)
 
 
-@_record(uncompared=("basis_smith",))
+@_record
 class Subquotient:
     """A subquotient P/Q of some Z^n with elements addressable by coordinates.
 

@@ -23,8 +23,8 @@ from .errors import InputError, InternalCheckError
 from .abgroups import (
     DirectSum,
     FgAbGroup,
-    GradedAbGroup,
     GroupHom,
+    _same_coords,
     hom,
     homology_of_pair,
     is_exact_pair,
@@ -35,10 +35,7 @@ from .intlinalg import (
     Vector,
     _record,
     hstack,
-    kernel_basis,
-    lattice_contains,
     lll_reduce,
-    preimage_gens,
     solve,
     solve_matrix,
     vstack,
@@ -172,14 +169,14 @@ class FreeResolutionR:
     deltas: tuple[IntMatrix, ...]
 
     def verify_exact(self, module: RModule) -> bool:
-        """Exactness as Z-complexes at every computed interior stage."""
-        rel = module.presentation
-        ker = preimage_gens(self.augmentation, rel)
-        for delta in self.deltas:
-            if not (lattice_contains(ker, delta) and lattice_contains(delta, ker)):
-                return False
-            ker = kernel_basis(delta)
-        return True
+        """Exactness as Z-complexes at F_0, ..., F_(len-1): each pair of
+        consecutive maps, from the augmentation F_0 -> M on, has a zero
+        composite and passes `is_exact_pair`."""
+        free = [FgAbGroup.free(self.ring.degree * r) for r in self.ranks]
+        maps = [GroupHom(free[0], module, self.augmentation)]
+        maps += [GroupHom(free[i + 1], free[i], d) for i, d in enumerate(self.deltas)]
+        return all(g.compose(f).is_zero() and is_exact_pair(f, g)
+                   for g, f in zip(maps, maps[1:]))
 
 
 def _z_matrix(entries: list[list[Vector]], rows: int, cols: int,
@@ -274,7 +271,7 @@ def free_resolution_over_r(module: RModule, length: int) -> FreeResolutionR:
     # LLL-reduced basis keeps T1 and q(t, T1) small: a Smith-form basis can
     # carry entries in the hundreds into T1, and from there into the
     # coefficient growth of every Smith form taken on Hom or tensor.
-    k = lll_reduce(preimage_gens(aug, presentation))
+    k = lll_reduce(GroupHom(FgAbGroup.free(d * rank0), module, aug).kernel_gens)
     g = k.cols
     t1 = solve_matrix(k, IntMatrix.identity(rank0).kron(ring.companion_matrix()) @ k)
     if t1 is None:
@@ -396,12 +393,12 @@ def tor_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
     return homology_of_pair(incoming, outgoing)
 
 
-def hochschild(m: FgAbGroup, lam: IntMatrix, rho: IntMatrix, degree: int,
+def hochschild(lam: GroupHom, rho: GroupHom, degree: int,
                variant: Literal["homology", "cohomology"] = "homology") -> FgAbGroup:
     """Hochschild (co)homology of the Laurent ring with bimodule coefficients.
 
-    The bimodule is the group `m` with commuting automorphisms lambda and
-    rho; with u = lambda rho^{-1}, HH_0 = HH^1 = coker(u - 1) and
+    The bimodule is the group that the commuting automorphisms lambda and
+    rho act on; with u = lambda rho^{-1}, HH_0 = HH^1 = coker(u - 1) and
     HH_1 = HH^0 = ker(u - 1), everything above degree 1 vanishes: the
     Z-(co)homology path of Laurent Ext/Tor.  Which of lambda, rho acts from
     the left is a stated convention, not a theorem; we pair them as written.
@@ -410,13 +407,14 @@ def hochschild(m: FgAbGroup, lam: IntMatrix, rho: IntMatrix, degree: int,
         raise InputError("Hochschild degree must be >= 0")
     if variant not in ("homology", "cohomology"):
         raise InputError("variant must be 'homology' or 'cohomology'")
-    lam_hom = GroupHom(m, m, lam)
-    rho_hom = GroupHom(m, m, rho)
-    if not lam_hom.is_isomorphism() or not rho_hom.is_isomorphism():
+    m = lam.source
+    if not all(_same_coords(m, g) for g in (lam.target, rho.source, rho.target)):
+        raise InputError("lambda and rho must be endomorphisms of one group")
+    if not lam.is_isomorphism() or not rho.is_isomorphism():
         raise InputError("lambda and rho must be automorphisms")
-    if not (lam_hom.compose(rho_hom) - rho_hom.compose(lam_hom)).is_zero():
+    if not (lam.compose(rho) - rho.compose(lam)).is_zero():
         raise InputError("lambda and rho must commute")
-    return _z_homology(lambda: GroupHom(m, m, lam @ rho_hom.inverse_matrix(), check=False),
+    return _z_homology(lambda: GroupHom(m, m, lam.matrix @ rho.inverse_matrix(), check=False),
                        degree, homological=variant == "homology")
 
 
@@ -444,14 +442,14 @@ class PvReport:
     degree1: PvEnds
 
 
-def pv_sequence(k: GradedAbGroup, alpha_even: IntMatrix, alpha_odd: IntMatrix) -> PvReport:
-    """Assemble and verify the six-term sequence for (K, alpha)."""
-    a0 = GroupHom(k.even, k.even, alpha_even)
-    a1 = GroupHom(k.odd, k.odd, alpha_odd)
-    if not a0.is_isomorphism() or not a1.is_isomorphism():
-        raise InputError("alpha must be a graded automorphism")
-    d0 = a0 - GroupHom.identity(k.even)
-    d1 = a1 - GroupHom.identity(k.odd)
+def pv_sequence(alpha_even: GroupHom, alpha_odd: GroupHom) -> PvReport:
+    """Assemble and verify the six-term sequence for (K, alpha), where K_0
+    and K_1 are the groups that alpha_even and alpha_odd act on."""
+    for a in (alpha_even, alpha_odd):
+        if not (_same_coords(a.source, a.target) and a.is_isomorphism()):
+            raise InputError("alpha must be a graded automorphism")
+    d0 = alpha_even - GroupHom.identity(alpha_even.source)
+    d1 = alpha_odd - GroupHom.identity(alpha_odd.source)
 
     def middle(dm_in: GroupHom, dm_out: GroupHom) -> tuple[PvEnds, GroupHom, GroupHom]:
         """Middle node between coker(dm_in) and ker(dm_out), as a direct sum."""

@@ -8,7 +8,7 @@ failure with context.
 import random
 import time
 
-from homkit.abgroups import FgAbGroup, ext1, graded_ext_shifted, graded_hom, is_isomorphic
+from homkit.abgroups import FgAbGroup, GroupHom, ext1, graded_ext_shifted, graded_hom, is_isomorphic
 from homkit.intlinalg import IntMatrix, snf
 from homkit.percomplex import (
     GradedAbGroup,
@@ -124,7 +124,8 @@ def test_criterion_5_pv_exactness_and_hh_vanishing():
     for _ in range(100):
         k = random_graded_group(rng)
         alpha_even, alpha_odd = random_graded_automorphism(rng, k)
-        pv_sequence(k, alpha_even, alpha_odd)  # verifies all six nodes exactly
+        # pv_sequence verifies all six nodes exactly.
+        pv_sequence(GroupHom(k.even, k.even, alpha_even), GroupHom(k.odd, k.odd, alpha_odd))
     for _ in range(30):
         g = random_group(rng)
         from homkit.randgen import random_automorphism
@@ -132,9 +133,10 @@ def test_criterion_5_pv_exactness_and_hh_vanishing():
         # rho must commute with lam: draw it from powers of lam and -1.
         rho = rng.choice([IntMatrix.identity(g.ngens), lam, lam @ lam,
                           IntMatrix.identity(g.ngens).scale(-1)])
+        lam, rho = GroupHom(g, g, lam), GroupHom(g, g, rho)
         for n in (2, 3, 4):
-            assert hochschild(g, lam, rho, n).is_trivial()
-            assert hochschild(g, lam, rho, n, "cohomology").is_trivial()
+            assert hochschild(lam, rho, n).is_trivial()
+            assert hochschild(lam, rho, n, "cohomology").is_trivial()
     report(5, "100 PV six-term sequences exact at all nodes; HH vanishes above degree 1")
 
 

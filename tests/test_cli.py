@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from homkit import cli
+from homkit import cli, jsonio
 from homkit.cli import main
 from homkit.jsonio import group_from_json
 
@@ -380,6 +380,38 @@ class TestFailureModes:
         assert set(doc) == {"error"}
 
 
+class TestEndomorphismInputs:
+    def test_each_input_matrix_is_checked_once(self, tmp_path, capsys, monkeypatch):
+        # hh and pv run on the maps the CLI built when it checked each input
+        # matrix against its group, so no matrix is checked a second time.
+        from homkit import abgroups
+        checked = []
+        real_init = abgroups.GroupHom.__init__
+
+        def counted_init(self, source, target, matrix, check=True):
+            if check:
+                checked.append(matrix)
+            real_init(self, source, target, matrix, check)
+
+        monkeypatch.setattr(abgroups.GroupHom, "__init__", counted_init)
+        # On Z/2 + Z (the torsion generator e0 first): lam negates e1, rho
+        # sends e1 to e0 + e1; they commute modulo 2 e0.
+        z2_z = {"rank": 1, "torsion": ["2"]}
+        lam = {"rows": 2, "cols": 2, "data": [["1", "0"], ["0", "-1"]]}
+        rho = {"rows": 2, "cols": 2, "data": [["1", "1"], ["0", "1"]]}
+        z3_unit = {"rows": 1, "cols": 1, "data": [["2"]]}
+        jobs = (("hh", {"group": z2_z, "lambda": lam, "rho": rho}, ("lambda", "rho"), ("--n", "0")),
+                ("pv", {"even": z2_z, "odd": {"rank": 0, "torsion": ["3"]},
+                        "alpha_even": rho, "alpha_odd": z3_unit}, ("alpha_even", "alpha_odd"), ()))
+        for command, doc, keys, extra in jobs:
+            checked.clear()
+            code, out = run(capsys, command, write(tmp_path, f"{command}.json", doc), *extra)
+            assert code == 0, out
+            for key in keys:
+                matrix = jsonio.matrix_from_json(doc[key], key)
+                assert checked.count(matrix) == 1, (command, key)
+
+
 class TestCommandTable:
     def test_parser_is_shared_without_leaking_options(self, tmp_path, capsys):
         hh = write(tmp_path, "hh.json", {
@@ -438,6 +470,38 @@ class TestColdStart:
         loaded = set(proc.stdout.split())
         assert "homkit.cli" in loaded and "homkit.repmod" in loaded
         assert not loaded & {"dataclasses", "inspect", "homkit.relhom", "homkit.randgen"}
+
+    def test_benchmark_tracer_plans_on_what_the_import_loads(self):
+        # A traced benchmark run builds its plan on the modules that
+        # `import homkit.cli` loaded.  Every target must resolve there
+        # except relhom's, which are plain functions and are skipped as
+        # missing; once every homkit module is loaded, none is missing.
+        # -B: reading bench/tracing.py leaves no bytecode under bench/.
+        script = (
+            "import importlib, importlib.util, json, pkgutil, sys\n"
+            "spec = importlib.util.spec_from_file_location('tracing', sys.argv[1])\n"
+            "tracing = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(tracing)\n"
+            "import homkit.cli\n"
+            "after_cli = tracing.Tracer()\n"
+            "list(after_cli._build_plan())\n"
+            "import homkit\n"
+            "for info in pkgutil.iter_modules(homkit.__path__):\n"
+            "    importlib.import_module('homkit.' + info.name)\n"
+            "after_all = tracing.Tracer()\n"
+            "list(after_all._build_plan())\n"
+            "print(json.dumps([after_cli.missing, after_all.missing, tracing.TARGETS['relhom']]))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-B", "-c", script,
+                               str(ROOT / "bench" / "tracing.py")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        after_cli, after_all, relhom_targets = json.loads(proc.stdout)
+        assert relhom_targets and not any("." in t for t in relhom_targets)
+        assert after_cli == [f"relhom.{t}" for t in relhom_targets]
+        assert after_all == []
 
 
 class TestSelftestUnderOptimize:

@@ -675,12 +675,15 @@ class TestRecord:
         assert QuotientRing((-1, 0, 1)) == QuotientRing((-1, 0, 1))
         assert hash(QuotientRing((-1, 0, 1))) == hash(QuotientRing((-1, 0, 1)))
 
-    def test_subquotient_ignores_basis_smith_when_comparing(self):
+    def test_subquotient_compares_all_three_fields(self):
         sq = lattice_quotient(IntMatrix.from_rows([[2, 1], [4, 3]]),
                               IntMatrix.from_rows([[4], [8]]))
+        again = Subquotient(sq.basis, sq.presentation,
+                            SmithDecomposition(sq.basis_smith.s, sq.basis_smith.row_ops,
+                                               sq.basis_smith.col_ops))
+        assert again == sq and hash(again) == hash(sq)
         other = Subquotient(sq.basis, sq.presentation, snf(sq.basis.scale(3)))
-        assert other.basis_smith != sq.basis_smith
-        assert other == sq and hash(other) == hash(sq)
+        assert other.basis_smith != sq.basis_smith and other != sq
         assert Subquotient(sq.basis, sq.presentation.scale(2), sq.basis_smith) != sq
 
     def test_laurent_rings_are_equal(self):

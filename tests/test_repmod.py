@@ -7,6 +7,7 @@ from homkit.errors import InputError
 from homkit.abgroups import (
     FgAbGroup,
     GradedAbGroup,
+    GroupHom,
     ext1,
     hom,
     homology_of_pair,
@@ -22,6 +23,7 @@ from homkit.randgen import (
     random_rmodule,
 )
 from homkit.repmod import (
+    FreeResolutionR,
     LaurentRing,
     QuotientRing,
     RModule,
@@ -52,6 +54,19 @@ MINUS = IntMatrix.from_rows([[-1]])
 def cyclic_ring(n):
     """Z[t]/(t^n - 1), the group ring of the cyclic group C_n."""
     return QuotientRing((-1,) + (0,) * (n - 1) + (1,))
+
+
+def endo(group, matrix):
+    """The endomorphism of `group` with the given matrix."""
+    return GroupHom(group, group, matrix)
+
+
+def hh(group, lam, rho, degree, variant="homology"):
+    return hochschild(endo(group, lam), endo(group, rho), degree, variant)
+
+
+def pv(k, alpha_even, alpha_odd):
+    return pv_sequence(endo(k.even, alpha_even), endo(k.odd, alpha_odd))
 
 
 def z_trivial(ring=ORDER2):
@@ -150,6 +165,45 @@ class TestFreeResolution:
                 m = random_rmodule(rng, ring)
                 res = free_resolution_over_r(m, 2)
                 assert res.verify_exact(m)
+
+    @staticmethod
+    def _resolutions(seed):
+        """(module, resolution of length 4) from both builders, on 12 random
+        modules over the selftest rings whose first two maps are nonzero."""
+        rng = random.Random(seed)
+        rings = ((-1, 0, 1), (-1, 0, 0, 1), (-1, 0, 0, 0, 1), (2, 0, 1), (1, 1))
+        found = 0
+        while found < 12:
+            m = random_rmodule(rng, QuotientRing(rng.choice(rings)))
+            for res in (free_resolution_over_r(m, 4), greedy_free_resolution(m, 4)):
+                if not res.deltas[0].is_zero() and not res.deltas[1].is_zero():
+                    assert res.verify_exact(m)
+                    found += 1
+                    yield m, res
+
+    @staticmethod
+    def _replaced(res, stage, delta):
+        deltas = res.deltas[:stage] + (delta,) + res.deltas[stage + 1:]
+        return FreeResolutionR(res.ring, res.ranks, res.augmentation, deltas)
+
+    def test_a_delta_scaled_by_two_is_not_exact(self):
+        # The composites stay zero, but the image of 2 delta_k is a proper
+        # sublattice of ker delta_(k-1) (or of the cover's kernel).
+        for m, res in self._resolutions(163):
+            for stage in (0, 1):
+                doubled = self._replaced(res, stage, res.deltas[stage].scale(2))
+                assert not doubled.verify_exact(m)
+
+    def test_a_nonzero_composite_is_not_exact_and_raises_nothing(self):
+        # delta_1 replaced by a map whose first column is a nonzero column j
+        # of delta_0: delta_0 delta_1 is then nonzero.
+        for m, res in self._resolutions(167):
+            d0, d1 = res.deltas[0], res.deltas[1]
+            j = next(j for j in range(d0.cols) if any(d0.column(j)))
+            bad = IntMatrix.from_rows([[int(i == j and c == 0) for c in range(d1.cols)]
+                                       for i in range(d1.rows)])
+            assert not (d0 @ bad).is_zero()
+            assert not self._replaced(res, 1, bad).verify_exact(m)
 
 
 class TestPeriodicResolution:
@@ -406,21 +460,21 @@ class TestLaurent:
             rho = IntMatrix.from_columns(rho_cols, rows=hom_group.ngens)
             for degree, variant in ((0, "cohomology"), (1, "cohomology")):
                 assert is_isomorphic(ext_over_r(m, n, degree),
-                                     hochschild(hom_group, lam, rho, degree, variant))
+                                     hh(hom_group, lam, rho, degree, variant))
 
 
 class TestHochschild:
     def test_equal_automorphisms(self):
         g = FgAbGroup.cyclic(6)
-        assert hochschild(g, ONE, ONE, 0).canonical == (0, (6,))
-        assert hochschild(g, ONE, ONE, 1).canonical == (0, (6,))
+        assert hh(g, ONE, ONE, 0).canonical == (0, (6,))
+        assert hh(g, ONE, ONE, 1).canonical == (0, (6,))
 
     def test_sign_example(self):
         z = FgAbGroup.free(1)
-        assert hochschild(z, ONE, MINUS, 0).canonical == (0, (2,))
-        assert hochschild(z, ONE, MINUS, 1).is_trivial()
-        assert hochschild(z, ONE, MINUS, 0, "cohomology").is_trivial()
-        assert hochschild(z, ONE, MINUS, 1, "cohomology").canonical == (0, (2,))
+        assert hh(z, ONE, MINUS, 0).canonical == (0, (2,))
+        assert hh(z, ONE, MINUS, 1).is_trivial()
+        assert hh(z, ONE, MINUS, 0, "cohomology").is_trivial()
+        assert hh(z, ONE, MINUS, 1, "cohomology").canonical == (0, (2,))
 
     def test_vanishes_above_degree_one(self):
         rng = random.Random(149)
@@ -429,20 +483,29 @@ class TestHochschild:
             from homkit.randgen import random_automorphism
             lam = random_automorphism(rng, g)
             for n in (2, 3, 5):
-                assert hochschild(g, lam, lam, n).is_trivial()
-                assert hochschild(g, lam, lam, n, "cohomology").is_trivial()
+                assert hh(g, lam, lam, n).is_trivial()
+                assert hh(g, lam, lam, n, "cohomology").is_trivial()
 
     def test_rejects_bad_input(self):
         z2 = FgAbGroup.free(2)
         non_invertible = IntMatrix.from_rows([[2, 0], [0, 1]])
-        with pytest.raises(InputError, match="automorphisms"):
-            hochschild(z2, non_invertible, IntMatrix.identity(2), 0)
+        with pytest.raises(InputError, match="^lambda and rho must be automorphisms$"):
+            hh(z2, non_invertible, IntMatrix.identity(2), 0)
         a = IntMatrix.from_rows([[1, 1], [0, 1]])
         b = IntMatrix.from_rows([[1, 0], [1, 1]])
-        with pytest.raises(InputError, match="commute"):
-            hochschild(z2, a, b, 0)
+        with pytest.raises(InputError, match="^lambda and rho must commute$"):
+            hh(z2, a, b, 0)
         with pytest.raises(InputError):
-            hochschild(z2, IntMatrix.identity(2), IntMatrix.identity(2), 0, "badvariant")
+            hh(z2, IntMatrix.identity(2), IntMatrix.identity(2), 0, "badvariant")
+        # The group is read off the maps, so they must all act on one group:
+        # Z -> Z/2 is no endomorphism, and automorphisms of Z and of Z/3
+        # act on different groups.
+        z, z3 = FgAbGroup.free(1), FgAbGroup.cyclic(3)
+        to_z2 = GroupHom(z, FgAbGroup.cyclic(2), ONE)
+        for lam, rho in ((to_z2, endo(z, ONE)), (endo(z, ONE), to_z2),
+                         (endo(z, ONE), endo(z3, ONE)), (endo(z3, ONE), endo(z, MINUS))):
+            with pytest.raises(InputError, match="^lambda and rho must be endomorphisms"):
+                hochschild(lam, rho, 0)
 
     def test_each_map_is_factored_once(self, monkeypatch):
         # Z + Z/2 + Z/4 with a random automorphism took 18 Smith forms when
@@ -463,14 +526,14 @@ class TestHochschild:
             g = FgAbGroup.from_invariants(1, (2, 4))
             lam = random_automorphism(rng, g)
             calls.clear()
-            hochschild(g, lam, IntMatrix.identity(3), 0)
+            hh(g, lam, IntMatrix.identity(3), 0)
             assert len(calls) < 18
 
 
 class TestPvSequence:
     def test_identity_automorphism(self):
         k = GradedAbGroup(FgAbGroup.from_invariants(1, (4,)), FgAbGroup.cyclic(3))
-        rep = pv_sequence(k, IntMatrix.identity(2), IntMatrix.identity(1))
+        rep = pv(k, IntMatrix.identity(2), IntMatrix.identity(1))
         assert is_isomorphic(rep.degree0.coker_end, k.odd)
         assert is_isomorphic(rep.degree0.ker_end, k.even)
         assert is_isomorphic(rep.degree1.coker_end, k.even)
@@ -478,27 +541,37 @@ class TestPvSequence:
 
     def test_sign_flip_on_z(self):
         k = GradedAbGroup(FgAbGroup.free(1), FgAbGroup.trivial())
-        rep = pv_sequence(k, MINUS, IntMatrix.zero(0, 0))
+        rep = pv(k, MINUS, IntMatrix.zero(0, 0))
         assert rep.degree0.coker_end.is_trivial() and rep.degree0.ker_end.is_trivial()
         assert rep.degree1.coker_end.canonical == (0, (2,))
         assert rep.degree1.ker_end.is_trivial()
 
     def test_rejects_non_automorphism(self):
         k = GradedAbGroup(FgAbGroup.free(1), FgAbGroup.trivial())
-        with pytest.raises(InputError, match="automorphism"):
-            pv_sequence(k, IntMatrix.from_rows([[2]]), IntMatrix.zero(0, 0))
+        with pytest.raises(InputError, match="^alpha must be a graded automorphism$"):
+            pv(k, IntMatrix.from_rows([[2]]), IntMatrix.zero(0, 0))
+        # K_0 and K_1 are read off the maps: an isomorphism Z -> Z between
+        # two presentations of Z is no automorphism of either.
+        z, trivial = FgAbGroup.free(1), FgAbGroup.trivial()
+        other_z = FgAbGroup(IntMatrix.from_rows([[1], [0]]))  # Z^2 / (e_0)
+        iso = GroupHom(z, other_z, IntMatrix.from_rows([[0], [1]]))
+        assert iso.is_isomorphism()
+        for alpha_even, alpha_odd in ((iso, endo(trivial, IntMatrix.zero(0, 0))),
+                                      (endo(z, MINUS), iso)):
+            with pytest.raises(InputError, match="^alpha must be a graded automorphism$"):
+                pv_sequence(alpha_even, alpha_odd)
 
     def test_random_exactness(self):
         rng = random.Random(151)
         for _ in range(15):
             k = random_graded_group(rng)
             ae, ao = random_graded_automorphism(rng, k)
-            pv_sequence(k, ae, ao)  # raises InternalCheckError on failure
+            pv(k, ae, ao)  # raises InternalCheckError on failure
 
     def test_unimodular_on_mixed_group(self):
         k = GradedAbGroup(FgAbGroup.from_invariants(2, ()), FgAbGroup.cyclic(4))
         alpha = IntMatrix.from_rows([[1, 1], [0, 1]])
-        rep = pv_sequence(k, alpha, IntMatrix.identity(1))
+        rep = pv(k, alpha, IntMatrix.identity(1))
         # alpha - 1 on Z^2 has image Z (the first coordinate), kernel Z.
         assert rep.degree0.ker_end.canonical == (1, ())
         assert rep.degree1.coker_end.canonical == (1, ())
