@@ -208,6 +208,10 @@ class GradedAbGroup:
 class GroupHom:
     """Homomorphism between presented groups, as a matrix on generators.
 
+    Every map is checked when built: a matrix that does not map relations
+    into relations is rejected, so exactness needs only the composite test
+    and one lift (`is_exact_pair`).
+
     `image_gens()` presents the cokernel, and the map keeps one cokernel
     group, built on first use; the kernel, surjectivity and `lift` read
     that group's Smith decomposition.  The map has one kernel basis and one
@@ -215,22 +219,22 @@ class GroupHom:
     injectivity test factors nothing.
     """
 
-    def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix, check: bool = True):
+    def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix):
         if matrix.rows != target.ngens or matrix.cols != source.ngens:
             raise InputError("homomorphism matrix has wrong shape")
         self.source = source
         self.target = target
         self.matrix = matrix
-        if check and target.relation_coords(matrix @ source.presentation) is None:
+        if target.relation_coords(matrix @ source.presentation) is None:
             raise InputError("matrix does not map relations into relations")
 
     @classmethod
     def identity(cls, group: FgAbGroup) -> "GroupHom":
-        return cls(group, group, IntMatrix.identity(group.ngens), check=False)
+        return cls(group, group, IntMatrix.identity(group.ngens))
 
     @classmethod
     def zero(cls, source: FgAbGroup, target: FgAbGroup) -> "GroupHom":
-        return cls(source, target, IntMatrix.zero(target.ngens, source.ngens), check=False)
+        return cls(source, target, IntMatrix.zero(target.ngens, source.ngens))
 
     def apply(self, el: GroupElement) -> GroupElement:
         if not _same_coords(el.owner, self.source):
@@ -241,16 +245,16 @@ class GroupHom:
         """self o first; endpoint groups must share a presentation."""
         if not _same_coords(first.target, self.source):
             raise InputError("homomorphisms are not composable")
-        return GroupHom(first.source, self.target, self.matrix @ first.matrix, check=False)
+        return GroupHom(first.source, self.target, self.matrix @ first.matrix)
 
     def __add__(self, other: "GroupHom") -> "GroupHom":
         if not (_same_coords(self.source, other.source)
                 and _same_coords(self.target, other.target)):
             raise InputError("homomorphisms have different endpoints")
-        return GroupHom(self.source, self.target, self.matrix + other.matrix, check=False)
+        return GroupHom(self.source, self.target, self.matrix + other.matrix)
 
     def __sub__(self, other: "GroupHom") -> "GroupHom":
-        return self + GroupHom(other.source, other.target, -other.matrix, check=False)
+        return self + GroupHom(other.source, other.target, -other.matrix)
 
     def is_zero(self) -> bool:
         return self.target.relation_coords(self.matrix) is not None
@@ -314,17 +318,14 @@ class GroupHom:
 def is_exact_pair(f: GroupHom, g: GroupHom) -> bool:
     """Exactness of source --f--> middle --g--> target at the middle group.
 
-    Requires g o f = 0; compares image of f and kernel of g as sublattices of
-    the middle group's generator space.  im f lies in ker g when g also maps
-    the middle group's relations to zero, which is solved against g's target
-    as the composite was; ker g lies in im f when f lifts g's kernel basis.
+    Requires g o f = 0, so im f lies in ker g (both maps respect relations,
+    checked when built); ker g lies in im f when f lifts g's kernel basis.
     """
     if not _same_coords(f.target, g.source):
         raise InputError("is_exact_pair: maps are not consecutive")
     if not g.compose(f).is_zero():
         raise InputError("is_exact_pair: composite is not zero")
-    return (g.target.relation_coords(g.matrix @ g.source.presentation) is not None
-            and f.lift(g.kernel_gens) is not None)
+    return f.lift(g.kernel_gens) is not None
 
 
 class DirectSum(FgAbGroup):
@@ -434,7 +435,7 @@ class HomGroup(SubquotientGroup):
         return unvec(amb[:gb * ga], gb, ga)
 
     def to_hom(self, el: GroupElement) -> GroupHom:
-        return GroupHom(self.source, self.target, self.to_matrix(el), check=False)
+        return GroupHom(self.source, self.target, self.to_matrix(el))
 
     def evaluate(self, el: GroupElement, a: GroupElement) -> GroupElement:
         """Evaluation pairing Hom(A, B) x A -> B."""

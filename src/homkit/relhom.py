@@ -158,8 +158,7 @@ def ideal_ext_from_resolution(res: Resolution, b: PeriodicComplex, n: int) -> Fg
         return FgAbGroup.trivial()
     hc0 = homotopy_classes(res.p0, b)
     hc1 = homotopy_classes(res.p1, b)
-    pull = GroupHom(hc0, hc1, hc1.class_coords([g.compose(res.delta1) for g in hc0.generators()]),
-                    check=False)
+    pull = GroupHom(hc0, hc1, hc1.class_coords([g.compose(res.delta1) for g in hc0.generators()]))
     if n == 0:
         return pull.kernel_group()
     return pull.cokernel_group()
@@ -187,7 +186,7 @@ def _natural_map(hc: HomotopyClasses, middle: SubquotientGroup, ha: GradedAbGrou
         if coords is None:
             raise InternalCheckError("natural map: an induced map does not respect relations")
         blocks.append(coords)
-    return GroupHom(middle, hom_part, vstack(*blocks), check=False)
+    return GroupHom(middle, hom_part, vstack(*blocks))
 
 
 @_record

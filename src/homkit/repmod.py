@@ -311,7 +311,7 @@ def _with_coefficients(res: FreeResolutionR, k: int, n: RModule, hom_side: bool)
         source, target = target, source
         entries, lo, hi = [[row[a] for row in entries] for a in range(hi)], hi, lo
     matrix = _z_matrix(entries, lo, hi, _powers(n.t_action, d))
-    return GroupHom(source, target, matrix, check=False)
+    return GroupHom(source, target, matrix)
 
 
 def _z_homology(u: Callable[[], GroupHom], degree: int, homological: bool) -> FgAbGroup:
@@ -357,7 +357,7 @@ def ext_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
                  for e in IntMatrix.identity(hom_group.ngens).columns()])
             if images is None:
                 raise InternalCheckError("t_N phi t_M^-1 does not respect relations")
-            return GroupHom(hom_group, hom_group, images, check=False)
+            return GroupHom(hom_group, hom_group, images)
         return _z_homology(u, degree, homological=False)
     degree = _periodic_degree(degree)
     res = free_resolution_over_r(m, degree + 1)
@@ -383,7 +383,7 @@ def tor_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
     if isinstance(m.ring, LaurentRing):
         def u() -> GroupHom:
             tens = tensor(m, n)
-            return GroupHom(tens, tens, m.t_inverse_matrix().kron(n.t_action), check=False)
+            return GroupHom(tens, tens, m.t_inverse_matrix().kron(n.t_action))
         return _z_homology(u, degree, homological=True)
     degree = _periodic_degree(degree)
     res = free_resolution_over_r(m, degree + 1)
@@ -414,7 +414,7 @@ def hochschild(lam: GroupHom, rho: GroupHom, degree: int,
         raise InputError("lambda and rho must be automorphisms")
     if not (lam.compose(rho) - rho.compose(lam)).is_zero():
         raise InputError("lambda and rho must commute")
-    return _z_homology(lambda: GroupHom(m, m, lam.matrix @ rho.inverse_matrix(), check=False),
+    return _z_homology(lambda: GroupHom(m, m, lam.matrix @ rho.inverse_matrix()),
                        degree, homological=variant == "homology")
 
 
@@ -458,10 +458,9 @@ def pv_sequence(alpha_even: GroupHom, alpha_odd: GroupHom) -> PvReport:
         node = DirectSum((coker, ker))
         into = GroupHom(dm_in.target, node,
                         vstack(IntMatrix.identity(dm_in.target.ngens),
-                               IntMatrix.zero(ker.ngens, dm_in.target.ngens)),
-                        check=False)
+                               IntMatrix.zero(ker.ngens, dm_in.target.ngens)))
         out_matrix = hstack(IntMatrix.zero(dm_out.source.ngens, coker.ngens), ker.basis)
-        outof = GroupHom(node, dm_out.source, out_matrix, check=False)
+        outof = GroupHom(node, dm_out.source, out_matrix)
         return PvEnds(coker, ker), into, outof
 
     ends1, into1, outof1 = middle(d0, d1)  # M_1 sits between K_0 and K_1

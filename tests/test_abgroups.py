@@ -1,3 +1,4 @@
+import inspect
 import random
 from math import gcd
 
@@ -299,8 +300,14 @@ class TestHomCertificates:
 
 class TestGroupHom:
     def test_relation_check(self):
-        with pytest.raises(InputError):
-            GroupHom(Z2, Z3, IntMatrix.from_rows([[1]]))
+        for target in (Z3, Z):
+            with pytest.raises(InputError,
+                               match="^matrix does not map relations into relations$"):
+                GroupHom(Z2, target, IntMatrix.from_rows([[1]]))
+
+    def test_every_map_is_checked_when_built(self):
+        # No parameter lets a matrix through unchecked.
+        assert list(inspect.signature(GroupHom).parameters) == ["source", "target", "matrix"]
 
     def test_kernel_cokernel(self):
         double = GroupHom(Z4, Z4, IntMatrix.from_rows([[2]]))
@@ -314,7 +321,7 @@ class TestGroupHom:
         aut = GroupHom(g, g, IntMatrix.from_rows([[2, 0], [0, 1]]))
         assert aut.is_isomorphism()
         inv = aut.inverse_matrix()
-        composed = GroupHom(g, g, inv @ aut.matrix, check=False)
+        composed = GroupHom(g, g, inv @ aut.matrix)
         assert (composed - GroupHom.identity(g)).is_zero()
 
     def test_lift_matches_inverse_matrix(self):
@@ -417,9 +424,9 @@ class TestGroupHom:
             assert sq.to_coords(sq.basis @ coords) == coords
             assert len(calls) == 1
             assert sq.basis == lattice_basis(p)
-            source, target = random_group(rng), random_group(rng)
-            f = GroupHom(source, target, random_matrix(rng, target.ngens, source.ngens),
-                         check=False)
+            # From a free group every matrix is a homomorphism.
+            source, target = FgAbGroup.free(rng.randint(0, 4)), random_group(rng)
+            f = GroupHom(source, target, random_matrix(rng, target.ngens, source.ngens))
             assert f.cokernel_group() is f.cokernel_group()
             f.kernel_gens
             calls.clear()
@@ -453,9 +460,9 @@ class TestGroupHom:
         for _ in range(60):
             k = random_group(rng)
             d = GroupHom(k, k, random_automorphism(rng, k)) - GroupHom.identity(k)
-            f = GroupHom(k, k, d.matrix.scale(rng.choice((1, 1, 2))), check=False)
+            f = GroupHom(k, k, d.matrix.scale(rng.choice((1, 1, 2))))
             coker = d.cokernel_group()
-            g = GroupHom(k, coker, IntMatrix.identity(k.ngens), check=False)
+            g = GroupHom(k, coker, IntMatrix.identity(k.ngens))
             g.kernel_gens, f.cokernel_group().smith, g.target.canonical
             calls.clear()
             exact = is_exact_pair(f, g)
@@ -474,9 +481,9 @@ class TestGroupHom:
             if i % 2:
                 h = hom(source, target)
                 f = h.to_hom(h.element([rng.randint(-3, 3) for _ in range(h.ngens)]))
-            else:  # kernels and cokernels of any matrix are lattice questions
-                f = GroupHom(source, target, random_matrix(rng, target.ngens, source.ngens),
-                             check=False)
+            else:  # from a free group every matrix is a homomorphism
+                source = FgAbGroup.free(source.ngens)
+                f = GroupHom(source, target, random_matrix(rng, target.ngens, source.ngens))
             image = f.image_gens()
             assert f.kernel_gens == preimage_gens(f.matrix, target.presentation)
             coker, alone = f.cokernel_group(), FgAbGroup(image)
@@ -490,9 +497,7 @@ class TestGroupHom:
                     IntMatrix(source.ngens, sol.cols, sol.data[:source.ngens])
                 assert f.lift(targets) == expected
                 liftable += sol is not None
-            if i % 2:  # a kernel group needs a homomorphism
-                ker, again = f.kernel(), f.kernel_group()
-                assert ker is again
+            assert f.kernel() is f.kernel_group()
         assert liftable >= 60
 
 

@@ -382,16 +382,16 @@ class TestFailureModes:
 
 class TestEndomorphismInputs:
     def test_each_input_matrix_is_checked_once(self, tmp_path, capsys, monkeypatch):
-        # hh and pv run on the maps the CLI built when it checked each input
-        # matrix against its group, so no matrix is checked a second time.
+        # hh and pv run on the maps the CLI built from the input matrices.
+        # Every construction checks, so each input matrix is built into a
+        # map, and checked against its group, once.
         from homkit import abgroups
         checked = []
         real_init = abgroups.GroupHom.__init__
 
-        def counted_init(self, source, target, matrix, check=True):
-            if check:
-                checked.append(matrix)
-            real_init(self, source, target, matrix, check)
+        def counted_init(self, source, target, matrix):
+            checked.append(matrix)
+            real_init(self, source, target, matrix)
 
         monkeypatch.setattr(abgroups.GroupHom, "__init__", counted_init)
         # On Z/2 + Z (the torsion generator e0 first): lam negates e1, rho

@@ -345,13 +345,12 @@ class TestExtTorQuotient:
                     one_hot = tuple(1 if i == j else 0 for i in range(hom_group.ngens))
                     x = hom_group.to_matrix(hom_group.element(one_hot))
                     cols.append(hom_group.from_matrix(n.t_action @ x - x @ m.t_action).coords)
-                endo = GroupHom(hom_group, hom_group,
-                                IM.from_columns(cols, rows=hom_group.ngens), check=False)
+                endo = GroupHom(hom_group, hom_group, IM.from_columns(cols, rows=hom_group.ngens))
                 assert is_isomorphic(ext_over_r(m, n, 0), endo.kernel_group())
                 tens = tensor(m, n)
                 balance = GroupHom(tens, tens,
                                    m.t_action.kron(IM.identity(n.ngens))
-                                   - IM.identity(m.ngens).kron(n.t_action), check=False)
+                                   - IM.identity(m.ngens).kron(n.t_action))
                 assert is_isomorphic(tor_over_r(m, n, 0), balance.cokernel_group())
 
     def test_higher_degrees_on_random_modules(self):
