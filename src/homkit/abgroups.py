@@ -323,7 +323,7 @@ def is_exact_pair(f: GroupHom, g: GroupHom) -> bool:
     """
     if not _same_coords(f.target, g.source):
         raise InputError("is_exact_pair: maps are not consecutive")
-    if not g.compose(f).is_zero():
+    if g.target.relation_coords(g.matrix @ f.matrix) is None:
         raise InputError("is_exact_pair: composite is not zero")
     return f.lift(g.kernel_gens) is not None
 
@@ -393,7 +393,7 @@ class HomGroup(SubquotientGroup):
         ga, ra = ma_t.cols, ma_t.rows
         gb, rb = mb.rows, mb.cols
         kb = target.smith.kernel_basis()
-        l = hstack(ma_t.kron(IntMatrix.identity(gb)), -(IntMatrix.identity(ra).kron(mb)))
+        l = hstack(ma_t.kron(IntMatrix.identity(gb)), IntMatrix.identity(ra).kron(-mb))
         n1 = vstack(IntMatrix.identity(ga).kron(mb), ma_t.kron(IntMatrix.identity(rb)))
         n2 = vstack(IntMatrix.zero(gb * ga, ra * kb.cols), IntMatrix.identity(ra).kron(kb))
         super().__init__(subquotient(l, hstack(n1, n2)))
@@ -500,6 +500,8 @@ def graded_ext_shifted(a: GradedAbGroup, b: GradedAbGroup) -> DirectSum:
 def homology_of_pair(f: GroupHom, g: GroupHom) -> SubquotientGroup:
     """ker(g)/im(f) at the middle group of source --f--> middle --g--> target;
     its basis columns are coordinates over the middle group's generators."""
-    if not g.compose(f).is_zero():
+    if not _same_coords(f.target, g.source):
+        raise InputError("homomorphisms are not composable")
+    if g.target.relation_coords(g.matrix @ f.matrix) is None:
         raise InputError("homology_of_pair: composite is not zero")
     return SubquotientGroup(lattice_quotient(g.kernel_gens, f.image_gens()))

@@ -19,13 +19,16 @@ so its kernel, surjectivity and lifts read that group's decomposition.
 
 `snf` keeps dense rows and rescans nothing: it reads each pivot off a list
 of the rows' least nonzero |entries|, refreshed only for the rows an
-operation changes, and stops once the remaining block is zero.  The pivot
-rule (minimal |value|, lowest (i, j) on ties) is frozen.  A decomposition
-keeps S and the row and column operations that made it: `solve` replays
-them on the rows of b, and dense U and V are built only when read.  A
-decomposition answers what its factored matrix does; those derived from
-one (of a lattice, kernel or reduced basis) are built by `Subquotient`'s
-three constructors, which alone read the operations.
+operation changes, and each divisibility test off a list of the rows' gcds,
+dropped only for the rows a row operation changes; it stops once the
+remaining block is zero.  A matrix already in Smith form costs one scan and
+comes back with no operations, as the pivot loop would return it.  The
+pivot rule (minimal |value|, lowest (i, j) on ties) is frozen.  A
+decomposition keeps S and the row and column operations that made it:
+`solve` replays them on the rows of b, and dense U and V are built only
+when read.  A decomposition answers what its factored matrix does; those
+derived from one (of a lattice, kernel or reduced basis) are built by
+`Subquotient`'s three constructors, which alone read the operations.
 
 The constructor checks a matrix's shape, as do `from_rows` and
 `from_columns`; matrices built here from matrices that passed it
@@ -417,22 +420,44 @@ def _least_abs(row: list[int]) -> int:
     return min(map(abs, filter(None, row))) if any(row) else 0
 
 
+def _in_smith_form(a: IntMatrix) -> bool:
+    """True iff `a` is diagonal, its diagonal is nonnegative, each nonzero
+    entry divides the next and zeros trail: a scan, stopping at the first
+    row that fails."""
+    cols = a.cols
+    last = 1
+    for i, row in enumerate(a.data):
+        d = row[i] if i < cols else 0
+        if d < 0 or row.count(0) != cols - (d != 0) or (d % last if last else d):
+            return False
+        last = d
+    return True
+
+
 def snf(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form of an integer matrix.
 
     Pivots are chosen by minimal absolute value with lowest-index tie-break
     (the first such entry of s[k:, k:] in row-major order), so the returned
-    decomposition is deterministic.  Rows k and below are zero left of
+    decomposition is deterministic.  A matrix already in Smith form is one
+    on which that rule makes no operation, so it is returned as S with no
+    operations after a scan.  Otherwise rows k and below are zero left of
     column k, so the search reads a list holding each row's least nonzero
     |entry|, refreshed only for the rows an operation changes.  The
-    factorization stops once the remaining block is zero.  S is kept dense;
-    U and V are kept as the row and column operations done.
+    divisibility test reads each row's gcd the same way: computed when the
+    test first reads the row, and dropped only when a row operation changes
+    it (a column operation keeps every row's gcd).  The factorization stops
+    once the remaining block is zero.  S is kept dense; U and V are kept as
+    the row and column operations done.
     """
+    if _in_smith_form(a):
+        return SmithDecomposition(a, (), ())
     rows, cols = a.rows, a.cols
     s = [list(r) for r in a.data]
     row_ops: list[Op] = []
     col_ops: list[Op] = []
     least = list(map(_least_abs, s))  # least[i]: row i's least nonzero |entry|
+    gcds: list[Optional[int]] = [None] * rows  # gcds[i]: gcd of row i, once read
 
     def add_row(dst, src, c):
         # row_dst += c * row_src
@@ -440,6 +465,7 @@ def snf(a: IntMatrix) -> SmithDecomposition:
         sd[k:] = [x + c * y for x, y in zip(sd[k:], s[src][k:])]
         row_ops.append((dst, src, c))
         least[dst] = _least_abs(sd)
+        gcds[dst] = None
 
     for k in range(min(rows, cols)):
         while True:
@@ -456,6 +482,7 @@ def snf(a: IntMatrix) -> SmithDecomposition:
                 s[i], s[k] = s[k], si
                 row_ops.append((i, k, 0))
                 least[i], least[k] = least[k], p
+                gcds[i], gcds[k] = gcds[k], gcds[i]
             if j != k:
                 for r in s[k:]:  # rows above k are zero in columns k and j
                     r[j], r[k] = r[k], r[j]
@@ -487,7 +514,10 @@ def snf(a: IntMatrix) -> SmithDecomposition:
             # Row/column k are clear; enforce divisibility of the remaining
             # block: the first row holding an entry that p does not divide.
             for i in range(k + 1, rows):
-                if gcd(*s[i]) % p:
+                g = gcds[i]
+                if g is None:
+                    g = gcds[i] = gcd(*s[i])
+                if g % p:
                     add_row(k, i, 1)
                     break
             else:

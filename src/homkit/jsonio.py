@@ -10,7 +10,8 @@ limit, without changing that process-wide limit.
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from typing import Any, Callable
 
 from .errors import InputError
 from .abgroups import FgAbGroup, GradedAbGroup

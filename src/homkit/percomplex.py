@@ -183,8 +183,8 @@ class HomotopyClasses(SubquotientGroup):
         ib0, ib1 = IntMatrix.identity(b.even_rank), IntMatrix.identity(b.odd_rank)
         # Constraint rows: D_B f0 - f1 D_A = 0 and E_B f1 - f0 E_A = 0.
         l = block([
-            [ia0.kron(b.d), -(a.d.transpose().kron(ib1))],
-            [-(a.e.transpose().kron(ib0)), ia1.kron(b.e)],
+            [ia0.kron(b.d), (-a.d.transpose()).kron(ib1)],
+            [(-a.e.transpose()).kron(ib0), ia1.kron(b.e)],
         ])
         n = block([
             [ia0.kron(b.e), a.d.transpose().kron(ib0)],
@@ -291,11 +291,11 @@ def tensor_complex(a: PeriodicComplex, b: PeriodicComplex) -> PeriodicComplex:
     ib0, ib1 = IntMatrix.identity(b.even_rank), IntMatrix.identity(b.odd_rank)
     d = block([
         [ia0.kron(b.d), a.e.kron(ib1)],
-        [a.d.kron(ib0), -(ia1.kron(b.e))],
+        [a.d.kron(ib0), ia1.kron(-b.e)],
     ])
     e = block([
         [ia0.kron(b.e), a.e.kron(ib0)],
-        [a.d.kron(ib1), -(ia1.kron(b.d))],
+        [a.d.kron(ib1), ia1.kron(-b.d)],
     ])
     return PeriodicComplex(a.even_rank * b.even_rank + a.odd_rank * b.odd_rank,
                            a.even_rank * b.odd_rank + a.odd_rank * b.even_rank, d, e)

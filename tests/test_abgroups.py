@@ -441,6 +441,14 @@ class TestGroupHom:
         assert is_exact_pair(incl, proj)
         not_exact = GroupHom(Z, Z, IntMatrix.from_rows([[4]]))
         assert not is_exact_pair(not_exact, proj)
+        # Maps that are not consecutive, or whose composite is not zero.
+        with pytest.raises(InputError, match="not consecutive"):
+            is_exact_pair(proj, incl)
+        with pytest.raises(InputError, match="not composable"):
+            homology_of_pair(proj, incl)
+        for test in (is_exact_pair, homology_of_pair):
+            with pytest.raises(InputError, match="composite is not zero"):
+                test(GroupHom.identity(Z), proj)
 
     def test_exact_pair_reads_what_the_maps_hold(self, monkeypatch):
         # PV-style pairs K --c(alpha - 1)--> K -> coker(alpha - 1): once each

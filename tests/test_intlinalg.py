@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -197,6 +198,52 @@ class TestSnf:
         for a in early_stop_and_gcd_cases(random.Random(77)):
             dec = snf(a)
             assert (dec.u, dec.s, dec.v) == snf_reference(a), a
+
+    def test_smith_form_inputs_come_back_with_no_operations(self):
+        # The frozen pivot rule makes no operation on a matrix already in
+        # Smith form, so snf returns it as S with empty logs.
+        mats = [FgAbGroup.from_invariants(rank, torsion).presentation
+                for rank in (0, 1, 3) for torsion in ((), (2,), (2, 4), (3, 3, 6), (2, 2, 12))]
+        mats += [IntMatrix.zero(*shape) for shape in ((0, 0), (0, 3), (3, 0), (1, 1), (2, 5))]
+        mats += [IntMatrix.identity(n) for n in (1, 4)]
+        mats += [IntMatrix.diagonal((n,) * k, rows=k, cols=k) for n in (2, 5) for k in (1, 4)]
+        mats += [IntMatrix.diagonal((1, 2, 6, 0), rows=rows, cols=cols)
+                 for rows, cols in ((4, 4), (6, 4), (4, 7))]
+        mats += [IntMatrix.diagonal((3, 3, 0), rows=5, cols=3)]
+        for a in mats:
+            dec = snf(a)
+            assert dec.s == a and dec.row_ops == () and dec.col_ops == (), a
+            ident_u, ident_v = IntMatrix.identity(a.rows), IntMatrix.identity(a.cols)
+            assert snf_reference(a) == (ident_u, a, ident_v), a
+
+    def test_near_smith_form_inputs_match_reference_pivots(self):
+        # One step from Smith form: out of divisibility order, a zero before
+        # a nonzero, a negative entry, coprime entries, one off-diagonal entry.
+        mats = [IntMatrix.diagonal(d, rows=2, cols=2) for d in ((3, 2), (0, 2), (-2, 4), (2, 3))]
+        mats += [IntMatrix.from_rows([[2, 0, 0], [0, 4, 2], [0, 0, 8]]),
+                 IntMatrix.from_rows([[1, 0], [0, 3], [5, 0]]),
+                 IntMatrix.from_rows([[2, 0, 0], [0, 4, 6]])]
+        for a in mats:
+            dec = snf(a)
+            assert (dec.u, dec.s, dec.v) == snf_reference(a), a
+            assert dec.row_ops or dec.col_ops, a
+
+    def test_divisibility_test_reads_each_row_gcd_until_a_row_operation(self, monkeypatch):
+        # A 30 x 30 anti-diagonal of 2s needs a column swap per pivot and a
+        # divisibility test over every row below it; recomputing row gcds
+        # for each test costs 435 calls, reading them once costs 29.
+        calls = []
+
+        def counting_gcd(*xs):
+            calls.append(None)
+            return math.gcd(*xs)
+
+        n = 30
+        a = IntMatrix.from_rows([[2 if i + j == n - 1 else 0 for j in range(n)] for i in range(n)])
+        monkeypatch.setattr(intlinalg, "gcd", counting_gcd)
+        dec = snf(a)
+        assert dec.diagonal == (2,) * n
+        assert len(calls) <= a.rows + len(dec.row_ops), len(calls)
 
     def test_replayed_solve_matches_the_dense_formula(self, monkeypatch):
         # On the three reference-pivot ensembles, solving by replaying the
