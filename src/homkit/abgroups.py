@@ -37,7 +37,9 @@ from .intlinalg import (
     snf,
     subquotient,
     unvec,
+    unvec_columns,
     vec,
+    vec_columns,
     vstack,
 )
 
@@ -120,9 +122,6 @@ class FgAbGroup:
         if len(coords) != self.ngens:
             raise InputError("coordinate vector has wrong length")
         return GroupElement(self, coords)
-
-    def zero(self) -> "GroupElement":
-        return GroupElement(self, (0,) * self.ngens)
 
     def coords_are_zero(self, coords: Sequence[int]) -> bool:
         return self.relation_coords(IntMatrix.column_vector(coords)) is not None
@@ -235,11 +234,6 @@ class GroupHom:
     @classmethod
     def zero(cls, source: FgAbGroup, target: FgAbGroup) -> "GroupHom":
         return cls(source, target, IntMatrix.zero(target.ngens, source.ngens))
-
-    def apply(self, el: GroupElement) -> GroupElement:
-        if not _same_coords(el.owner, self.source):
-            raise InputError("element does not belong to the source group")
-        return self.target.element(self.matrix.apply(el.coords))
 
     def compose(self, first: "GroupHom") -> "GroupHom":
         """self o first; endpoint groups must share a presentation."""
@@ -379,7 +373,8 @@ class SubquotientGroup(FgAbGroup):
 
 
 class HomGroup(SubquotientGroup):
-    """Hom(A, B) with per-class matrix certificates and evaluation pairing.
+    """Hom(A, B) with per-class matrix certificates: `to_matrix` gives a
+    class's matrix on generators, and `from_matrix` the class of a matrix.
 
     Classes are stored over pairs (X, Y) with X @ M_A = M_B @ Y, where M_A,
     M_B are the presentations, vectorized as vec(X) + vec(Y), modulo the
@@ -393,7 +388,8 @@ class HomGroup(SubquotientGroup):
         ga, ra = ma_t.cols, ma_t.rows
         gb, rb = mb.rows, mb.cols
         kb = target.smith.kernel_basis()
-        l = hstack(ma_t.kron(IntMatrix.identity(gb)), IntMatrix.identity(ra).kron(-mb))
+        self._relation_images = ma_t.kron(IntMatrix.identity(gb))  # vec(X) -> vec(X @ M_A)
+        l = hstack(self._relation_images, IntMatrix.identity(ra).kron(-mb))
         n1 = vstack(IntMatrix.identity(ga).kron(mb), ma_t.kron(IntMatrix.identity(rb)))
         n2 = vstack(IntMatrix.zero(gb * ga, ra * kb.cols), IntMatrix.identity(ra).kron(kb))
         super().__init__(subquotient(l, hstack(n1, n2)))
@@ -402,44 +398,36 @@ class HomGroup(SubquotientGroup):
 
     def from_matrix(self, x: IntMatrix) -> GroupElement:
         """Class of the homomorphism sending generator j of A to column j of x."""
-        coords = self.from_matrices([x])
+        if x.rows != self.target.ngens or x.cols != self.source.ngens:
+            raise InputError("homomorphism matrix has wrong shape")
+        coords = self.from_matrices(IntMatrix.column_vector(vec(x)))
         if coords is None:
             raise InputError("matrix does not define a homomorphism")
         return self.element(coords.column(0))
 
-    def from_matrices(self, xs: Sequence[IntMatrix]) -> Optional[IntMatrix]:
-        """Coordinates of the classes of the maps with matrices xs, one column
-        each, or None if some x does not map relations into relations.
+    def from_matrices(self, xs: IntMatrix) -> Optional[IntMatrix]:
+        """Coordinates of the classes of the maps X whose vectorizations
+        vec(X) are the columns of xs, one column each, or None if some X
+        does not map relations into relations.
 
-        One solve finds every Y with x @ M_A = M_B @ Y, which is also the
-        check that x is a homomorphism, and one more the coordinates of all
-        the pairs (x, Y).
+        One product by (M_A^T kron I) gives every vec(X @ M_A); one solve
+        in B finds every Y with X @ M_A = M_B @ Y, which is the check that
+        each X is a homomorphism, and one more the coordinates of all the
+        pairs (X, Y), vectorized as this group's basis is.
         """
-        gb, ga = self.target.ngens, self.source.ngens
-        if any(x.rows != gb or x.cols != ga for x in xs):
+        if xs.rows != self._relation_images.cols:
             raise InputError("homomorphism matrix has wrong shape")
-        if not xs:
-            return IntMatrix.zero(self.ngens, 0)
-        ma = self.source.presentation
-        ys = self.target.relation_coords(hstack(*(x @ ma for x in xs)))
+        r = self.source.presentation.cols
+        ys = self.target.relation_coords(
+            unvec_columns(self._relation_images @ xs, self.target.ngens, r))
         if ys is None:
             return None
-        r = ma.cols  # Y_g is columns g*r .. (g+1)*r - 1 of ys
-        return self.to_coords(IntMatrix.from_columns(
-            [vec(x) + vec(ys[:, g * r:(g + 1) * r]) for g, x in enumerate(xs)],
-            rows=self.basis.rows))
+        return self.to_coords(vstack(xs, vec_columns(ys, r, xs.cols)))
 
     def to_matrix(self, el: GroupElement) -> IntMatrix:
         amb = self.ambient(el)
         gb, ga = self.target.ngens, self.source.ngens
         return unvec(amb[:gb * ga], gb, ga)
-
-    def to_hom(self, el: GroupElement) -> GroupHom:
-        return GroupHom(self.source, self.target, self.to_matrix(el))
-
-    def evaluate(self, el: GroupElement, a: GroupElement) -> GroupElement:
-        """Evaluation pairing Hom(A, B) x A -> B."""
-        return self.to_hom(el).apply(a)
 
 
 class Ext1Group(FgAbGroup):
@@ -468,7 +456,7 @@ class Ext1Group(FgAbGroup):
 class Tor1Group(HomGroup):
     """Tor_1(A, B) = Hom(Â, B) for Â = coker(R^T) = Ext^1(A, Z), where R is
     A's relation basis: both are the kernel of R ⊗ 1_B.  So `source` is Â,
-    and a class is zero exactly when its map Â -> B (`to_hom`) is."""
+    and a class is zero exactly when its map Â -> B (`to_matrix`) is."""
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup):
         super().__init__(FgAbGroup(source.relation_basis[0].transpose()), target)

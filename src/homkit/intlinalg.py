@@ -302,6 +302,27 @@ def unvec(v: Sequence[int], rows: int, cols: int) -> IntMatrix:
         tuple(v[j * rows + i] for j in range(cols)) for i in range(rows)))
 
 
+def vec_columns(m: IntMatrix, cols: int, count: int) -> IntMatrix:
+    """For m = [X_1 | ... | X_count], blocks `cols` wide, the matrix whose
+    column g is vec(X_g).  Both are given, since neither follows from m
+    when the other is 0: m has no columns for blocks of width 0, however
+    many, nor for no blocks, however wide."""
+    if m.cols != cols * count:
+        raise InputError("vec_columns: columns do not split into the blocks")
+    rows = m.data
+    return _matrix(m.rows * cols, count, tuple(row[j::cols] for j in range(cols) for row in rows))
+
+
+def unvec_columns(m: IntMatrix, rows: int, cols: int) -> IntMatrix:
+    """[unvec(column 1) | ... | unvec(column g)], each block rows x cols: the
+    inverse of `vec_columns`, so vec(X Z) for every X at once is one product
+    by (Z^T kron I) between the two."""
+    if m.rows != rows * cols:
+        raise InputError("unvec_columns: length mismatch")
+    return _matrix(rows, cols * m.cols, tuple(
+        tuple(x for column in zip(*m.data[i::rows]) for x in column) for i in range(rows)))
+
+
 Op = tuple[int, int, int]
 
 

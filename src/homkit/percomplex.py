@@ -32,7 +32,9 @@ from .intlinalg import (
     hstack,
     subquotient,
     unvec,
+    unvec_columns,
     vec,
+    vec_columns,
     vstack,
 )
 
@@ -58,10 +60,6 @@ class PeriodicComplex:
     def zero_diff(cls, even_rank: int, odd_rank: int) -> "PeriodicComplex":
         return cls(even_rank, odd_rank,
                    IntMatrix.zero(odd_rank, even_rank), IntMatrix.zero(even_rank, odd_rank))
-
-    @classmethod
-    def zero(cls) -> "PeriodicComplex":
-        return cls.zero_diff(0, 0)
 
 
 def direct_sum(a: PeriodicComplex, b: PeriodicComplex) -> PeriodicComplex:
@@ -90,11 +88,6 @@ class ChainMap:
     @classmethod
     def identity(cls, x: PeriodicComplex) -> "ChainMap":
         return cls(x, x, IntMatrix.identity(x.even_rank), IntMatrix.identity(x.odd_rank))
-
-    @classmethod
-    def zero(cls, a: PeriodicComplex, b: PeriodicComplex) -> "ChainMap":
-        return cls(a, b, IntMatrix.zero(b.even_rank, a.even_rank),
-                   IntMatrix.zero(b.odd_rank, a.odd_rank))
 
     def compose(self, first: "ChainMap") -> "ChainMap":
         """self o first."""
@@ -216,14 +209,27 @@ class HomotopyClasses(SubquotientGroup):
         amb = self.ambient(el)
         return ChainMap(self.source, self.target, self._component(amb, 0), self._component(amb, 1))
 
+    def precompose(self, maps: IntMatrix, degree: int, z: IntMatrix) -> IntMatrix:
+        """vec(F Z) for the degree-`degree` component F of each column of
+        `maps`, a vectorized chain map A -> B (such as a basis column of
+        [A, B]): since vec(F Z) = (Z^T kron I) vec(F), one product by that
+        matrix on the degree's rows of `maps`, however many columns."""
+        if degree == 0:
+            components, nb = maps[:self._split, :], self.target.even_rank
+        else:
+            components, nb = maps[self._split:, :], self.target.odd_rank
+        return z.transpose().kron(IntMatrix.identity(nb)) @ components
+
     def induced_matrices(self, maps: IntMatrix, degree: int, ha: SubquotientGroup,
-                         hb: SubquotientGroup) -> list[IntMatrix]:
-        """For each column of `maps`, a vectorized chain map A -> B (such as
-        a basis column of [A, B]), the matrix of the map it induces from
-        ha = H_degree(A) to hb = H_degree(B), as `induced_map` writes it; one
-        solve for all."""
-        return _induced_matrices([self._component(g, degree)
-                                  for g in maps.columns()], ha, hb)
+                         hb: SubquotientGroup) -> IntMatrix:
+        """For the columns of `maps`, vectorized chain maps A -> B (such as
+        the basis of [A, B]), the maps they induce from ha = H_degree(A) to
+        hb = H_degree(B), as `induced_map` writes them, vectorized: column g
+        is vec(X_g).  One product (`precompose`) takes every map's component
+        to its images of ha's cycles, and one solve in hb, which fails on
+        any image that is not a cycle, finds all of X."""
+        images = unvec_columns(self.precompose(maps, degree, ha.basis), hb.basis.rows, ha.ngens)
+        return vec_columns(hb.to_coords(images), ha.ngens, maps.cols)
 
     def is_null_homotopic(self, f: ChainMap) -> bool:
         return self.class_of(f).is_zero()
@@ -257,22 +263,11 @@ class GradedGroupHom:
         return self.even.is_surjective() and self.odd.is_surjective()
 
 
-def _induced_matrices(mats: Sequence[IntMatrix], ha: SubquotientGroup,
-                      hb: SubquotientGroup) -> list[IntMatrix]:
-    """Homology coordinates of the maps ha -> hb induced by the chain-level
-    components `mats` of one degree, found by one solve side by side."""
-    if not mats:
-        return []
-    x = hb.to_coords(hstack(*(m @ ha.basis for m in mats)))
-    k = ha.ngens
-    return [x[:, g * k:(g + 1) * k] for g in range(len(mats))]
-
-
 def induced_map(f: ChainMap, ha: GradedAbGroup, hb: GradedAbGroup) -> GradedGroupHom:
     """The graded map ha -> hb induced by f, for ha = H(f.source) and
     hb = H(f.target) with cycle representatives as basis columns (as
     `homology` builds them); independent of homotopy."""
-    return GradedGroupHom(*(GroupHom(sa, sb, _induced_matrices([m], sa, sb)[0])
+    return GradedGroupHom(*(GroupHom(sa, sb, sb.to_coords(m @ sa.basis))
                             for m, sa, sb in ((f.f0, ha.even, hb.even), (f.f1, ha.odd, hb.odd))))
 
 

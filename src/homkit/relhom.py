@@ -158,7 +158,11 @@ def ideal_ext_from_resolution(res: Resolution, b: PeriodicComplex, n: int) -> Fg
         return FgAbGroup.trivial()
     hc0 = homotopy_classes(res.p0, b)
     hc1 = homotopy_classes(res.p1, b)
-    pull = GroupHom(hc0, hc1, hc1.class_coords([g.compose(res.delta1) for g in hc0.generators()]))
+    # Every generator of [P0, B] composed with delta1, one product per
+    # degree; the solve in [P1, B] fails on any column that is not a chain map.
+    composites = vstack(hc0.precompose(hc0.basis, 0, res.delta1.f0),
+                        hc0.precompose(hc0.basis, 1, res.delta1.f1))
+    pull = GroupHom(hc0, hc1, hc1.to_coords(composites))
     if n == 0:
         return pull.kernel_group()
     return pull.cokernel_group()
@@ -172,11 +176,14 @@ def _natural_map(hc: HomotopyClasses, middle: SubquotientGroup, ha: GradedAbGrou
     whose basis columns are cycles; its source is `middle` and its target
     the Hom part, a `DirectSum` of `HomGroup`s.
 
-    In each degree, `induced_matrices` gives the matrices X_g of the maps
-    H(A) -> H(B) induced by every generator g in one solve;
-    `from_matrices` checks that each X_g respects relations and finds the
-    classes of all of them in Hom.  The columns are those of the
-    class-by-class `induced_map` and `from_matrix`.
+    In each degree, `induced_matrices` takes the whole basis of `middle`,
+    vectorized chain maps, to the vectorized matrices X_g of the maps
+    H(A) -> H(B) that the generators induce, by one Kronecker product and
+    one solve in H(B); `from_matrices` takes those columns to their classes
+    in Hom by one product and two solves.  The solves are the checks: the
+    first fails on an image that is not a cycle and the second on an X_g
+    that does not respect relations.  No step runs per generator, and the
+    columns are those of the class-by-class `induced_map` and `from_matrix`.
     """
     hom_part = graded_hom(ha, hb)
     blocks = []

@@ -351,10 +351,11 @@ def ext_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
         raise InputError("modules live over different rings")
     if isinstance(m.ring, LaurentRing):
         def u() -> GroupHom:
-            hom_group, tm_inv = hom(m, n), m.t_inverse_matrix()
-            images = hom_group.from_matrices(
-                [n.t_action @ hom_group.to_matrix(hom_group.element(e)) @ tm_inv
-                 for e in IntMatrix.identity(hom_group.ngens).columns()])
+            # vec(t_N X t_M^-1) = ((t_M^-1)^T kron t_N) vec(X), on the vec(X)
+            # rows of every generator of Hom at once.
+            hom_group = hom(m, n)
+            twist = m.t_inverse_matrix().transpose().kron(n.t_action)
+            images = hom_group.from_matrices(twist @ hom_group.basis[:twist.cols, :])
             if images is None:
                 raise InternalCheckError("t_N phi t_M^-1 does not respect relations")
             return GroupHom(hom_group, hom_group, images)

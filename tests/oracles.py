@@ -16,7 +16,11 @@ for exact comparison of U, S and V; likewise `columns_reference`,
 package's comprehension definitions of those matrix operations, kept to
 pin their zero-dimension shapes.  `natural_map_by_generators` builds
 the UCT natural map class by class, the way the package did before it
-built it in one pass per degree.  `cone_triangle_is_exact` reads the
+built it in one pass per degree; `ideal_ext_by_generators` and
+`laurent_ext_by_generators` build the pullback along delta1 and the
+Laurent twist t_N X t_M^-1 on one generator's map at a time, the way the
+package did before it applied them to a whole basis matrix by a
+Kronecker product.  `cone_triangle_is_exact` reads the
 package's own triangle homology maps and only checks exactness at each
 node.
 """
@@ -28,7 +32,7 @@ from itertools import combinations
 from math import gcd
 from typing import Optional
 
-from homkit.abgroups import graded_hom, is_exact_pair
+from homkit.abgroups import FgAbGroup, GroupHom, HomGroup, graded_hom, hom, is_exact_pair
 from homkit.intlinalg import (
     IntMatrix,
     kernel_basis,
@@ -38,7 +42,7 @@ from homkit.intlinalg import (
     vec,
 )
 from homkit.percomplex import ChainMap, PeriodicComplex, homology, homotopy_classes
-from homkit.relhom import triangle_homology_maps
+from homkit.relhom import Resolution, triangle_homology_maps
 from homkit.repmod import FreeResolutionR, RModule
 
 
@@ -423,6 +427,13 @@ def solve_dense(u: IntMatrix, s: IntMatrix, v: IntMatrix, b: IntMatrix) -> Optio
     return v @ IntMatrix(v.rows, b.cols, tuple(y))
 
 
+def _hom_class(part: HomGroup, x: IntMatrix) -> tuple[int, ...]:
+    """Coordinates in `part` of the map with matrix x, from the relation
+    solve x @ M_A = M_B @ y for that one map."""
+    y = part.target.relation_coords(x @ part.source.presentation)
+    return part.to_coords(IntMatrix.column_vector(vec(x) + vec(y))).column(0)
+
+
 def natural_map_by_generators(a: PeriodicComplex, b: PeriodicComplex) -> IntMatrix:
     """Matrix of [A, B] -> gradedHom(H A, H B), class by class: each
     generator's chain map, the cycle coordinates x of its image of each
@@ -434,11 +445,31 @@ def natural_map_by_generators(a: PeriodicComplex, b: PeriodicComplex) -> IntMatr
     for gen in hc.generators():
         coords: tuple[int, ...] = ()
         for part, f in zip(hom_part.parts, (gen.f0, gen.f1)):
-            x = part.target.to_coords(f @ part.source.basis)
-            y = part.target.relation_coords(x @ part.source.presentation)
-            coords += part.to_coords(IntMatrix.column_vector(vec(x) + vec(y))).column(0)
+            coords += _hom_class(part, part.target.to_coords(f @ part.source.basis))
         cols.append(coords)
     return IntMatrix.from_columns(cols, rows=hom_part.ngens)
+
+
+def ideal_ext_by_generators(res: Resolution, b: PeriodicComplex, n: int) -> FgAbGroup:
+    """Cohomology of [P0, B] -> [P1, B] at position n in {0, 1}, with the
+    pullback built generator by generator: each generator's chain map
+    composed with delta1 as a checked `ChainMap`, then the classes of all
+    the composites."""
+    hc0, hc1 = homotopy_classes(res.p0, b), homotopy_classes(res.p1, b)
+    pull = GroupHom(hc0, hc1, hc1.class_coords([g.compose(res.delta1) for g in hc0.generators()]))
+    return pull.kernel_group() if n == 0 else pull.cokernel_group()
+
+
+def laurent_ext_by_generators(m: RModule, n: RModule, degree: int) -> FgAbGroup:
+    """Laurent Ext^degree, degree in {0, 1}: ker and coker of u - 1 for
+    u: X -> t_N X t_M^-1 on Hom_Z(M, N), with u built one generator's
+    matrix at a time."""
+    hom_group, tm_inv = hom(m, n), m.t_inverse_matrix()
+    cols = [_hom_class(hom_group, n.t_action @ hom_group.to_matrix(hom_group.element(e)) @ tm_inv)
+            for e in IntMatrix.identity(hom_group.ngens).columns()]
+    u = GroupHom(hom_group, hom_group, IntMatrix.from_columns(cols, rows=hom_group.ngens))
+    u_minus_1 = u - GroupHom.identity(hom_group)
+    return u_minus_1.kernel_group() if degree == 0 else u_minus_1.cokernel_group()
 
 
 

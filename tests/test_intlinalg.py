@@ -29,6 +29,10 @@ from homkit.intlinalg import (
     solve_matrix,
     Subquotient,
     subquotient,
+    unvec,
+    unvec_columns,
+    vec,
+    vec_columns,
     vstack,
 )
 from homkit.percomplex import direct_sum, homotopy_classes
@@ -637,6 +641,28 @@ class TestIntMatrix:
         with pytest.raises(InputError):
             IntMatrix.from_columns([(1,), (2, 3)])
         assert IntMatrix.from_columns([(1, 2), (3, 4)], rows=2).data == ((1, 3), (2, 4))
+
+    def test_vec_columns_vectorize_each_block(self):
+        # [X_1 | ... | X_g] <-> the columns vec(X_1), ..., vec(X_g), with
+        # blocks of every shape that has a 0 in it, and vec(X Z) for all X
+        # at once is one product by (Z^T kron I) between the two.
+        rng = random.Random(151)
+        for rows, cols, count in [(0, 0, 0), (0, 2, 3), (2, 0, 3), (2, 3, 0), (0, 0, 2),
+                                  (1, 1, 1), (3, 2, 4)]:
+            blocks = [random_matrix(rng, rows, cols, 5) for _ in range(count)]
+            side = hstack(IntMatrix.zero(rows, 0), *blocks)
+            columns = vec_columns(side, cols, count)
+            assert columns == IntMatrix.from_columns([vec(x) for x in blocks], rows=rows * cols)
+            assert unvec_columns(columns, rows, cols) == side
+            assert [unvec(c, rows, cols) for c in columns.columns()] == blocks
+            z = random_matrix(rng, cols, 2, 3)
+            assert (z.transpose().kron(IntMatrix.identity(rows)) @ columns
+                    == vec_columns(hstack(IntMatrix.zero(rows, 0), *(x @ z for x in blocks)), 2,
+                                   count))
+        with pytest.raises(InputError):
+            vec_columns(IntMatrix.zero(2, 5), 2, 2)
+        with pytest.raises(InputError):
+            unvec_columns(IntMatrix.zero(5, 1), 2, 2)
 
     def test_slices_pick_blocks(self):
         rng = random.Random(149)

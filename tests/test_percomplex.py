@@ -6,7 +6,7 @@ import pytest
 from homkit.cli import main
 from homkit.errors import InputError
 from homkit.abgroups import FgAbGroup, GradedAbGroup, SubquotientGroup
-from homkit.intlinalg import IntMatrix
+from homkit.intlinalg import IntMatrix, vec
 from homkit.jsonio import complex_to_json, group_from_json
 from homkit.percomplex import (
     ChainMap,
@@ -143,7 +143,8 @@ class TestSuspension:
 class TestMappingCone:
     def test_cone_of_zero_splits(self):
         m3 = moore_complex(GradedAbGroup(Z3, TRIV))
-        cone, _, _ = mapping_cone(ChainMap.zero(M2, m3))
+        cone, _, _ = mapping_cone(ChainMap(M2, m3, IntMatrix.zero(m3.even_rank, M2.even_rank),
+                                           IntMatrix.zero(m3.odd_rank, M2.odd_rank)))
         expected = direct_sum(m3, suspension(M2))
         assert homology(cone).is_isomorphic_to(homology(expected))
 
@@ -281,8 +282,9 @@ class TestInducedOnHomology:
             assert (df.even - dg.even).is_zero() and (df.odd - dg.odd).is_zero()
 
     def test_induced_matrices_match_generators(self):
-        # The one-solve matrices of all generators are those that
-        # induced_map gives for each generator's representative.
+        # The vectorized matrices of all generators, from one product and
+        # one solve, are those that induced_map gives for each generator's
+        # representative.
         rng = random.Random(43)
         for i in range(30):
             a = random_complex(rng, 3)
@@ -291,8 +293,10 @@ class TestInducedOnHomology:
             hc = homotopy_classes(a, b)
             ha, hb = homology(a), homology(b)
             maps = [induced_map(g, ha, hb) for g in hc.generators()]
-            assert hc.induced_matrices(hc.basis, 0, ha.even, hb.even) == [m.even.matrix for m in maps]
-            assert hc.induced_matrices(hc.basis, 1, ha.odd, hb.odd) == [m.odd.matrix for m in maps]
+            assert hc.induced_matrices(hc.basis, 0, ha.even, hb.even) == IntMatrix.from_columns(
+                [vec(m.even.matrix) for m in maps], rows=hb.even.ngens * ha.even.ngens)
+            assert hc.induced_matrices(hc.basis, 1, ha.odd, hb.odd) == IntMatrix.from_columns(
+                [vec(m.odd.matrix) for m in maps], rows=hb.odd.ngens * ha.odd.ngens)
 
 
 class TestTensorComplex:

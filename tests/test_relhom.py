@@ -27,7 +27,7 @@ from homkit.percomplex import (
     moore_complex,
     suspension,
 )
-from homkit.randgen import random_chain_map, random_complex
+from homkit.randgen import random_acyclic_complex, random_chain_map, random_complex
 from homkit.relhom import (
     Resolution,
     classify,
@@ -42,7 +42,7 @@ from homkit.relhom import (
     uct_sequence,
 )
 
-from .oracles import cone_triangle_is_exact, natural_map_by_generators
+from .oracles import cone_triangle_is_exact, ideal_ext_by_generators, natural_map_by_generators
 
 Z2 = FgAbGroup.cyclic(2)
 Z3 = FgAbGroup.cyclic(3)
@@ -64,8 +64,43 @@ def _reduced_hom_coords(old: DirectSum, new: DirectSum) -> IntMatrix:
         into_ha = ha.to_coords(ra.basis)
         xs = [rb.to_coords(hb.basis @ old_part.to_matrix(old_part.element(e)) @ into_ha)
               for e in IntMatrix.identity(old_part.ngens).columns()]
-        blocks.append(new_part.from_matrices(xs))
+        blocks.append(new_part.from_matrices(IntMatrix.from_columns(
+            [vec(x) for x in xs], rows=rb.ngens * ra.ngens)))
     return block_diag(*blocks)
+
+
+def zero_map(a: PeriodicComplex, b: PeriodicComplex) -> ChainMap:
+    return ChainMap(a, b, IntMatrix.zero(b.even_rank, a.even_rank),
+                    IntMatrix.zero(b.odd_rank, a.odd_rank))
+
+
+def _check_natural_map(a: PeriodicComplex, b: PeriodicComplex):
+    """Assert that phantom_subgroup's natural map is the class-by-class
+    oracle's entry for entry and that uct_sequence's is its conjugate by
+    the reductions; return the UCT report."""
+    oracle = natural_map_by_generators(a, b)
+    direct = phantom_subgroup(a, b).natural
+    assert direct.matrix == oracle
+    r = uct_sequence(a, b)
+    expected = (_reduced_hom_coords(direct.target, r.hom_part) @ oracle
+                @ direct.source.to_coords(r.middle.basis))
+    assert GroupHom(r.middle, r.hom_part, r.natural.matrix - expected).is_zero()
+    return r
+
+
+def _natural_map_pairs():
+    """(reduced generator count, A, B) for a pair whose reduced [A, B]
+    has 5 generators and for one with at least 30."""
+    rng = random.Random(8_117)
+    found = {}
+    while len(found) < 2:
+        a, b = (direct_sum(direct_sum(random_complex(rng), random_complex(rng)),
+                           random_complex(rng)) for _ in range(2))
+        n = homotopy_classes(a, b).reduced().ngens
+        key = "small" if n == 5 else "large" if n >= 30 else None
+        if key and key not in found:
+            found[key] = (n, a, b)
+    return [found["small"], found["large"]]
 
 
 def lattices_equal(a, b):
@@ -78,7 +113,7 @@ def doubling():
 
 class TestPhantomAndClassify:
     def test_zero_map_is_phantom(self):
-        assert classify(ChainMap.zero(M2, M2)).phantom
+        assert classify(zero_map(M2, M2)).phantom
 
     def test_identity_not_phantom(self):
         assert not classify(ChainMap.identity(M2)).phantom
@@ -100,46 +135,46 @@ class TestPhantomAndClassify:
         assert classify(ChainMap.identity(M2)).equivalence
 
     def test_map_from_zero_complex_is_monic(self):
-        zero = PeriodicComplex.zero()
-        assert classify(ChainMap.zero(zero, M2)).monic
+        zero = PeriodicComplex.zero_diff(0, 0)
+        assert classify(zero_map(zero, M2)).monic
 
 
 class TestIExact:
     def test_identity_sequence(self):
-        zero = PeriodicComplex.zero()
+        zero = PeriodicComplex.zero_diff(0, 0)
         objs = [zero, M2, M2, zero]
-        maps = [ChainMap.zero(zero, M2), ChainMap.identity(M2), ChainMap.zero(M2, zero)]
+        maps = [zero_map(zero, M2), ChainMap.identity(M2), zero_map(M2, zero)]
         assert is_i_exact(objs, maps, 1)
         assert is_i_exact(objs, maps, 2)
 
     def test_isolated_object_with_homology_not_exact(self):
-        zero = PeriodicComplex.zero()
+        zero = PeriodicComplex.zero_diff(0, 0)
         objs = [zero, M2, zero]
-        maps = [ChainMap.zero(zero, M2), ChainMap.zero(M2, zero)]
+        maps = [zero_map(zero, M2), zero_map(M2, zero)]
         assert not is_i_exact(objs, maps, 1)
 
     def test_augmented_resolution_everywhere_exact(self):
         rng = random.Random(61)
-        zero = PeriodicComplex.zero()
+        zero = PeriodicComplex.zero_diff(0, 0)
         for _ in range(10):
             a = random_complex(rng, 2)
             res = projective_resolution(a)
             objs = [zero, res.p1, res.p0, a, zero]
-            maps = [ChainMap.zero(zero, res.p1), res.delta1, res.delta0,
-                    ChainMap.zero(a, zero)]
+            maps = [zero_map(zero, res.p1), res.delta1, res.delta0,
+                    zero_map(a, zero)]
             assert all(is_i_exact(objs, maps, d) for d in (1, 2, 3))
 
     def test_rejects_non_complex(self):
-        zero = PeriodicComplex.zero()
+        zero = PeriodicComplex.zero_diff(0, 0)
         objs = [ZD, ZD, ZD]
         maps = [ChainMap.identity(ZD), ChainMap.identity(ZD)]
         with pytest.raises(InputError, match="not a complex"):
             is_i_exact(objs, maps, 1)
 
     def test_rejects_boundary_degrees(self):
-        zero = PeriodicComplex.zero()
+        zero = PeriodicComplex.zero_diff(0, 0)
         objs = [zero, M2]
-        maps = [ChainMap.zero(zero, M2)]
+        maps = [zero_map(zero, M2)]
         with pytest.raises(InputError):
             is_i_exact(objs, maps, 0)
 
@@ -220,6 +255,26 @@ class TestIdealExt:
                 assert is_isomorphic(ideal_ext_from_resolution(res, b, n),
                                      ideal_ext_from_resolution(fat, b, n))
 
+    def test_matches_the_per_generator_pullback(self):
+        # Composing [P0, B]'s whole basis with delta1 by one product per
+        # degree gives the groups, presentations and kernel bases of the
+        # construction that composes one generator's chain map at a time,
+        # on minimal and fattened resolutions.
+        rng = random.Random(8_119)
+        nontrivial = 0
+        for _ in range(10):
+            a = direct_sum(random_complex(rng), random_complex(rng))
+            b = direct_sum(random_complex(rng), random_complex(rng))
+            for n in (0, 1):
+                x = suspension(a) if n else a
+                res = projective_resolution(x)
+                for r in (res, _fatten_resolution(res, x)):
+                    got, want = ideal_ext_from_resolution(r, b, n), ideal_ext_by_generators(r, b, n)
+                    assert got.presentation == want.presentation
+                    assert n or got.basis == want.basis
+                    nontrivial += not got.is_trivial()
+        assert nontrivial >= 10
+
     def test_negative_degree_rejected(self):
         for n in (-1, -2):
             with pytest.raises(InputError):
@@ -268,7 +323,6 @@ class TestUct:
         assert r.middle.order() == 16
 
     def test_acyclic_target(self):
-        from homkit.randgen import random_acyclic_complex
         rng = random.Random(89)
         for _ in range(5):
             b = random_acyclic_complex(rng)
@@ -283,10 +337,10 @@ class TestUct:
 
     def test_natural_map_matches_class_by_class_oracle(self):
         # On criterion-1 complexes and on sums of two or three of them, the
-        # one-pass natural map over the unreduced presentations (as
-        # phantom_subgroup builds it) equals the per-generator construction
-        # entry for entry, and the report's map over the Smith-reduced
-        # groups is that map conjugated by the reduction isomorphisms.
+        # natural map over the unreduced presentations (as phantom_subgroup
+        # builds it) equals the per-generator construction entry for entry,
+        # and the report's map over the Smith-reduced groups is that map
+        # conjugated by the reduction isomorphisms.
         rng = random.Random(8_111)
         nontrivial = 0
         for i in range(60):
@@ -296,15 +350,52 @@ class TestUct:
                 for _ in range(i % 3):
                     x = direct_sum(x, random_complex(rng, max_rank=2))
                 sides.append(x)
-            oracle = natural_map_by_generators(*sides)
-            direct = phantom_subgroup(*sides).natural
-            assert direct.matrix == oracle
-            r = uct_sequence(*sides)
-            expected = (_reduced_hom_coords(direct.target, r.hom_part) @ oracle
-                        @ direct.source.to_coords(r.middle.basis))
-            assert GroupHom(r.middle, r.hom_part, r.natural.matrix - expected).is_zero()
+            r = _check_natural_map(*sides)
             nontrivial += not r.natural.matrix.is_zero()
         assert nontrivial >= 30
+        # Sums of three complexes a side whose reduced [A, B] has at least
+        # 30 generators.
+        large = 0
+        while large < 4:
+            a, b = (direct_sum(direct_sum(random_complex(rng), random_complex(rng)),
+                               random_complex(rng)) for _ in range(2))
+            if homotopy_classes(a, b).reduced().ngens >= 30:
+                assert _check_natural_map(a, b).middle.ngens >= 30
+                large += 1
+        # Blocks of width or height 0: a middle with no generators, a side
+        # of rank 0 in one degree, and M2's odd homology, whose unreduced
+        # presentation has no generators and one relation.
+        zero = PeriodicComplex.zero_diff(0, 0)
+        no_odd, no_even = PeriodicComplex.zero_diff(2, 0), PeriodicComplex.zero_diff(0, 3)
+        assert homology(M2).odd.presentation.rows == 0 < homology(M2).odd.presentation.cols
+        cases = [(M2, zero), (zero, M2), (M2, random_acyclic_complex(random.Random(5))),
+                 (no_odd, direct_sum(M2, SM2)), (SM2, no_even), (no_odd, no_even),
+                 (M2, M2), (SM2, M2), (M2, SM2), (direct_sum(M2, SM2), M2)]
+        reports = [_check_natural_map(a, b) for a, b in cases]
+        assert all(phantom_subgroup(*sides).natural.source.ngens == 0 for sides in cases[:2])
+        assert all(r.middle.ngens == 0 for r in reports[:3])
+        assert not all(r.natural.matrix.is_zero() for r in reports[3:])
+
+    def test_natural_map_makes_as_many_products_for_thirty_generators_as_for_five(
+            self, monkeypatch):
+        # Each degree is one product by (Z^T kron I) on the basis matrix and
+        # one by (M_A^T kron I) on the induced maps, however many generators
+        # [A, B] has; a loop over the generators makes two per generator
+        # and degree.
+        from homkit import relhom
+        product = IntMatrix.__matmul__
+        counts = {}
+        for ngens, a, b in _natural_map_pairs():
+            hc = homotopy_classes(a, b)
+            middle, ha, hb = hc.reduced(), relhom._reduced(homology(a)), relhom._reduced(homology(b))
+            assert middle.ngens == ngens
+            calls = []
+            monkeypatch.setattr(IntMatrix, "__matmul__",
+                                lambda x, y: calls.append(None) or product(x, y))
+            relhom._natural_map(hc, middle, ha, hb)
+            monkeypatch.undo()
+            counts[ngens] = len(calls)
+        assert len(counts) == 2 and len(set(counts.values())) == 1, counts
 
     def test_natural_map_rejects_a_map_that_breaks_relations(self, monkeypatch):
         # The relation solve is the homomorphism check; a failure is internal.
@@ -346,8 +437,7 @@ class TestPhantomSubgroup:
             r = uct_sequence(a, b)
             basis = r.kernel_group.basis
             assert basis.rows == r.middle.ngens
-            assert all(r.natural.apply(r.middle.element(col)).is_zero()
-                       for col in basis.columns())
+            assert r.hom_part.relation_coords(r.natural.matrix @ basis) is not None
             ph = phantom_subgroup(a, b)
             hc = ph.homotopy
             carried = hc.to_coords(r.middle.basis @ basis)
@@ -538,7 +628,7 @@ class TestLaws:
         def check(rng):
             a, b, c = (random_complex(rng) for _ in range(3))
             gens = phantom_subgroup(a, b).generator_maps()
-            f = ChainMap.zero(a, b)
+            f = zero_map(a, b)
             for gen in gens:
                 k = rng.randint(-2, 2)
                 f = f + ChainMap(a, b, gen.f0.scale(k), gen.f1.scale(k))
@@ -559,7 +649,7 @@ class TestLaws:
 
 class TestKappa:
     def test_kappa_of_zero_vanishes(self):
-        assert kappa(ChainMap.zero(M2, SM2)).is_zero()
+        assert kappa(zero_map(M2, SM2)).is_zero()
 
     def test_rejects_non_phantom(self):
         with pytest.raises(InputError, match="phantom"):

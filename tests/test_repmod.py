@@ -17,6 +17,7 @@ from homkit.abgroups import (
 )
 from homkit.intlinalg import IntMatrix
 from homkit.randgen import (
+    random_automorphism,
     random_graded_automorphism,
     random_graded_group,
     random_group,
@@ -41,6 +42,7 @@ from .oracles import (
     cyclic_order2_ext_pin,
     cyclic_order2_tor_pin,
     greedy_free_resolution,
+    laurent_ext_by_generators,
 )
 
 ORDER2 = QuotientRing((-1, 0, 1))  # Z[t]/(t^2 - 1)
@@ -418,6 +420,23 @@ class TestLaurent:
         for degree, expected in ((0, (0, (2,))), (1, (0, (2,))), (2, (0, ()))):
             assert ext_over_r(z2, z2, degree).canonical == expected, degree
             assert tor_over_r(z2, z2, degree).canonical == expected, degree
+
+    def test_ext_matches_the_per_generator_twist(self):
+        # u(X) = t_N X t_M^-1 as one product by ((t_M^-1)^T kron t_N) on
+        # Hom's basis gives the groups, presentations and kernel bases of
+        # the construction that twists one generator's matrix at a time.
+        rng = random.Random(8_123)
+        nontrivial = 0
+        for _ in range(12):
+            g, h = random_group(rng), random_group(rng)
+            m = RModule(LAURENT, g.presentation, random_automorphism(rng, g))
+            n = RModule(LAURENT, h.presentation, random_automorphism(rng, h))
+            for degree in (0, 1):
+                got, want = ext_over_r(m, n, degree), laurent_ext_by_generators(m, n, degree)
+                assert got.presentation == want.presentation
+                assert degree or got.basis == want.basis
+                nontrivial += not got.is_trivial()
+        assert nontrivial >= 6
 
     def test_tor_builds_the_tensor_product_only_below_degree_two(self, monkeypatch):
         # Tor is 0 from degree 2 on, so M (x) N, whose presentation is
