@@ -214,8 +214,9 @@ class GroupHom:
     `image_gens()` presents the cokernel, and the map keeps one cokernel
     group, built on first use; the kernel, surjectivity and `lift` read
     that group's Smith decomposition.  The map has one kernel basis and one
-    kernel group, built on first use, so a second kernel, exactness or
-    injectivity test factors nothing.
+    kernel group, built on first use, so a second kernel or exactness test
+    factors nothing.  Injectivity reads the kernel basis only: it solves
+    against the source's relations and builds no kernel group.
     """
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix):
@@ -284,7 +285,9 @@ class GroupHom:
         return self._cokernel.is_trivial()
 
     def is_injective(self) -> bool:
-        return self.kernel().is_trivial()
+        """The kernel is trivial exactly when its preimage basis lies in the
+        source's relations: one solve, and no kernel group is built."""
+        return self.source.relation_coords(self.kernel_gens) is not None
 
     def is_isomorphism(self) -> bool:
         return self.is_surjective() and self.is_injective()
@@ -331,8 +334,7 @@ class DirectSum(FgAbGroup):
 
     def __init__(self, parts: Sequence[FgAbGroup]):
         self.parts = tuple(parts)
-        super().__init__(block_diag(*(p.presentation for p in self.parts))
-                         if self.parts else IntMatrix.zero(0, 0))
+        super().__init__(block_diag(*(p.presentation for p in self.parts)))
 
 
 class SubquotientGroup(FgAbGroup):

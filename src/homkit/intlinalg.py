@@ -45,6 +45,7 @@ equality, hash and repr from the annotated fields without `dataclasses`
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from math import gcd
 from operator import attrgetter
 from typing import Optional, Sequence
@@ -284,10 +285,15 @@ def block(grid: Sequence[Sequence[IntMatrix]]) -> IntMatrix:
 
 
 def block_diag(*mats: IntMatrix) -> IntMatrix:
-    n = len(mats)
-    grid = [[mats[i] if i == j else IntMatrix.zero(mats[i].rows, mats[j].cols)
-             for j in range(n)] for i in range(n)]
-    return block(grid)
+    """The matrices down the diagonal (0 x 0 for none): each row is written
+    out once, padded with the zeros to the left and right of its block."""
+    cols = sum(m.cols for m in mats)
+    data, left = [], 0
+    for m in mats:
+        before, after = (0,) * left, (0,) * (cols - left - m.cols)
+        data += [before + row + after for row in m.data]
+        left += m.cols
+    return _matrix(sum(m.rows for m in mats), cols, tuple(data))
 
 
 def vec(m: IntMatrix) -> Vector:
@@ -320,7 +326,7 @@ def unvec_columns(m: IntMatrix, rows: int, cols: int) -> IntMatrix:
     if m.rows != rows * cols:
         raise InputError("unvec_columns: length mismatch")
     return _matrix(rows, cols * m.cols, tuple(
-        tuple(x for column in zip(*m.data[i::rows]) for x in column) for i in range(rows)))
+        tuple(chain.from_iterable(zip(*m.data[i::rows]))) for i in range(rows)))
 
 
 Op = tuple[int, int, int]

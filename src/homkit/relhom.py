@@ -336,7 +336,11 @@ def kappa(f: ChainMap) -> GroupElement:
 def kunneth_prediction(ha: GradedAbGroup, hb: GradedAbGroup) -> GradedAbGroup:
     """Predicted homology of a tensor product of complexes with the stated
     homologies: the graded tensor product plus the degree-shifted Tor term,
-    indices taken mod 2 with the Koszul convention."""
+    indices taken mod 2 with the Koszul convention.  The prediction depends
+    only on isomorphism classes, so each input group is taken on its
+    invariant-factor presentation."""
+    ha, hb = (GradedAbGroup(FgAbGroup.from_invariants(*h.even.canonical),
+                            FgAbGroup.from_invariants(*h.odd.canonical)) for h in (ha, hb))
     even = DirectSum((tensor(ha.even, hb.even), tensor(ha.odd, hb.odd),
                       tor1(ha.even, hb.odd), tor1(ha.odd, hb.even)))
     odd = DirectSum((tensor(ha.even, hb.odd), tensor(ha.odd, hb.even),

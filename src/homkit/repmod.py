@@ -33,6 +33,7 @@ from .abgroups import (
 from .intlinalg import (
     IntMatrix,
     Vector,
+    _matrix,
     _record,
     hstack,
     lll_reduce,
@@ -51,11 +52,41 @@ def _powers(t: IntMatrix, k: int) -> tuple[IntMatrix, ...]:
 
 
 def _combine(x: Sequence[int], powers: Sequence[IntMatrix]) -> IntMatrix:
-    """sum_j x_j powers[j]: the ring element x acting through the powers of t."""
+    """sum_j x_j powers[j]: the ring element x acting through the powers of t.
+    Only the nonzero terms are added, row by row; x = 0 gives the zero
+    matrix."""
     terms = [(c, p.data) for c, p in zip(x, powers) if c]
     rows, cols = powers[0].rows, powers[0].cols
-    return IntMatrix(rows, cols, tuple(tuple(sum(c * data[i][j] for c, data in terms)
-                                             for j in range(cols)) for i in range(rows)))
+    if not terms:
+        return IntMatrix.zero(rows, cols)
+    (c0, first), *rest = terms
+    data = []
+    for i in range(rows):
+        acc = [c0 * v for v in first[i]]
+        for c, other in rest:
+            acc = [a + c * v for a, v in zip(acc, other[i])]
+        data.append(tuple(acc))
+    return _matrix(rows, cols, tuple(data))
+
+
+def _determinant(m: IntMatrix) -> int:
+    """Determinant of a nonempty square matrix by fraction-free (Bareiss)
+    elimination: every division is exact, so entries stay integers."""
+    a = [list(row) for row in m.data]
+    n, sign, previous = m.rows, 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            lead = a[i][k]
+            a[i] = [0] * (k + 1) + [(a[i][j] * pivot - lead * a[k][j]) // previous
+                                    for j in range(k + 1, n)]
+        previous = pivot
+    return sign * a[-1][-1]
 
 
 @_record
@@ -106,12 +137,19 @@ class QuotientRing:
         return self.element(product)
 
     def inverse(self, x: Sequence[int]) -> Optional[Vector]:
-        """x^(-1) if x is a unit of the ring, else None: the lattice solve
-        decides, as x y = 1 has an integer solution y exactly for units x."""
+        """x^(-1) if x is a unit of the ring, else None.  The norm decides:
+        x is a unit exactly when the Z-matrix of y -> x y has determinant
+        +-1, for then that matrix is invertible over Z and x y = 1 has an
+        integer solution y.  Only a unit's inverse takes a lattice solve."""
         if not any(x[1:]):  # the constant units are +-1
             return tuple(x) if x[0] in (1, -1) else None
-        times_x = _combine(x, self.companion_powers)  # the Z-matrix of y -> x y
-        return solve(times_x, self.element((1,)))
+        times_x = _combine(x, self.companion_powers)
+        if abs(_determinant(times_x)) != 1:
+            return None
+        inv = solve(times_x, self.element((1,)))
+        if inv is None:
+            raise InternalCheckError("a ring element of norm +-1 has no inverse")
+        return inv
 
     def evaluate(self, m: IntMatrix) -> IntMatrix:
         """p(m) for a square matrix m."""
@@ -170,23 +208,27 @@ class FreeResolutionR:
 
     def verify_exact(self, module: RModule) -> bool:
         """Exactness as Z-complexes at F_0, ..., F_(len-1): each pair of
-        consecutive maps, from the augmentation F_0 -> M on, has a zero
-        composite and passes `is_exact_pair`."""
+        consecutive maps, from the augmentation F_0 -> M on, passes
+        `is_exact_pair`, whose composite test is the only one; a nonzero
+        composite makes the resolution inexact, not the input invalid."""
         free = [FgAbGroup.free(self.ring.degree * r) for r in self.ranks]
         maps = [GroupHom(free[0], module, self.augmentation)]
         maps += [GroupHom(free[i + 1], free[i], d) for i, d in enumerate(self.deltas)]
-        return all(g.compose(f).is_zero() and is_exact_pair(f, g)
-                   for g, f in zip(maps, maps[1:]))
+        try:
+            return all(is_exact_pair(f, g) for g, f in zip(maps, maps[1:]))
+        except InputError:  # some composite g f is not zero
+            return False
 
 
 def _z_matrix(entries: list[list[Vector]], rows: int, cols: int,
               powers: Sequence[IntMatrix]) -> IntMatrix:
     """Z-matrix of the map R^cols -> R^rows with the given entries in R: block
-    (i, a) is entry (i, a) acting through `powers` = (T^0, ..., T^(d-1))."""
+    (i, a) is entry (i, a) acting through `powers` = (T^0, ..., T^(d-1)),
+    combined once for each distinct entry."""
     n = powers[0].rows
-    blocks = [[_combine(x, powers).data for x in row] for row in entries]
-    return IntMatrix(rows * n, cols * n, tuple(tuple(v for b in row for v in b[r])
-                                               for row in blocks for r in range(n)))
+    blocks = {x: _combine(x, powers).data for x in {x for row in entries for x in row}}
+    return _matrix(rows * n, cols * n, tuple(tuple(v for x in row for v in blocks[x][r])
+                                             for row in entries for r in range(n)))
 
 
 def _cancel_units(ring: QuotientRing, x: list[list[Vector]], y: list[list[Vector]],
@@ -200,7 +242,10 @@ def _cancel_units(ring: QuotientRing, x: list[list[Vector]], y: list[list[Vector
     column i of y and of `outer`, which go: the complex is the direct sum
     of the contractible R --u--> R, with outer zero on it, and of the Schur
     complement of u in x with y minus row j and column i.  Returns the
-    three maps with every unit of x so cancelled.
+    three maps with every unit of x so cancelled.  Each pass takes the first
+    unit in a fixed order, constant entries first; `QuotientRing.inverse`
+    tests an entry by its norm, so only the pivots cancelled take a lattice
+    solve, for their inverses.
     """
     while True:
         # Constant entries first: their test needs no norm.

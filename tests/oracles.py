@@ -22,7 +22,14 @@ Laurent twist t_N X t_M^-1 on one generator's map at a time, the way the
 package did before it applied them to a whole basis matrix by a
 Kronecker product.  `cone_triangle_is_exact` reads the
 package's own triangle homology maps and only checks exactness at each
-node.
+node.  `kunneth_prediction_unreduced` is the Kunneth prediction built on
+the homology presentations as given, the way the package built it before
+it took invariant-factor presentations, and `block_diag_reference` the
+block diagonal assembled from a grid of zero blocks, as the package did
+before it padded each row.  `ring_inverse_by_lattice_solve` decides unit-ness
+in Z[t]/(p) by the lattice solve x y = 1 on the multiplication matrix that
+the ring's own polynomial product gives, as the package did before the
+norm decided it.
 """
 
 from __future__ import annotations
@@ -32,7 +39,18 @@ from itertools import combinations
 from math import gcd
 from typing import Optional
 
-from homkit.abgroups import FgAbGroup, GroupHom, HomGroup, graded_hom, hom, is_exact_pair
+from homkit.abgroups import (
+    DirectSum,
+    FgAbGroup,
+    GradedAbGroup,
+    GroupHom,
+    HomGroup,
+    graded_hom,
+    hom,
+    is_exact_pair,
+    tensor,
+    tor1,
+)
 from homkit.intlinalg import (
     IntMatrix,
     kernel_basis,
@@ -43,7 +61,7 @@ from homkit.intlinalg import (
 )
 from homkit.percomplex import ChainMap, PeriodicComplex, homology, homotopy_classes
 from homkit.relhom import Resolution, triangle_homology_maps
-from homkit.repmod import FreeResolutionR, RModule
+from homkit.repmod import FreeResolutionR, QuotientRing, RModule
 
 
 def det_bareiss(rows: list[list[int]]) -> int:
@@ -473,6 +491,25 @@ def laurent_ext_by_generators(m: RModule, n: RModule, degree: int) -> FgAbGroup:
 
 
 
+def kunneth_prediction_unreduced(ha: GradedAbGroup, hb: GradedAbGroup) -> GradedAbGroup:
+    """Tensor and Tor_1 terms of the Kunneth prediction on the homology
+    presentations as given."""
+    even = DirectSum((tensor(ha.even, hb.even), tensor(ha.odd, hb.odd),
+                      tor1(ha.even, hb.odd), tor1(ha.odd, hb.even)))
+    odd = DirectSum((tensor(ha.even, hb.odd), tensor(ha.odd, hb.even),
+                     tor1(ha.even, hb.even), tor1(ha.odd, hb.odd)))
+    return GradedAbGroup(even, odd)
+
+
+def ring_inverse_by_lattice_solve(ring: QuotientRing, x: tuple[int, ...]) -> list[int] | None:
+    """y with x y = 1 in the ring, or None: the lattice solve on the matrix
+    whose column j is x t^j, by `QuotientRing.multiply`."""
+    d = ring.degree
+    columns = [ring.multiply(x, tuple(int(i == j) for i in range(d))) for j in range(d)]
+    rows = [[col[i] for col in columns] for i in range(d)]
+    return solve_lattice(rows, d, [int(i == 0) for i in range(d)])
+
+
 def cone_triangle_is_exact(f: ChainMap) -> bool:
     """Exactness of the 6-periodic homology sequence of f's cone triangle."""
     maps = triangle_homology_maps(f)
@@ -513,3 +550,10 @@ def from_columns_reference(columns: list[tuple[int, ...]], rows: Optional[int] =
         rows = len(columns[0]) if columns else 0
     return IntMatrix(rows, len(columns), tuple(
         tuple(int(col[i]) for col in columns) for i in range(rows)))
+
+
+def block_diag_reference(*mats: IntMatrix) -> IntMatrix:
+    n = len(mats)
+    return vstack_reference(*(hstack_reference(*(
+        mats[i] if i == j else IntMatrix.zero(mats[i].rows, mats[j].cols) for j in range(n)))
+        for i in range(n)))

@@ -310,6 +310,34 @@ class TestGroupHom:
         assert not double.is_injective()
         assert not double.is_surjective()
 
+    def test_injectivity_reads_the_kernel_basis_only(self):
+        # is_injective() agrees with the kernel group's triviality, on maps
+        # out of and into groups with no generators too, and builds no
+        # kernel group.
+        rng = random.Random(139)
+        empty = (FgAbGroup.trivial(), FgAbGroup(IntMatrix.zero(0, 2)))
+        outcomes = set()
+        for i in range(120):
+            a, b = random_group(rng), random_group(rng)
+            kind = i % 4
+            if kind == 0:
+                h = hom(a, b)
+                x = h.to_matrix(h.element([rng.randint(-3, 3) for _ in range(h.ngens)]))
+            elif kind == 1:
+                b, x = a, random_automorphism(rng, a)
+            elif kind == 2:
+                a = FgAbGroup.free(rng.randint(0, 2))
+                x = random_matrix(rng, b.ngens, a.ngens)
+            else:
+                a, b = (rng.choice(empty), b) if i % 8 == 3 else (a, rng.choice(empty))
+                x = IntMatrix.zero(b.ngens, a.ngens)
+            f = GroupHom(a, b, x)
+            injective = f.is_injective()
+            assert "_kernel" not in vars(f)
+            assert injective == GroupHom(a, b, x).kernel().is_trivial(), (a, b, x)
+            outcomes.add(injective)
+        assert outcomes == {True, False}
+
     def test_inverse(self):
         g = FgAbGroup.from_invariants(1, (5,))
         aut = GroupHom(g, g, IntMatrix.from_rows([[2, 0], [0, 1]]))

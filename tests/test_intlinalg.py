@@ -40,6 +40,7 @@ from homkit.randgen import random_complex
 from homkit.repmod import LaurentRing, QuotientRing
 
 from .oracles import (
+    block_diag_reference,
     column_reduction_kernel,
     columns_reference,
     det_bareiss,
@@ -619,6 +620,7 @@ class TestIntMatrix:
         shapes = [(0, 0), (0, 1), (0, 3), (1, 0), (3, 0), (2, 3), (1, 1)]
         mats = [random_matrix(rng, r, c, 4) for r, c in shapes]
         for m in mats:
+            assert block_diag(m) == block_diag_reference(m)
             assert m.columns() == columns_reference(m)
             assert m.transpose() == transpose_reference(m)
             cols = m.columns()
@@ -626,6 +628,7 @@ class TestIntMatrix:
             assert IntMatrix.from_columns(cols) == from_columns_reference(cols)
             for other in mats:
                 assert m.kron(other) == kron_reference(m, other)
+                assert block_diag(m, other, m) == block_diag_reference(m, other, m)
                 if other.rows == m.rows:
                     assert hstack(m, other, m) == hstack_reference(m, other, m)
                 if other.cols == m.cols:

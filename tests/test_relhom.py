@@ -42,7 +42,12 @@ from homkit.relhom import (
     uct_sequence,
 )
 
-from .oracles import cone_triangle_is_exact, ideal_ext_by_generators, natural_map_by_generators
+from .oracles import (
+    cone_triangle_is_exact,
+    ideal_ext_by_generators,
+    kunneth_prediction_unreduced,
+    natural_map_by_generators,
+)
 
 Z2 = FgAbGroup.cyclic(2)
 Z3 = FgAbGroup.cyclic(3)
@@ -734,6 +739,20 @@ class TestMonicShortExact:
 
 
 class TestKunnethPrediction:
+    def test_invariant_factors_predict_what_the_given_presentations_do(self):
+        # The prediction is taken on invariant-factor presentations; its
+        # canonical forms are those of the construction on the homology
+        # groups as presented, with redundant generators and relations.
+        rng = random.Random(157)
+        for i in range(40):
+            a, b = random_complex(rng, max_rank=3), random_complex(rng, max_rank=2)
+            if i % 2:
+                a = direct_sum(a, random_complex(rng, max_rank=2))
+            ha, hb = homology(a), homology(b)
+            pred, oracle = kunneth_prediction(ha, hb), kunneth_prediction_unreduced(ha, hb)
+            assert (pred.even.canonical, pred.odd.canonical) == \
+                (oracle.even.canonical, oracle.odd.canonical)
+
     def test_formula(self):
         ha = GradedAbGroup(Z2, TRIV)
         hb = GradedAbGroup(Z2, TRIV)

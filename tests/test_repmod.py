@@ -15,7 +15,7 @@ from homkit.abgroups import (
     tensor,
     tor1,
 )
-from homkit.intlinalg import IntMatrix
+from homkit.intlinalg import IntMatrix, SmithDecomposition
 from homkit.randgen import (
     random_automorphism,
     random_graded_automorphism,
@@ -43,9 +43,11 @@ from .oracles import (
     cyclic_order2_tor_pin,
     greedy_free_resolution,
     laurent_ext_by_generators,
+    ring_inverse_by_lattice_solve,
 )
 
 ORDER2 = QuotientRing((-1, 0, 1))  # Z[t]/(t^2 - 1)
+SELFTEST_RINGS = ((-1, 0, 1), (-1, 0, 0, 1), (-1, 0, 0, 0, 1), (2, 0, 1), (1, 1))
 TRIVIAL_RING = QuotientRing((-1, 1))  # Z[t]/(t - 1), i.e. plain Z
 LAURENT = LaurentRing()
 
@@ -101,6 +103,27 @@ class TestRingsAndModules:
         assert r.element((-1, 1, 1)) == (-3, 1)
         # Z[t]/(t + 1) is Z with t = -1.
         assert TRIVIAL_RING.element((0, 1)) == (1,) and QuotientRing((1, 1)).element((0, 1)) == (-1,)
+
+    def test_the_norm_decides_units_as_the_lattice_solve_does(self):
+        # Random elements, and the units +-t^k times random ones, of the
+        # selftest rings: inverse() finds an inverse exactly when x y = 1
+        # has an integer solution, and x x^-1 = 1.
+        rng = random.Random(149)
+        units = 0
+        for coefficients in SELFTEST_RINGS:
+            ring = QuotientRing(coefficients)
+            d = ring.degree
+            for i in range(60):
+                x = tuple(rng.randint(-2, 2) for _ in range(d))
+                if i % 3 == 0:
+                    k = rng.randrange(d)
+                    x = ring.multiply((0,) * k + (rng.choice((1, -1)),), x if i % 2 else (1,))
+                inv = ring.inverse(x)
+                assert (inv is None) == (ring_inverse_by_lattice_solve(ring, x) is None), (ring, x)
+                if inv is not None:
+                    assert ring.multiply(x, inv) == ring.element((1,))
+                    units += 1
+        assert units > 60
 
     def test_module_rejects_non_annihilated(self):
         # t = 2 on Z does not satisfy t^2 = 1.
@@ -196,6 +219,25 @@ class TestFreeResolution:
                 doubled = self._replaced(res, stage, res.deltas[stage].scale(2))
                 assert not doubled.verify_exact(m)
 
+    def test_verify_exact_solves_no_system_twice(self, monkeypatch):
+        # One composite test and one lift per stage: no decomposition is
+        # asked the same system twice.
+        rng = random.Random(137)
+        systems = []
+        real_solve = SmithDecomposition.solve
+
+        def counted(self, b):
+            systems.append((id(self), b))
+            return real_solve(self, b)
+
+        for _ in range(20):
+            m = random_rmodule(rng, ORDER2)
+            res = free_resolution_over_r(m, 6)
+            monkeypatch.setattr(SmithDecomposition, "solve", counted)
+            assert res.verify_exact(m)
+            monkeypatch.undo()
+        assert systems and len(set(systems)) == len(systems)
+
     def test_a_nonzero_composite_is_not_exact_and_raises_nothing(self):
         # delta_1 replaced by a map whose first column is a nonzero column j
         # of delta_0: delta_0 delta_1 is then nonzero.
@@ -256,6 +298,38 @@ class TestPeriodicResolution:
         res = free_resolution_over_r(m, 5)
         assert res.ranks == (1, 1, 0, 0, 0, 0)
         assert res.verify_exact(m)
+
+    def test_one_z_block_per_distinct_entry(self, monkeypatch):
+        # The blocks of a map over R are built once for each distinct entry:
+        # a map's entries repeat (t - T1 is mostly constant), and so do
+        # the entries of the N^rank maps of Ext/Tor.
+        combined = []
+        real_combine = repmod._combine
+        monkeypatch.setattr(repmod, "_combine",
+                            lambda x, powers: combined.append(x) or real_combine(x, powers))
+        ring = cyclic_ring(3)
+        one, zero, t = (1, 0, 0), (0, 0, 0), (0, 1, 0)
+        entries = [[one, zero, t], [zero, one, t], [t, t, zero]]
+        z = repmod._z_matrix(entries, 3, 3, ring.companion_powers)
+        assert sorted(combined) == sorted({one, zero, t})
+        expected = {x: real_combine(x, ring.companion_powers) for x in (one, zero, t)}
+        assert z == IntMatrix.from_rows(
+            [[v for x in row for v in expected[x].data[r]] for row in entries for r in range(3)])
+        assert expected[zero].is_zero()
+
+    def test_unit_cancellation_solves_only_for_the_pivots_it_cancels(self, monkeypatch):
+        # Over Z[C_3], 1 + t and 1 + t^2 have norm 2; t is the one unit.
+        # Cancelling it leaves the Schur complement -(1 + t^2), so one pass
+        # tests three entries and solves once, for t^-1.
+        solved = []
+        real_solve = repmod.solve
+        monkeypatch.setattr(repmod, "solve", lambda a, b: solved.append(b) or real_solve(a, b))
+        ring = cyclic_ring(3)
+        x = [[(1, 1, 0), (0, 1, 0)], [(1, 1, 0), (1, 1, 0)]]
+        y = [[(0, 0, 0)] * 2] * 2
+        x, y, outer = repmod._cancel_units(ring, x, y, [[(1, 0, 0), (0, 0, 1)]])
+        assert x == [[(-1, 0, -1)]] and y == [[(0, 0, 0)]] and outer == [[(0, 0, 1)]]
+        assert len(solved) == 1
 
     def test_maps_repeat_with_period_two(self):
         rng = random.Random(311)

@@ -285,7 +285,7 @@ def _public_definitions(tree: ast.Module) -> list[tuple[str, str]]:
 # the readers.
 _READ_THROUGH_INSTANCES = {
     "ChainMap.compose",  # relhom.is_i_exact
-    "GroupHom.compose",  # repmod.hochschild, FreeResolutionR.verify_exact
+    "GroupHom.compose",  # repmod.hochschild
     "GroupElement.is_zero",  # cli._cmd_kappa, GroupElement.__eq__
     "GroupHom.is_zero",  # relhom.kappa, GradedGroupHom.is_zero
     "IntMatrix.is_zero",  # PeriodicComplex.__post_init__
