@@ -232,10 +232,6 @@ class GroupHom:
     def identity(cls, group: FgAbGroup) -> "GroupHom":
         return cls(group, group, IntMatrix.identity(group.ngens))
 
-    @classmethod
-    def zero(cls, source: FgAbGroup, target: FgAbGroup) -> "GroupHom":
-        return cls(source, target, IntMatrix.zero(target.ngens, source.ngens))
-
     def compose(self, first: "GroupHom") -> "GroupHom":
         """self o first; endpoint groups must share a presentation."""
         if not _same_coords(first.target, self.source):

@@ -16,7 +16,7 @@ H_*(Z; M (x) N); these equal Ext/Tor over Z[t, 1/t] only when M is Z-free.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Literal, Optional, Sequence, Union
 
 from .errors import InputError, InternalCheckError
@@ -244,15 +244,16 @@ def _cancel_units(ring: QuotientRing, x: list[list[Vector]], y: list[list[Vector
     complement of u in x with y minus row j and column i.  Returns the
     three maps with every unit of x so cancelled.  Each pass takes the first
     unit in a fixed order, constant entries first; `QuotientRing.inverse`
-    tests an entry by its norm, so only the pivots cancelled take a lattice
-    solve, for their inverses.
+    tests an entry by its norm, once per distinct entry in the call, so
+    only the pivots cancelled take a lattice solve, for their inverses.
     """
+    inverse = cache(ring.inverse)  # one norm test per distinct entry, across passes
     while True:
         # Constant entries first: their test needs no norm.
         entries = sorted(((any(e[1:]), i, j) for i, row in enumerate(x) for j, e in enumerate(row)
                           if any(e)))
         pivot = next(((i, j, inv) for _, i, j in entries
-                      if (inv := ring.inverse(x[i][j])) is not None), None)
+                      if (inv := inverse(x[i][j])) is not None), None)
         if pivot is None:
             return x, y, outer
         i, j, inv = pivot
@@ -273,19 +274,19 @@ def _cancel_units(ring: QuotientRing, x: list[list[Vector]], y: list[list[Vector
 def free_resolution_over_r(module: RModule, length: int) -> FreeResolutionR:
     """Free resolution over a quotient ring, periodic from stage 2.
 
-    Stage 0 covers M by its generators in order, skipping those already in
-    the R-span of earlier ones (modulo the relations), so free modules
-    resolve in length 0.  The kernel M1 of that cover is Z-free with basis
-    K and t-action T1, t K = K T1.  delta_0 sends e_i t^j to t^j K_i, and
-    after it the maps a = t - T1 and b = q(t, T1) = (p(t) - p(T1)) / (t - T1)
-    alternate: their products both ways are p(t) - p(T1) = 0 over R, and
-    over Z[t] they factor p(t) times the identity (Eisenbud, Homological
-    algebra on a complete intersection, 1980).  Two passes of
-    `_cancel_units` then shrink the ranks.  Units of a mark generators of
-    F_1 that are images of F_2; they leave F_1, F_3, ...  Units of b mark
-    free summands of M1; they stay in F_1, and leave F_2, F_3, ...  So
-    ranks[1] <= rank_Z(M1), ranks[2:] are all equal, and each map is built
-    once however long the resolution.
+    Stage 0 covers M by its generators in order, skipping each one that is
+    zero in M/<kept>, M modulo the R-span of those kept so far, so free
+    modules resolve in length 0.  The kernel M1 of that cover is Z-free
+    with basis K and t-action T1, t K = K T1.  delta_0 sends e_i t^j to
+    t^j K_i, and after it the maps a = t - T1 and b = q(t, T1) =
+    (p(t) - p(T1)) / (t - T1) alternate: their products both ways are
+    p(t) - p(T1) = 0 over R, and over Z[t] they factor p(t) times the
+    identity (Eisenbud, Homological algebra on a complete intersection,
+    1980).  Two passes of `_cancel_units` then shrink the ranks.  Units of
+    a mark generators of F_1 that are images of F_2; they leave F_1, F_3,
+    ...  Units of b mark free summands of M1; they stay in F_1, and leave
+    F_2, F_3, ...  So ranks[1] <= rank_Z(M1), ranks[2:] are all equal, and
+    each map is built once however long the resolution.
     """
     ring = module.ring
     if not isinstance(ring, QuotientRing):
@@ -298,15 +299,15 @@ def free_resolution_over_r(module: RModule, length: int) -> FreeResolutionR:
 
     # Stage 0.  Columns of the augmentation list the images of the Z-basis
     # e_i t^j (i outer, j inner), namely t^j applied to generator i.
-    presentation = module.presentation
+    presentation, rest = module.presentation, module  # rest = M/<kept>
     cols: list[Vector] = []
     for v in IntMatrix.identity(module.ngens).columns():
-        span = presentation.columns() + cols
-        if span and solve(IntMatrix.from_columns(span, rows=module.ngens), v) is not None:
+        if rest.coords_are_zero(v):
             continue
         for _ in range(d):
             cols.append(v)
             v = module.t_action.apply(v)
+        rest = FgAbGroup(hstack(presentation, IntMatrix.from_columns(cols, rows=module.ngens)))
     aug = IntMatrix.from_columns(cols, rows=module.ngens)
     rank0 = len(cols) // d
     if length == 0:
@@ -338,25 +339,33 @@ def free_resolution_over_r(module: RModule, length: int) -> FreeResolutionR:
     return FreeResolutionR(ring, ((rank0, g1) + (g,) * length)[:length + 1], aug, deltas)
 
 
-def _with_coefficients(res: FreeResolutionR, k: int, n: RModule, hom_side: bool) -> GroupHom:
-    """delta_k: F_(k+1) -> F_k with coefficients in N.
+def _r_homology(res: FreeResolutionR, n: RModule, degree: int, hom_side: bool) -> FgAbGroup:
+    """H^degree of Hom_R(res, N) (hom_side) or H_degree of res (x)_R N.
 
-    Entry (i, a) of delta_k over R has as t^j coefficient that of e_i t^j in
-    delta_k(e_a) (delta's column a*d).  Tensored with N, block (i, a) is that
-    entry acting through the powers of t_N; on Hom(-, N) the block grid is
-    transposed, from Hom(F_k, N) to Hom(F_(k+1), N).  Both free modules
-    become N^rank, and either rank may be 0.
+    Both coefficient complexes take F_k to N^rank(F_k), with F_(-1) = 0, and
+    each rank is one DirectSum, so a group shared by the two maps is one
+    object.  Entry (i, a) of delta_k: F_(k+1) -> F_k over R has as t^j
+    coefficient that of e_i t^j in delta_k(e_a) (delta's column a*d).
+    Tensored with N, block (i, a) is that entry acting through the powers of
+    t_N, taken once for both maps; on Hom(-, N) the block grid is
+    transposed, from Hom(F_k, N) to Hom(F_(k+1), N).  delta_(-1) is the
+    zero map onto F_(-1).
     """
-    d, delta = res.ring.degree, res.deltas[k]
-    lo, hi = res.ranks[k], res.ranks[k + 1]
-    source, target = DirectSum((n,) * hi), DirectSum((n,) * lo)
-    entries = [[tuple(delta.data[i * d + j][a * d] for j in range(d)) for a in range(hi)]
-               for i in range(lo)]
-    if hom_side:
-        source, target = target, source
-        entries, lo, hi = [[row[a] for row in entries] for a in range(hi)], hi, lo
-    matrix = _z_matrix(entries, lo, hi, _powers(n.t_action, d))
-    return GroupHom(source, target, matrix)
+    d, ranks = res.ring.degree, (0,) + res.ranks  # ranks[k + 1] is the rank of F_k
+    groups = {r: DirectSum((n,) * r) for r in set(ranks[degree:degree + 3])}
+    powers = _powers(n.t_action, d)
+
+    def coefficients(k: int) -> GroupHom:
+        lo, hi = ranks[k + 1], ranks[k + 2]
+        delta = res.deltas[k].data if k >= 0 else ()
+        entries = [[tuple(delta[i * d + j][a * d] for j in range(d)) for a in range(hi)]
+                   for i in range(lo)]
+        if hom_side:
+            entries, lo, hi = [[row[a] for row in entries] for a in range(hi)], hi, lo
+        return GroupHom(groups[hi], groups[lo], _z_matrix(entries, lo, hi, powers))
+
+    below, above = coefficients(degree - 1), coefficients(degree)
+    return homology_of_pair(below, above) if hom_side else homology_of_pair(above, below)
 
 
 def _z_homology(u: Callable[[], GroupHom], degree: int, homological: bool) -> FgAbGroup:
@@ -382,13 +391,13 @@ def _periodic_degree(degree: int) -> int:
 def ext_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
     """Ext^degree over the common base ring.
 
-    Quotient rings: cohomology of Hom_R(resolution, N), from degree 5 on
-    read off degree 3 or 4.  Laurent ring: the Z-cohomology path shared with
-    Tor and HH, ker and coker of u - 1 for u: phi -> t_N phi t_M^{-1} on
-    Hom_Z(M, N).  These are the Z-relative
-    groups H^*(Z; Hom_Z(M, N)); they equal Ext over Z[t, 1/t] only when M is
-    Z-free (for M = N = Z/2 with t = 1 they give Ext^1 = Z/2 and Ext^2 = 0,
-    where the ring has (Z/2)^2 and Z/2).
+    Quotient rings: cohomology of Hom_R(resolution, N), the coefficient
+    complex `_r_homology` shares with Tor, from degree 5 on read off degree
+    3 or 4.  Laurent ring: the Z-cohomology path shared with Tor and HH, ker
+    and coker of u - 1 for u: phi -> t_N phi t_M^{-1} on Hom_Z(M, N).  These
+    are the Z-relative groups H^*(Z; Hom_Z(M, N)); they equal Ext over
+    Z[t, 1/t] only when M is Z-free (for M = N = Z/2 with t = 1 they give
+    Ext^1 = Z/2 and Ext^2 = 0, where the ring has (Z/2)^2 and Z/2).
     """
     if degree < 0:
         raise InputError("Ext degree must be >= 0")
@@ -406,21 +415,18 @@ def ext_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
             return GroupHom(hom_group, hom_group, images)
         return _z_homology(u, degree, homological=False)
     degree = _periodic_degree(degree)
-    res = free_resolution_over_r(m, degree + 1)
-    outgoing = _with_coefficients(res, degree, n, hom_side=True)
-    incoming = _with_coefficients(res, degree - 1, n, hom_side=True) if degree \
-        else GroupHom.zero(FgAbGroup.trivial(), outgoing.source)
-    return homology_of_pair(incoming, outgoing)
+    return _r_homology(free_resolution_over_r(m, degree + 1), n, degree, hom_side=True)
 
 
 def tor_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
     """Tor_degree over the common base ring.
 
-    Quotient rings: homology of resolution (x)_R N, from degree 5 on read
-    off degree 3 or 4.  Laurent ring: coker and ker of u - 1 for
-    u = t_M^{-1} (x) t_N on M (x)_Z N, the Z-homology path shared with Ext
-    and HH.  These Z-relative groups H_*(Z; M (x) N)
-    equal Tor over Z[t, 1/t] only when M is Z-free, as for Laurent Ext.
+    Quotient rings: homology of resolution (x)_R N, through `_r_homology`
+    as for Ext, from degree 5 on read off degree 3 or 4.  Laurent ring:
+    coker and ker of u - 1 for u = t_M^{-1} (x) t_N on M (x)_Z N, the
+    Z-homology path shared with Ext and HH.  These Z-relative groups
+    H_*(Z; M (x) N) equal Tor over Z[t, 1/t] only when M is Z-free, as for
+    Laurent Ext.
     """
     if degree < 0:
         raise InputError("Tor degree must be >= 0")
@@ -432,11 +438,7 @@ def tor_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
             return GroupHom(tens, tens, m.t_inverse_matrix().kron(n.t_action))
         return _z_homology(u, degree, homological=True)
     degree = _periodic_degree(degree)
-    res = free_resolution_over_r(m, degree + 1)
-    incoming = _with_coefficients(res, degree, n, hom_side=False)
-    outgoing = _with_coefficients(res, degree - 1, n, hom_side=False) if degree \
-        else GroupHom.zero(incoming.target, FgAbGroup.trivial())
-    return homology_of_pair(incoming, outgoing)
+    return _r_homology(free_resolution_over_r(m, degree + 1), n, degree, hom_side=False)
 
 
 def hochschild(lam: GroupHom, rho: GroupHom, degree: int,

@@ -137,7 +137,7 @@ class TestElements:
             with pytest.raises(InputError):
                 op(GroupHom.identity(Z2), GroupHom.identity(Z3))
             with pytest.raises(InputError):
-                op(GroupHom.zero(Z2, Z2), GroupHom.zero(Z2, Z3))
+                op(GroupHom(Z2, Z2, IntMatrix.zero(1, 1)), GroupHom(Z2, Z3, IntMatrix.zero(1, 1)))
         twice = GroupHom.identity(Z4) + GroupHom.identity(FgAbGroup.cyclic(4))
         assert twice.matrix == IntMatrix.from_rows([[2]]) and not twice.is_zero()
 
@@ -557,7 +557,7 @@ class TestReduced:
                 m = random_matrix(rng, target.ngens, g.ngens, 3)
                 if target.relation_coords(m @ g.presentation) is not None:
                     return GroupHom(g, target, m).kernel()
-            return GroupHom.zero(g, target).kernel()
+            return GroupHom(g, target, IntMatrix.zero(target.ngens, g.ngens)).kernel()
         return TestReduced._subquotient(rng, rng.randrange(4)).reduced()
 
     def test_same_group_presented_by_its_invariant_factors(self):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from homkit import cli, jsonio
@@ -29,6 +30,13 @@ SUSP_MOORE_Z2 = {
 EXTENSION_MAP = {
     "f_even": {"rows": 1, "cols": 1, "data": [["0"]]},
     "f_odd": {"rows": 1, "cols": 1, "data": [["1"]]},
+}
+
+# Hochschild input on Z with lambda = 1 and rho = -1.
+HH_SIGN_ON_Z = {
+    "group": {"rank": 1, "torsion": []},
+    "lambda": {"rows": 1, "cols": 1, "data": [["1"]]},
+    "rho": {"rows": 1, "cols": 1, "data": [["-1"]]},
 }
 
 
@@ -60,10 +68,7 @@ class TestBasicCommands:
         assert doc["result"]["ext_part"] == {"rank": 0, "torsion": []}
 
     def test_hh_vanishing_pin(self, tmp_path, capsys):
-        hh = write(tmp_path, "hh.json", {
-            "group": {"rank": 1, "torsion": []},
-            "lambda": {"rows": 1, "cols": 1, "data": [["1"]]},
-            "rho": {"rows": 1, "cols": 1, "data": [["-1"]]}})
+        hh = write(tmp_path, "hh.json", HH_SIGN_ON_Z)
         code, doc = run(capsys, "hh", hh, "--n", "3")
         assert code == 0
         assert doc["result"] == {"rank": 0, "torsion": []}
@@ -142,16 +147,34 @@ class TestBasicCommands:
 
     def test_ring_ops_in_huge_degree(self, tmp_path, capsys):
         # Degrees from 5 on fold onto 3 or 4 of the same parity, so --n
-        # 10**18 builds no more than --n 4 and prints the same document.
+        # 10**18 builds no more than --n 4 and prints the same document,
+        # and HH is the zero group above degree 1: each returns at once.
         m = write(tmp_path, "m.json", {
             "ring": {"kind": "quotient", "poly": ["-1", "0", "1"]},
             "generators": 2,
             "relations": {"rows": 2, "cols": 1, "data": [["3"], ["3"]]},
             "t_action": {"rows": 2, "cols": 2, "data": [["0", "1"], ["1", "0"]]}})
+        hh = write(tmp_path, "hh.json", HH_SIGN_ON_Z)
+        start = time.perf_counter()
         for command in ("ring-ext", "ring-tor"):
             for huge, small in ((10**18, 4), (10**18 + 1, 3)):
                 docs = [run(capsys, command, m, m, "--n", str(k)) for k in (huge, small)]
                 assert docs[0] == docs[1] and docs[0][0] == 0, (command, huge)
+        code, doc = run(capsys, "hh", hh, "--n", str(10**18))
+        assert code == 0 and doc["result"] == {"rank": 0, "torsion": []}
+        assert time.perf_counter() - start < 5.0
+
+    def test_negative_degrees_exit_2_with_their_own_message(self, tmp_path, capsys):
+        m = write(tmp_path, "m.json", {
+            "ring": {"kind": "quotient", "poly": ["-1", "0", "1"]},
+            "generators": 1,
+            "relations": {"rows": 1, "cols": 0, "data": [[]]},
+            "t_action": {"rows": 1, "cols": 1, "data": [["1"]]}})
+        hh = write(tmp_path, "hh.json", HH_SIGN_ON_Z)
+        for command, paths, name in (("ring-ext", (m, m), "Ext"), ("ring-tor", (m, m), "Tor"),
+                                     ("hh", (hh,), "Hochschild")):
+            code, doc = run(capsys, command, *paths, "--n", "-1")
+            assert code == 2 and doc["error"]["message"] == f"{name} degree must be >= 0"
 
     def test_pv_and_kunneth(self, tmp_path, capsys):
         pv = write(tmp_path, "pv.json", {

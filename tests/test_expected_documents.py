@@ -1,7 +1,7 @@
 """The first seed-0 benchmark documents, byte for byte.
 
 bench/expected/<workload>.json holds the first 16 hex digits of the SHA-256
-of each seed-0 result document, in job order.  Here the first jobs of two
+of each seed-0 result document, in job order.  Here the first jobs of three
 workloads are generated as the benchmark generates them (its warm-up stream
 first, since the main stream redraws any job that repeats one), run
 through `cli.main` in this process, and compared with those digests, so a
@@ -38,7 +38,8 @@ _GENERATE = (
     "print(json.dumps([jobs.load(i)['cli_argv'] for i in range(count)]))\n")
 
 
-@pytest.mark.parametrize("workload, count", [("small-jobs", 45), ("ring-modules", 30)])
+@pytest.mark.parametrize("workload, count", [("small-jobs", 45), ("ring-modules", 30),
+                                             ("uct-ladder", 30)])
 def test_first_seed_zero_documents_match_the_recorded_digests(tmp_path, workload, count):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-B", "-c", _GENERATE, str(BENCH), workload,

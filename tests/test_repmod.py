@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from homkit import repmod
+from homkit import abgroups, repmod
 from homkit.errors import InputError
 from homkit.abgroups import (
     FgAbGroup,
@@ -10,7 +10,6 @@ from homkit.abgroups import (
     GroupHom,
     ext1,
     hom,
-    homology_of_pair,
     is_isomorphic,
     tensor,
     tor1,
@@ -211,6 +210,24 @@ class TestFreeResolution:
         deltas = res.deltas[:stage] + (delta,) + res.deltas[stage + 1:]
         return FreeResolutionR(res.ring, res.ranks, res.augmentation, deltas)
 
+    def test_stage_zero_is_a_zero_test_in_m_modulo_the_kept_generators(self, monkeypatch):
+        # The cover solves no system: it reads M's own decomposition, made
+        # when M was built, until a generator is kept, and factors M/<kept>
+        # only after a keep.  It keeps what the oracle's span test keeps.
+        rng = random.Random(139)
+        factored = []
+        real_snf = abgroups.snf
+        for ring in (ORDER2, cyclic_ring(3), QuotientRing((2, 0, 1))):
+            for _ in range(4):
+                m = random_rmodule(rng, ring)
+                monkeypatch.setattr(repmod, "solve", None)
+                monkeypatch.setattr(abgroups, "snf", lambda a: factored.append(a) or real_snf(a))
+                res = free_resolution_over_r(m, 0)
+                monkeypatch.undo()
+                assert res.augmentation == greedy_free_resolution(m, 0).augmentation
+                assert len(factored) <= res.ranks[0]
+                factored.clear()
+
     def test_a_delta_scaled_by_two_is_not_exact(self):
         # The composites stay zero, but the image of 2 delta_k is a proper
         # sublattice of ker delta_(k-1) (or of the cover's kernel).
@@ -331,6 +348,29 @@ class TestPeriodicResolution:
         assert x == [[(-1, 0, -1)]] and y == [[(0, 0, 0)]] and outer == [[(0, 0, 1)]]
         assert len(solved) == 1
 
+    def test_unit_cancellation_tests_each_distinct_entry_once(self, monkeypatch):
+        # A call remembers what the norm said of each entry, so an entry
+        # that repeats, or that survives a cancellation into the next pass,
+        # is tested once.
+        rng = random.Random(317)
+        tested, calls = [], []
+        real_inverse, real_cancel = QuotientRing.inverse, repmod._cancel_units
+
+        def counted(*args):
+            tested.clear()
+            out = real_cancel(*args)
+            calls.append(list(tested))
+            return out
+
+        monkeypatch.setattr(QuotientRing, "inverse",
+                            lambda ring, x: tested.append(x) or real_inverse(ring, x))
+        monkeypatch.setattr(repmod, "_cancel_units", counted)
+        for ring in self.RINGS:
+            for _ in range(6):
+                free_resolution_over_r(random_rmodule(rng, ring), 2)
+        assert any(len(entries) > 1 for entries in calls)
+        assert all(len(set(entries)) == len(entries) for entries in calls)
+
     def test_maps_repeat_with_period_two(self):
         rng = random.Random(311)
         for ring in self.RINGS:
@@ -351,12 +391,8 @@ class TestPeriodicResolution:
                 m, n = random_rmodule(rng, ring), random_rmodule(rng, ring)
                 res = free_resolution_over_r(m, 9)
                 for degree in range(5, 9):
-                    ext = homology_of_pair(
-                        repmod._with_coefficients(res, degree - 1, n, hom_side=True),
-                        repmod._with_coefficients(res, degree, n, hom_side=True))
-                    tor = homology_of_pair(
-                        repmod._with_coefficients(res, degree, n, hom_side=False),
-                        repmod._with_coefficients(res, degree - 1, n, hom_side=False))
+                    ext = repmod._r_homology(res, n, degree, hom_side=True)
+                    tor = repmod._r_homology(res, n, degree, hom_side=False)
                     for direct, folded in ((ext, ext_over_r(m, n, degree)),
                                            (tor, tor_over_r(m, n, degree))):
                         assert (folded.presentation, folded.basis) == \
@@ -372,6 +408,23 @@ class TestExtTorQuotient:
             assert ext_over_r(z, z, n).canonical == cyclic_order2_ext_pin(n), n
         for n in range(3):
             assert tor_over_r(z, z, n).canonical == cyclic_order2_tor_pin(n), n
+
+    def test_one_coefficient_group_per_rank(self, monkeypatch):
+        # Ext and Tor read one coefficient complex: F_(n-1), F_n and F_(n+1),
+        # with F_(-1) = 0, become N^rank, one group per distinct rank.
+        built = []
+        real_init = repmod.DirectSum.__init__
+        monkeypatch.setattr(repmod.DirectSum, "__init__", lambda group, parts:
+                            built.append(len(parts)) or real_init(group, parts))
+        rng = random.Random(331)
+        for ring in (ORDER2, cyclic_ring(3), QuotientRing((2, 0, 1))):
+            m, n = random_rmodule(rng, ring), random_rmodule(rng, ring)
+            ranks = (0,) + free_resolution_over_r(m, 5).ranks
+            for degree in range(5):
+                for functor in (ext_over_r, tor_over_r):
+                    built.clear()
+                    functor(m, n, degree)
+                    assert sorted(built) == sorted(set(ranks[degree:degree + 3])), (degree, ranks)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_cyclic_group_pins(self, n):
