@@ -8,25 +8,29 @@ success, 2 on validation failure, 1 on internal error; failures also emit a
 single document {"error": {"code", "message"}}.  An --out path that cannot be
 written is a validation failure, reported on stdout.
 
-Every command is declared once, in `COMMANDS`; the argument parser is built
-from that table.
+Every command is declared once, in `COMMANDS`.  A plain command line,
+`[--out PATH] COMMAND TOKEN...` with exact flags and values that do not
+start with "-", is read straight from that table.  Every other form (help,
+abbreviations, `--n=3`, errors) goes to the argparse parser built from the
+same table, so argparse alone words help, usage and error messages.
 
 A job runs in a fresh process, so what `import homkit.cli` loads is paid by
 every job: intlinalg, abgroups, percomplex, jsonio and repmod.  relhom is
 imported by the six handlers that call it, and randgen (with `random`) by
-`selftest` alone.  repmod stays eager, through jsonio: the benchmark's
-tracer (bench/tracing.py) resolves `repmod.RModule.__init__` on the loaded
-module, and a traced run that never imported repmod fails there.
+`selftest` alone.  argparse is imported, and the parser built, only for a
+command line that is not plain.  repmod stays eager, through jsonio: the
+benchmark's tracer (bench/tracing.py) resolves `repmod.RModule.__init__` on
+the loaded module, and a traced run that never imported repmod fails there.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
 from functools import cache
 from math import gcd
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InternalCheckError
@@ -55,10 +59,17 @@ def _read_bytes(path: str) -> bytes:
     return _raw_inputs[path]
 
 
+# What json.loads(text, parse_int=...) builds for every call, built once.
+_DECODER = json.JSONDecoder(parse_int=jsonio.decimal_to_int)
+
+
 def _load_json(path: str):
     raw = _read_bytes(path)
     try:
-        return json.loads(raw.decode("utf-8"), parse_int=jsonio.decimal_to_int)
+        text = raw.decode("utf-8")
+        if text.startswith("\ufeff"):  # json.loads refuses a BOM with this message
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # nested too deeply
         raise InputError(f"malformed JSON in {path}: {exc}") from None
 
@@ -336,9 +347,54 @@ COMMANDS = (
 )
 
 
+_BY_NAME = {cmd.name: cmd for cmd in COMMANDS}
+
+
+def _plain_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """What `_parser().parse_args(argv)` returns for a plain command line,
+    `[--out PATH] COMMAND TOKEN...`, where each token is a positional or an
+    exact flag of COMMAND followed by its value, none starting with "-",
+    and no flag repeats.  None for every other form, which argparse parses."""
+    out, start = (argv[1], 2) if len(argv) > 1 and argv[0] == "--out" else (None, 0)
+    cmd = _BY_NAME.get(argv[start]) if len(argv) > start else None
+    if cmd is None or (out is not None and out[:1] in ("", "-")):
+        return None
+    options = dict(cmd.options)
+    values: dict[str, object] = {}
+    paths = []
+    tokens = iter(argv[start + 1:])
+    for token in tokens:
+        if token[:1] not in ("", "-"):
+            paths.append(token)
+            continue
+        kwargs = options.get(token)
+        value = next(tokens, "")
+        if kwargs is None or token in values or value[:1] in ("", "-"):
+            return None
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except (TypeError, ValueError):
+                return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        values[token] = value
+    if len(paths) != len(cmd.inputs):
+        return None
+    args = SimpleNamespace(out=out, command=cmd.name, handler=cmd.handler, paths=paths)
+    for flag, kwargs in cmd.options:
+        if flag not in values and kwargs.get("required"):
+            return None
+        setattr(args, flag[2:].replace("-", "_"), values.get(flag, kwargs.get("default")))
+    return args
+
+
 @cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser for every command in COMMANDS, built once per process."""
+def _parser():
+    """The argparse parser for every command in COMMANDS, built once per
+    process, on the first command line that is not plain."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="homkit",
         description="Batch computations on groups, periodic complexes and ring modules.")
@@ -357,7 +413,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _emit(doc: dict, out: Optional[str]) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = jsonio.canonical_text(doc)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -366,7 +422,11 @@ def _emit(doc: dict, out: Optional[str]) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     out = args.out
     _raw_inputs.clear()
     try:

@@ -5,12 +5,18 @@ JSON number limits; parsing is strict (ASCII `-?[0-9]+` only) and every
 violation raises InputError with a human-readable message.  Decimal strings
 of any length convert both ways, beyond the interpreter's int/str digit
 limit, without changing that process-wide limit.
+
+`canonical_text` is the one writer of the canonical form every output
+document takes: the text of `json.dumps(doc, indent=2, sort_keys=True)`
+plus a newline, built without the pure-Python encoder that `json.dumps`
+falls back to when it indents.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Mapping, Sequence
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
 from .errors import InputError
@@ -95,18 +101,28 @@ def _parse_bigint(value: Any, what: str, row: int | None = None) -> int:
     raise InputError(f"{what if row is None else f'{what}[{row}]'}: {message}")
 
 
+def _is_array(value: Any) -> bool:
+    """A parsed JSON array, or any other sequence that is not text."""
+    return type(value) is list or (isinstance(value, Sequence)
+                                   and not isinstance(value, (str, bytes)))
+
+
 def matrix_from_json(doc: Any, what: str = "matrix") -> IntMatrix:
     doc = _expect_mapping(doc, what)
-    rows = _expect_size(doc.get("rows"), f"{what}.rows")
-    cols = _expect_size(doc.get("cols"), f"{what}.cols")
+    rows, cols = doc.get("rows"), doc.get("cols")
+    # Labels are formatted only for a message: plain sizes pass at once.
+    if type(rows) is not int or rows < 0:
+        rows = _expect_size(rows, f"{what}.rows")
+    if type(cols) is not int or cols < 0:
+        cols = _expect_size(cols, f"{what}.cols")
     data = doc.get("data")
-    if not isinstance(data, Sequence) or isinstance(data, (str, bytes)):
+    if not _is_array(data):
         raise InputError(f"{what}.data: expected an array of arrays")
     if len(data) != rows:
         raise InputError(f"{what}: declared {rows} rows, found {len(data)}")
     parsed = []
     for i, row in enumerate(data):
-        if not isinstance(row, Sequence) or isinstance(row, (str, bytes)) or len(row) != cols:
+        if not _is_array(row) or len(row) != cols:
             raise InputError(f"{what}: row {i} does not have {cols} entries")
         parsed.append(tuple(_parse_bigint(x, what, i) for x in row))
     return IntMatrix(rows, cols, tuple(parsed))
@@ -124,7 +140,7 @@ def group_from_json(doc: Any, what: str = "group") -> FgAbGroup:
     if "rank" in doc or "torsion" in doc:
         rank = _expect_int(doc.get("rank", 0), f"{what}.rank")
         torsion_doc = doc.get("torsion", [])
-        if not isinstance(torsion_doc, Sequence) or isinstance(torsion_doc, (str, bytes)):
+        if not _is_array(torsion_doc):
             raise InputError(f"{what}.torsion: expected an array")
         torsion = [_parse_bigint(d, f"{what}.torsion") for d in torsion_doc]
         return _build(what, FgAbGroup.from_invariants, rank, torsion)
@@ -178,7 +194,7 @@ def rmodule_from_json(doc: Any, what: str = "module") -> RModule:
     kind = ring_doc.get("kind")
     if kind == "quotient":
         poly_doc = ring_doc.get("poly")
-        if not isinstance(poly_doc, Sequence) or isinstance(poly_doc, (str, bytes)):
+        if not _is_array(poly_doc):
             raise InputError(f"{what}.ring.poly: expected an array of coefficients")
         ring: LaurentRing | QuotientRing = _build(
             f"{what}.ring.poly", QuotientRing,
@@ -193,3 +209,48 @@ def rmodule_from_json(doc: Any, what: str = "module") -> RModule:
         raise InputError(f"{what}: relations matrix must have one row per generator")
     t_action = matrix_from_json(doc.get("t_action"), f"{what}.t_action")
     return _build(what, RModule, ring, relations, t_action)
+
+
+def canonical_text(doc: Any) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True) + "\n" for a document of
+    dicts with str keys, lists, tuples, str, int, bool and None; any other
+    value raises TypeError."""
+    parts: list[str] = []
+    _write(doc, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(value: Any, newline: str, parts: list[str]) -> None:
+    """Append the canonical text of `value`, whose lines after the first
+    start with `newline`."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        parts.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner, sep = newline + "  ", "{"
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts += (sep, inner, encode_basestring_ascii(key), ": ")
+            _write(value[key], inner, parts)
+            sep = ","
+        parts += (newline, "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner, sep = newline + "  ", "["
+        for item in value:
+            parts += (sep, inner)
+            _write(item, inner, parts)
+            sep = ","
+        parts += (newline, "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

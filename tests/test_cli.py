@@ -7,11 +7,14 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from homkit import cli, jsonio
 from homkit.cli import main
 from homkit.jsonio import group_from_json
 
 from .oracles import cyclic_group_cohomology_pin, cyclic_group_homology_pin
+from .test_expected_documents import _GENERATE
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -275,6 +278,16 @@ class TestFailureModes:
         assert code == 2
         assert doc["error"]["code"] == "validation"
 
+    def test_byte_order_mark_gets_the_json_loads_message(self, tmp_path, capsys):
+        path = tmp_path / "bom.json"
+        path.write_bytes("\ufeff{}".encode("utf-8"))
+        code, doc = run(capsys, "homology", str(path))
+        try:
+            json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            expected = f"malformed JSON in {path}: {exc}"
+        assert code == 2 and doc["error"]["message"] == expected
+
     def test_deeply_nested_json(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
@@ -472,27 +485,125 @@ class TestCommandTable:
         assert usage.index("--out") < usage.index("<command>")
 
 
+class TestPlainCommandLines:
+    @pytest.mark.parametrize("workload, count", [("small-jobs", 45), ("ring-modules", 30),
+                                                 ("uct-ladder", 30)])
+    def test_benchmark_command_lines_read_as_argparse_reads_them(self, tmp_path, workload,
+                                                                 count):
+        # Every command line the benchmark runs is plain, so none of its
+        # jobs builds the argparse parser.
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run([sys.executable, "-B", "-c", _GENERATE, str(ROOT / "bench"),
+                               workload, str(count), str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=170)
+        assert proc.returncode == 0, proc.stderr
+        argvs = json.loads(proc.stdout)
+        assert len(argvs) == count
+        for argv in argvs:
+            args = cli._plain_args(argv)
+            assert args is not None, argv
+            assert vars(args) == vars(cli._parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--help"], ["homology"], ["homology", "a", "b"], ["homology", "a", "-h"],
+        ["homology", "a", "--out", "o"], ["--out", "homology", "a"], ["--out=o", "homology", "a"],
+        ["--o", "o", "homology", "a"], ["nosuch", "a"], ["--", "homology", "a"],
+        ["homology", "--", "a"], ["homology", "-"], ["homology", ""], ["ext", "a", "b"],
+        ["ext", "a", "b", "--n=3"], ["ext", "a", "b", "--n", "-1"], ["ext", "a", "b", "--n", "x"],
+        ["ext", "a", "b", "--n"], ["ext", "a", "b", "--n", "1", "--n", "2"],
+        ["hh", "a", "--n", "1", "--va", "cohomology"], ["hh", "a", "--n", "1", "--variant", "co"],
+        ["group-op", "a", "b", "--op", "bogus"], ["selftest", "--seed", "1.5"], ["uct", "--va", "1"],
+    ])
+    def test_other_forms_are_left_to_argparse(self, argv):
+        assert cli._plain_args(argv) is None
+
+    def test_a_plain_job_builds_no_parser(self, tmp_path):
+        cli._parser.cache_clear()
+        a = write(tmp_path, "a.json", MOORE_Z2)
+        assert main(["--out", str(tmp_path / "o.json"), "ext", "--n", "1", a, a]) == 0
+        assert json.loads((tmp_path / "o.json").read_text())["command"] == "ext"
+        assert cli._parser.cache_info().currsize == 0
+        # Options left out take the table's defaults, as argparse fills them in.
+        for argv in (["selftest"], ["hh", a, "--n", "0"]):
+            assert vars(cli._plain_args(argv)) == vars(cli._parser().parse_args(argv))
+
+
+# Help and malformed command lines, all left to argparse: `homkit -h`, each
+# `homkit <cmd> -h`, and one malformed command line per command.
+ARGPARSE_ARGVS = [
+    ["-h"], [], ["nosuch", "a"], ["--out"],
+    *([cmd.name, "-h"] for cmd in cli.COMMANDS),
+    ["snf"], ["group-op", "a", "b", "--op", "bogus"], ["homology", "a", "--out", "o"],
+    ["hoclasses", "a"], ["cone", "a", "b", "c", "d"], ["uct", "--va", "1"],
+    ["ext", "a", "b", "--n", "x"], ["resolve", "a", "--n", "1"],
+    ["classify", "a", "b", "map", "--n=1"], ["kappa", "a", "b", "map", "-x"],
+    ["ring-ext", "m", "n"], ["ring-tor", "m", "n", "--n", "1", "--n"], ["hh", "x.json", "--n"],
+    ["pv", "a", "b"], ["kunneth-check", "a", "b", "--variant", "homology"],
+    ["selftest", "--seed", "1.5"],
+]
+# stdout, stderr and exit code of `python -m homkit.cli ARGV` for each of
+# ARGPARSE_ARGVS, recorded under CPython 3.11.7 when argparse read every
+# command line.  Other versions, patch releases included, may word help and
+# errors differently; there the expected values come from the parser itself.
+ARGPARSE_RECORDED = ROOT / "tests" / "argparse_output_cpython3_11_7.json"
+
+
+def _fresh(argv, cwd, script=None):
+    env = dict(os.environ, COLUMNS="80", LINES="24")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    start = ["-c", script] if script else ["-m", "homkit.cli"]
+    proc = subprocess.run([sys.executable, *start, *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=60)
+    return {"stdout": proc.stdout, "stderr": proc.stderr, "code": proc.returncode}
+
+
+class TestArgparseOutput:
+    def test_one_malformed_command_line_per_command(self):
+        malformed = [argv[0] for argv in ARGPARSE_ARGVS[4 + len(cli.COMMANDS):]]
+        assert malformed == [cmd.name for cmd in cli.COMMANDS]
+
+    @pytest.mark.parametrize("argv", ARGPARSE_ARGVS, ids=lambda argv: " ".join(argv) or "-")
+    def test_help_and_errors_are_argparse_s(self, argv, tmp_path):
+        if sys.version_info[:3] == (3, 11, 7):
+            recorded = json.loads(ARGPARSE_RECORDED.read_text(encoding="utf-8"))
+            expected = recorded[" ".join(argv)]
+        else:
+            expected = _fresh(argv, tmp_path, "import sys\nfrom homkit import cli\n"
+                                              "cli._parser().parse_args(sys.argv[1:])\n")
+        assert _fresh(argv, tmp_path) == expected
+
+
 class TestColdStart:
-    def test_import_loads_only_what_every_job_needs(self):
+    def test_import_loads_only_what_every_job_needs(self, tmp_path):
         # Each job runs in a fresh process, so what `import homkit.cli` loads
         # is paid by every job.  It must not load dataclasses (which pulls in
         # inspect, ast and dis), nor relhom and randgen, which only some
         # commands call.  repmod stays loaded: the benchmark's tracer looks
         # up repmod.RModule.__init__ on the loaded module when it builds its
         # plan, and a traced run that never imported repmod fails there.
+        # Neither the import nor a plain job loads argparse: a plain command
+        # line is read straight from the command table.
         script = ("import sys\n"
                   "before = set(sys.modules)\n"
                   "import homkit.cli\n"
-                  "print(' '.join(sorted(set(sys.modules) - before)))\n")
+                  "print(' '.join(sorted(set(sys.modules) - before)))\n"
+                  "code = homkit.cli.main(['--out', sys.argv[2], 'homology', sys.argv[1]])\n"
+                  "print(code, ' '.join(sorted(set(sys.modules) - before)))\n")
+        complex_path = write(tmp_path, "a.json", MOORE_Z2)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
+        proc = subprocess.run([sys.executable, "-c", script, complex_path,
+                               str(tmp_path / "out.json")], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        loaded = set(proc.stdout.split())
+        after_import, after_job = proc.stdout.splitlines()
+        loaded = set(after_import.split())
+        code, *job_loaded = after_job.split()
         assert "homkit.cli" in loaded and "homkit.repmod" in loaded
         assert not loaded & {"dataclasses", "inspect", "homkit.relhom", "homkit.randgen"}
+        assert code == "0" and "argparse" not in loaded | set(job_loaded)
 
     def test_benchmark_tracer_plans_on_what_the_import_loads(self):
         # A traced benchmark run builds its plan on the modules that

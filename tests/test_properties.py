@@ -1,10 +1,12 @@
 """Property tests: arbitrary JSON into every jsonio parser raises only
 InputError, every CLI command that reads files exits 0 or 2 with one
-JSON document, and Smith forms satisfy their defining identities.
+JSON document, Smith forms satisfy their defining identities, the canonical
+writer agrees with json.dumps, and the plain command-line reader agrees with
+argparse.
 
 The profile is derandomized and keeps no example database, so the suite
-stays deterministic.  Integers stay within +-64, so no declared rank or
-shape allocates a large matrix.
+stays deterministic.  Integers in parsed documents stay within +-64, so no
+declared rank or shape allocates a large matrix.
 """
 
 import contextlib
@@ -20,6 +22,7 @@ from homkit import cli  # noqa: E402
 from homkit.errors import InputError  # noqa: E402
 from homkit.intlinalg import IntMatrix, snf  # noqa: E402
 from homkit.jsonio import (  # noqa: E402
+    canonical_text,
     chain_map_from_json,
     complex_from_json,
     graded_group_from_json,
@@ -188,3 +191,74 @@ def test_snf_identities(a):
     nonzero = [d for d in diag if d]
     assert diag[:len(nonzero)] == tuple(nonzero), "zeros must trail"
     assert all(b % c == 0 for c, b in zip(nonzero, nonzero[1:]))
+
+
+# Text as error messages echo it: any code point, lone surrogates included,
+# with the characters JSON escapes drawn often.
+JSON_TEXT = st.text(st.integers(0, 0x10FFFF).map(chr)
+                    | st.sampled_from('\x00\x1f\x7f"\\/\u2028\ud800\udfff\u00e9\U0001f600'),
+                    max_size=12)
+JSON_LEAF = (JSON_TEXT | st.booleans() | st.none() | st.integers()
+             | st.integers(-(10**4000 - 1), 10**4000 - 1))
+JSON_DOC = st.recursive(
+    JSON_LEAF,
+    lambda children: (st.lists(children, max_size=5) | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(JSON_TEXT, children, max_size=5)),
+    max_leaves=20)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(JSON_DOC)
+@example({"a": [], "b": {}, "c": [[], {}, ()], "": None})
+def test_canonical_text_is_json_dumps(doc):
+    assert canonical_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, {"a": [0.0]}, {1: "a"}])
+def test_canonical_text_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        canonical_text(value)
+
+
+# Tokens that make a plain command line a near miss: the forms only
+# argparse reads (=, abbreviations, -h, --, negative numbers, lone dashes,
+# empty strings), repeated or misplaced flags, bad choices and ints, and
+# extra paths.
+NEAR_MISS_TOKENS = st.sampled_from([
+    "a.json", "--n", "3", " 3", "+3", "3_0", "x", "--n=3", "--va", "--variant", "homology",
+    "cohomology", "--op", "hom", "bogus", "--seed", "-h", "--help", "--", "-1", "-", "",
+    "--out", "o.json", "--o", "nosuch"])
+
+
+@st.composite
+def near_miss_argvs(draw):
+    """A plain command line, flags and paths interleaved at random, with up
+    to two tokens inserted, deleted or replaced."""
+    cmd = draw(st.sampled_from(cli.COMMANDS))
+    groups = [[path] for path in ("a.json", "b.json", "c.json")[:len(cmd.inputs)]]
+    for flag, kwargs in cmd.options:
+        if kwargs.get("required") or draw(st.booleans()):
+            groups.append([flag, draw(st.sampled_from(kwargs.get("choices") or ["0", "3", "12"]))])
+    argv = draw(st.sampled_from([[], ["--out", "o.json"]])) + [cmd.name]
+    argv += [token for group in draw(st.permutations(groups)) for token in group]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit != "insert" and i < len(argv):
+            del argv[i]
+        if edit != "delete":
+            argv.insert(i, draw(NEAR_MISS_TOKENS))
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(near_miss_argvs())
+@example(["hh", "a.json", "--n", "3", "--variant", "cohomology"])
+@example(["--out", "o.json", "ext", "--n", "3", "a.json", "b.json"])
+@example(["selftest"])
+def test_plain_reader_agrees_with_argparse(argv):
+    # The direct reader may decline any command line (argparse then reads
+    # it); what it does read, it reads as argparse would.
+    args = cli._plain_args(argv)
+    if args is not None:
+        assert vars(args) == vars(cli._parser().parse_args(argv))
