@@ -295,7 +295,7 @@ def _cmd_selftest(args) -> dict:
     rings = ((-1, 0, 1), (-1, 0, 0, 1), (-1, 0, 0, 0, 1), (2, 0, 1), (1, 1))
     for _ in range(8):
         m = randgen.random_rmodule(rng, repmod.QuotientRing(rng.choice(rings)))
-        _check(repmod.free_resolution_over_r(m, 6).verify_exact(m),
+        _check(repmod.free_resolution_over_r(m).verify_exact(m),
                "free resolution over Z[t]/(p) is not exact")
     checks["resolutions"] = 8
 

@@ -5,8 +5,8 @@ a matrix giving the action of t on its generators.  Over a monogenic quotient
 ring R = Z[t]/(p), p monic, the free resolution is 2-periodic: after a
 cover F_0 -> M, the first syzygy M1 is Z-free with a t-action T1, and the
 maps t - T1 and (p(t) - p(T1))/(t - T1) alternate forever, less the
-trivial summands split off at their unit entries.  Ranks and coefficients
-stay fixed however long the resolution; the ranks need not be minimal.
+trivial summands split off at their unit entries.  So the whole resolution
+is three ranks and four maps, built once; the ranks need not be minimal.
 Over the Laurent ring the fixed two-term free bimodule resolution applies
 instead, which collapses Hochschild theory to kernels and cokernels of
 u - 1 for u = lambda rho^{-1}.  Laurent Ext/Tor share that one
@@ -189,33 +189,46 @@ class RModule(FgAbGroup):
 
 @_record
 class FreeResolutionR:
-    """Augmented complex F_len -> ... -> F_0 -> M of free modules over Z[t]/(p).
+    """Augmented complex ... -> F_1 -> F_0 -> M of free modules over Z[t]/(p).
 
-    F_i is free of rank ranks[i]; as a Z-module it is Z^(d * rank) with basis
+    F_k is free of rank rank(k); as a Z-module it is Z^(d * rank) with basis
     e_1, e_1 t, ..., e_1 t^(d-1), e_2, ... and t acting blockwise by the
     companion matrix.  `augmentation` maps F_0 onto M (columns = images of
-    the Z-basis in M's generators); `deltas[i]` is the Z-matrix of
-    F_(i+1) -> F_i.  The resolution is periodic from stage 2: ranks[2:] are
-    equal, and deltas[2], deltas[3] repeat (as the same matrix objects)
-    from there on.  deltas[3] is deltas[1] less the rows of the generators
-    of F_1 that map onto free summands of the first syzygy.
+    the Z-basis in M's generators); delta(k) is the Z-matrix of
+    F_(k+1) -> F_k.  Periodic from stage 2, it is kept once: ranks holds
+    rank F_0, rank F_1 and rank F_k for k >= 2, and deltas delta_0 to
+    delta_3, with delta_k = delta_(k-2) from k = 4 on; only `rank` and
+    `delta` read that layout.  deltas[3] is deltas[1] less the rows of the
+    generators of F_1 that map onto free summands of the first syzygy.
     """
 
     ring: QuotientRing
-    ranks: tuple[int, ...]
+    ranks: tuple[int, int, int]
     augmentation: IntMatrix
-    deltas: tuple[IntMatrix, ...]
+    deltas: tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]
+
+    def rank(self, k: int) -> int:
+        """Rank of F_k, with F_k = 0 for k < 0."""
+        return 0 if k < 0 else self.ranks[min(k, 2)]
+
+    def delta(self, k: int) -> IntMatrix:
+        """Z-matrix of delta_k: F_(k+1) -> F_k, for k >= 0."""
+        return self.deltas[k if k < 2 else 2 + k % 2]
 
     def verify_exact(self, module: RModule) -> bool:
-        """Exactness as Z-complexes at F_0, ..., F_(len-1): each pair of
-        consecutive maps, from the augmentation F_0 -> M on, passes
-        `is_exact_pair`, whose composite test is the only one; a nonzero
-        composite makes the resolution inexact, not the input invalid."""
-        free = [FgAbGroup.free(self.ring.degree * r) for r in self.ranks]
+        """Exactness as Z-complexes at M and at F_0, ..., F_4, hence at every
+        stage: from F_5 on the pairs of maps repeat those at F_3 and F_4.
+        Each pair of consecutive maps passes `is_exact_pair`, whose composite
+        test is the only one (a nonzero composite makes the resolution
+        inexact, not the input invalid), and the augmentation is onto M, by
+        the cokernel its kernel factored.  Each stage is its own GroupHom, so
+        equal matrices at two stages solve no system twice."""
+        free = [FgAbGroup.free(self.ring.degree * self.rank(k)) for k in range(6)]
         maps = [GroupHom(free[0], module, self.augmentation)]
-        maps += [GroupHom(free[i + 1], free[i], d) for i, d in enumerate(self.deltas)]
+        maps += [GroupHom(free[k + 1], free[k], self.delta(k)) for k in range(5)]
         try:
-            return all(is_exact_pair(f, g) for g, f in zip(maps, maps[1:]))
+            return (all(is_exact_pair(f, g) for g, f in zip(maps, maps[1:]))
+                    and maps[0].is_surjective())
         except InputError:  # some composite g f is not zero
             return False
 
@@ -271,7 +284,7 @@ def _cancel_units(ring: QuotientRing, x: list[list[Vector]], y: list[list[Vector
         outer = [row[:i] + row[i + 1:] for row in outer]
 
 
-def free_resolution_over_r(module: RModule, length: int) -> FreeResolutionR:
+def free_resolution_over_r(module: RModule) -> FreeResolutionR:
     """Free resolution over a quotient ring, periodic from stage 2.
 
     Stage 0 covers M by its generators in order, skipping each one that is
@@ -285,16 +298,14 @@ def free_resolution_over_r(module: RModule, length: int) -> FreeResolutionR:
     1980).  Two passes of `_cancel_units` then shrink the ranks.  Units of
     a mark generators of F_1 that are images of F_2; they leave F_1, F_3,
     ...  Units of b mark free summands of M1; they stay in F_1, and leave
-    F_2, F_3, ...  So ranks[1] <= rank_Z(M1), ranks[2:] are all equal, and
-    each map is built once however long the resolution.
+    F_2, F_3, ...  So rank(1) <= rank_Z(M1), rank(k) is one value for
+    every k >= 2, and each of the four maps is built once.
     """
     ring = module.ring
     if not isinstance(ring, QuotientRing):
         raise InputError("free resolutions are built over quotient rings only; "
                          "Laurent-ring Ext/Tor use the fixed two-term resolution "
                          "inside ext_over_r/tor_over_r")
-    if length < 0:
-        raise InputError("resolution length must be >= 0")
     d = ring.degree
 
     # Stage 0.  Columns of the augmentation list the images of the Z-basis
@@ -310,8 +321,6 @@ def free_resolution_over_r(module: RModule, length: int) -> FreeResolutionR:
         rest = FgAbGroup(hstack(presentation, IntMatrix.from_columns(cols, rows=module.ngens)))
     aug = IntMatrix.from_columns(cols, rows=module.ngens)
     rank0 = len(cols) // d
-    if length == 0:
-        return FreeResolutionR(ring, (rank0,), aug, ())
 
     # Kernel of the augmentation, taken inside M, i.e. modulo relations.  An
     # LLL-reduced basis keeps T1 and q(t, T1) small: a Smith-form basis can
@@ -334,9 +343,8 @@ def free_resolution_over_r(module: RModule, length: int) -> FreeResolutionR:
     b, a, a_first = _cancel_units(ring, b, a, a)
     g1, g = len(a_first), len(a)
     maps = ((delta0, rank0, g1), (a_first, g1, g), (b, g, g), (a, g, g))
-    deltas = tuple(_z_matrix(*m, ring.companion_powers) for m in maps[:length])
-    deltas = (deltas[:2] + deltas[2:] * (length // 2))[:length]
-    return FreeResolutionR(ring, ((rank0, g1) + (g,) * length)[:length + 1], aug, deltas)
+    deltas = tuple(_z_matrix(*m, ring.companion_powers) for m in maps)
+    return FreeResolutionR(ring, (rank0, g1, g), aug, deltas)
 
 
 def _r_homology(res: FreeResolutionR, n: RModule, degree: int, hom_side: bool) -> FgAbGroup:
@@ -344,20 +352,20 @@ def _r_homology(res: FreeResolutionR, n: RModule, degree: int, hom_side: bool) -
 
     Both coefficient complexes take F_k to N^rank(F_k), with F_(-1) = 0, and
     each rank is one DirectSum, so a group shared by the two maps is one
-    object.  Entry (i, a) of delta_k: F_(k+1) -> F_k over R has as t^j
-    coefficient that of e_i t^j in delta_k(e_a) (delta's column a*d).
-    Tensored with N, block (i, a) is that entry acting through the powers of
-    t_N, taken once for both maps; on Hom(-, N) the block grid is
-    transposed, from Hom(F_k, N) to Hom(F_(k+1), N).  delta_(-1) is the
-    zero map onto F_(-1).
+    object; any degree reads them through `res.rank` and `res.delta`.  Entry
+    (i, a) of delta_k: F_(k+1) -> F_k over R has as t^j coefficient that of
+    e_i t^j in delta_k(e_a) (delta's column a*d).  Tensored with N, block
+    (i, a) is that entry acting through the powers of t_N, taken once for
+    both maps; on Hom(-, N) the block grid is transposed, from Hom(F_k, N)
+    to Hom(F_(k+1), N).  delta_(-1) is the zero map onto F_(-1).
     """
-    d, ranks = res.ring.degree, (0,) + res.ranks  # ranks[k + 1] is the rank of F_k
-    groups = {r: DirectSum((n,) * r) for r in set(ranks[degree:degree + 3])}
+    d = res.ring.degree
+    groups = {r: DirectSum((n,) * r) for r in {res.rank(k) for k in range(degree - 1, degree + 2)}}
     powers = _powers(n.t_action, d)
 
     def coefficients(k: int) -> GroupHom:
-        lo, hi = ranks[k + 1], ranks[k + 2]
-        delta = res.deltas[k].data if k >= 0 else ()
+        lo, hi = res.rank(k), res.rank(k + 1)
+        delta = res.delta(k).data if k >= 0 else ()
         entries = [[tuple(delta[i * d + j][a * d] for j in range(d)) for a in range(hi)]
                    for i in range(lo)]
         if hom_side:
@@ -380,21 +388,13 @@ def _z_homology(u: Callable[[], GroupHom], degree: int, homological: bool) -> Fg
     return u_minus_1.kernel_group() if degree == int(homological) else u_minus_1.cokernel_group()
 
 
-def _periodic_degree(degree: int) -> int:
-    """The degree below 5 of the same Ext/Tor over a quotient ring: the
-    resolution has delta_k = delta_(k-2) for k >= 4, so from degree 5 on the
-    groups are those of degree 3 or 4, of the same parity, with the same
-    matrices."""
-    return degree if degree < 5 else 3 + (degree - 3) % 2
-
-
 def ext_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
     """Ext^degree over the common base ring.
 
     Quotient rings: cohomology of Hom_R(resolution, N), the coefficient
-    complex `_r_homology` shares with Tor, from degree 5 on read off degree
-    3 or 4.  Laurent ring: the Z-cohomology path shared with Tor and HH, ker
-    and coker of u - 1 for u: phi -> t_N phi t_M^{-1} on Hom_Z(M, N).  These
+    complex `_r_homology` shares with Tor, in any degree.  Laurent ring: the
+    Z-cohomology path shared with Tor and HH, ker and coker of u - 1 for
+    u: phi -> t_N phi t_M^{-1} on Hom_Z(M, N).  These
     are the Z-relative groups H^*(Z; Hom_Z(M, N)); they equal Ext over
     Z[t, 1/t] only when M is Z-free (for M = N = Z/2 with t = 1 they give
     Ext^1 = Z/2 and Ext^2 = 0, where the ring has (Z/2)^2 and Z/2).
@@ -414,17 +414,16 @@ def ext_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
                 raise InternalCheckError("t_N phi t_M^-1 does not respect relations")
             return GroupHom(hom_group, hom_group, images)
         return _z_homology(u, degree, homological=False)
-    degree = _periodic_degree(degree)
-    return _r_homology(free_resolution_over_r(m, degree + 1), n, degree, hom_side=True)
+    return _r_homology(free_resolution_over_r(m), n, degree, hom_side=True)
 
 
 def tor_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
     """Tor_degree over the common base ring.
 
     Quotient rings: homology of resolution (x)_R N, through `_r_homology`
-    as for Ext, from degree 5 on read off degree 3 or 4.  Laurent ring:
-    coker and ker of u - 1 for u = t_M^{-1} (x) t_N on M (x)_Z N, the
-    Z-homology path shared with Ext and HH.  These Z-relative groups
+    as for Ext, in any degree.  Laurent ring: coker and ker of u - 1 for
+    u = t_M^{-1} (x) t_N on M (x)_Z N, the Z-homology path shared with Ext
+    and HH.  These Z-relative groups
     H_*(Z; M (x) N) equal Tor over Z[t, 1/t] only when M is Z-free, as for
     Laurent Ext.
     """
@@ -437,8 +436,7 @@ def tor_over_r(m: RModule, n: RModule, degree: int) -> FgAbGroup:
             tens = tensor(m, n)
             return GroupHom(tens, tens, m.t_inverse_matrix().kron(n.t_action))
         return _z_homology(u, degree, homological=True)
-    degree = _periodic_degree(degree)
-    return _r_homology(free_resolution_over_r(m, degree + 1), n, degree, hom_side=False)
+    return _r_homology(free_resolution_over_r(m), n, degree, hom_side=False)
 
 
 def hochschild(lam: GroupHom, rho: GroupHom, degree: int,

@@ -8,9 +8,11 @@ hand-written periodic norm-element resolution.  The one exception is
 `greedy_free_resolution`, the iterated-kernel resolution over Z[t]/(p): it
 uses homkit's lattice routines, `lll_reduce` among them, but not the
 periodic construction (t - T, divided difference) of
-`free_resolution_over_r`.  And `snf_reference` is not independent at all:
-it is a frozen copy of the package's Smith form from before its shortcuts,
-for exact comparison of U, S and V; likewise `columns_reference`,
+`free_resolution_over_r`.  Its finite, non-periodic result is a
+`GreedyResolution` of its own, read through the same `ring`, `rank(k)` and
+`delta(k)` as the package's periodic record.  And `snf_reference` is not
+independent at all: it is a frozen copy of the package's Smith form from
+before its shortcuts, for exact comparison of U, S and V; likewise `columns_reference`,
 `transpose_reference`, `hstack_reference`, `vstack_reference`,
 `kron_reference` and `from_columns_reference` are frozen copies of the
 package's comprehension definitions of those matrix operations, kept to
@@ -37,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from homkit.abgroups import (
     DirectSum,
@@ -51,6 +53,7 @@ from homkit.abgroups import (
     tensor,
     tor1,
 )
+from homkit.errors import InputError
 from homkit.intlinalg import (
     IntMatrix,
     kernel_basis,
@@ -61,7 +64,7 @@ from homkit.intlinalg import (
 )
 from homkit.percomplex import ChainMap, PeriodicComplex, homology, homotopy_classes
 from homkit.relhom import Resolution, triangle_homology_maps
-from homkit.repmod import FreeResolutionR, QuotientRing, RModule
+from homkit.repmod import QuotientRing, RModule
 
 
 def det_bareiss(rows: list[list[int]]) -> int:
@@ -279,7 +282,39 @@ def cyclic_group_free_coefficient_pin(i: int) -> tuple[int, tuple[int, ...]]:
     return (1, ()) if i == 0 else (0, ())
 
 
-def greedy_free_resolution(module: RModule, length: int) -> FreeResolutionR:
+class GreedyResolution(NamedTuple):
+    """A finite free resolution F_length -> ... -> F_0 -> M over Z[t]/(p).
+
+    F_k has rank ranks[k] and Z-basis e_1, e_1 t, ..., e_1 t^(d-1), e_2, ...;
+    deltas[k] is the Z-matrix of F_(k+1) -> F_k.  `rank` and `delta` are
+    the reads Ext/Tor make of the package's periodic resolution.
+    """
+
+    ring: QuotientRing
+    ranks: tuple[int, ...]
+    augmentation: IntMatrix
+    deltas: tuple[IntMatrix, ...]
+
+    def rank(self, k: int) -> int:
+        return self.ranks[k] if k >= 0 else 0
+
+    def delta(self, k: int) -> IntMatrix:
+        return self.deltas[k]
+
+    def verify_exact(self, module: RModule) -> bool:
+        """Exactness as Z-complexes at M and at F_0, ..., F_(length-1), pair
+        by pair from the augmentation on; a nonzero composite is inexact."""
+        free = [FgAbGroup.free(self.ring.degree * r) for r in self.ranks]
+        maps = [GroupHom(free[0], module, self.augmentation)]
+        maps += [GroupHom(free[k + 1], free[k], d) for k, d in enumerate(self.deltas)]
+        try:
+            return (all(is_exact_pair(f, g) for g, f in zip(maps, maps[1:]))
+                    and maps[0].is_surjective())
+        except InputError:
+            return False
+
+
+def greedy_free_resolution(module: RModule, length: int) -> GreedyResolution:
     """Free resolution over Z[t]/(p) by iterated kernels.
 
     The Z-basis of each kernel becomes the ring generators of the next
@@ -316,7 +351,7 @@ def greedy_free_resolution(module: RModule, length: int) -> FreeResolutionR:
         ranks.append(rank_next)
         deltas.append(delta)
         ker = lll_reduce(kernel_basis(delta))
-    return FreeResolutionR(ring, tuple(ranks), aug, tuple(deltas))
+    return GreedyResolution(ring, tuple(ranks), aug, tuple(deltas))
 
 
 def _reference_pivot(a: list[list[int]], k: int, rows: int, cols: int) -> Optional[tuple[int, int]]:

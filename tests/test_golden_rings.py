@@ -6,8 +6,10 @@ depends on the order in which it tests the entries.  A resolution built
 another way can be just as exact and still change every document, so this
 hash fails first, with the resolutions named.  It was recorded before the
 Z-blocks of a map were built once per distinct ring entry and units were
-decided by the norm; re-record it only for a deliberate change of
-resolution.
+decided by the norm, and while a resolution still stored each of its
+stages; an item reads F_0, ..., F_6 and delta_0, ..., delta_5 through
+`rank` and `delta`, which is what that record held at length 6.
+Re-record it only for a deliberate change of resolution.
 """
 
 import random
@@ -43,8 +45,9 @@ def _resolution_items():
                                bound=1 + i % 3)
             if i % 2:
                 m = _with_trivial_summand(m, rng.choice((0, 2, 3)) if p1 == 0 else p1)
-            res = free_resolution_over_r(m, 6)
-            yield res.ranks, _shape(res.augmentation), [_shape(d) for d in res.deltas]
+            res = free_resolution_over_r(m)
+            yield (tuple(res.rank(k) for k in range(7)), _shape(res.augmentation),
+                   [_shape(res.delta(k)) for k in range(6)])
 
 
 def test_ring_resolution_digest():

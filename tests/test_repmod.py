@@ -23,7 +23,6 @@ from homkit.randgen import (
     random_rmodule,
 )
 from homkit.repmod import (
-    FreeResolutionR,
     LaurentRing,
     QuotientRing,
     RModule,
@@ -35,6 +34,7 @@ from homkit.repmod import (
 )
 
 from .oracles import (
+    GreedyResolution,
     cyclic_group_cohomology_pin,
     cyclic_group_free_coefficient_pin,
     cyclic_group_homology_pin,
@@ -156,11 +156,12 @@ class TestFreeResolution:
     def test_norm_element_pattern(self):
         # Over Z[t]/(t^2-1) the trivial module resolves periodically through
         # multiplication by (t - 1) and (t + 1).
-        res = free_resolution_over_r(z_trivial(), 3)
-        assert res.ranks == (1, 1, 1, 1)
+        res = free_resolution_over_r(z_trivial())
+        assert res.ranks == (1, 1, 1)
+        assert [res.rank(k) for k in range(-1, 6)] == [0, 1, 1, 1, 1, 1, 1]
         assert res.augmentation == IntMatrix.from_rows([[1, 1]])
-        for i, delta in enumerate(res.deltas):
-            col = delta.column(0)
+        for i in range(6):
+            col = res.delta(i).column(0)
             assert sorted(abs(x) for x in col) == [1, 1]
             expected_sum = 0 if i % 2 == 0 else 2
             assert abs(sum(col)) == expected_sum
@@ -168,52 +169,63 @@ class TestFreeResolution:
 
     def test_free_module_resolves_trivially(self):
         free = RModule(ORDER2, IntMatrix.zero(2, 0), ORDER2.companion_matrix())
-        res = free_resolution_over_r(free, 2)
-        assert res.ranks[1:] == (0, 0)
+        res = free_resolution_over_r(free)
+        assert (res.rank(1), res.rank(2)) == (0, 0)
         assert res.verify_exact(free)
 
     def test_degenerate_ring_is_plain_z(self):
         m = RModule(TRIVIAL_RING, IntMatrix.from_rows([[6]]), ONE)
-        res = free_resolution_over_r(m, 2)
+        res = free_resolution_over_r(m)
         assert res.verify_exact(m)
-        assert res.ranks[0] == 1
+        assert res.rank(0) == 1
 
     def test_laurent_rejected(self):
         with pytest.raises(InputError, match="Laurent"):
-            free_resolution_over_r(RModule(LAURENT, IntMatrix.zero(1, 0), ONE), 1)
+            free_resolution_over_r(RModule(LAURENT, IntMatrix.zero(1, 0), ONE))
 
     def test_random_modules_resolve_exactly(self):
         rng = random.Random(131)
         for ring in (ORDER2, TRIVIAL_RING, QuotientRing((1, 1, 1))):
             for _ in range(4):
                 m = random_rmodule(rng, ring)
-                res = free_resolution_over_r(m, 2)
+                res = free_resolution_over_r(m)
                 assert res.verify_exact(m)
 
     @staticmethod
-    def _resolutions(seed):
-        """(module, resolution of length 4) from both builders, on 12 random
-        modules over the selftest rings whose first two maps are nonzero."""
+    def _resolutions(seed, nonzero=2):
+        """(module, resolution) pairs, at least 12, from the periodic builder
+        and from the greedy one of length 4, on random modules over the
+        selftest rings whose first `nonzero` stored maps are nonzero."""
         rng = random.Random(seed)
         rings = ((-1, 0, 1), (-1, 0, 0, 1), (-1, 0, 0, 0, 1), (2, 0, 1), (1, 1))
         found = 0
         while found < 12:
             m = random_rmodule(rng, QuotientRing(rng.choice(rings)))
-            for res in (free_resolution_over_r(m, 4), greedy_free_resolution(m, 4)):
-                if not res.deltas[0].is_zero() and not res.deltas[1].is_zero():
+            for res in (free_resolution_over_r(m), greedy_free_resolution(m, 4)):
+                if not any(d.is_zero() for d in res.deltas[:nonzero]):
                     assert res.verify_exact(m)
                     found += 1
                     yield m, res
 
     @staticmethod
     def _replaced(res, stage, delta):
+        """`res`, of either builder's type, with stored map `stage` replaced."""
         deltas = res.deltas[:stage] + (delta,) + res.deltas[stage + 1:]
-        return FreeResolutionR(res.ring, res.ranks, res.augmentation, deltas)
+        return type(res)(res.ring, res.ranks, res.augmentation, deltas)
 
     def test_stage_zero_is_a_zero_test_in_m_modulo_the_kept_generators(self, monkeypatch):
         # The cover solves no system: it reads M's own decomposition, made
         # when M was built, until a generator is kept, and factors M/<kept>
         # only after a keep.  It keeps what the oracle's span test keeps.
+        # The cover builds no GroupHom; the first one built is the
+        # augmentation F_0 -> M, whose kernel the next stage takes, so
+        # stopping there isolates the cover.
+        class Covered(Exception):
+            pass
+
+        def stop(source, target, matrix):
+            raise Covered(source, target, matrix)
+
         rng = random.Random(139)
         factored = []
         real_snf = abgroups.snf
@@ -221,20 +233,60 @@ class TestFreeResolution:
             for _ in range(4):
                 m = random_rmodule(rng, ring)
                 monkeypatch.setattr(repmod, "solve", None)
+                monkeypatch.setattr(repmod, "GroupHom", stop)
                 monkeypatch.setattr(abgroups, "snf", lambda a: factored.append(a) or real_snf(a))
-                res = free_resolution_over_r(m, 0)
+                with pytest.raises(Covered) as covered:
+                    free_resolution_over_r(m)
                 monkeypatch.undo()
-                assert res.augmentation == greedy_free_resolution(m, 0).augmentation
-                assert len(factored) <= res.ranks[0]
+                source, target, augmentation = covered.value.args
+                assert target is m and source.ngens == augmentation.cols
+                assert augmentation == greedy_free_resolution(m, 0).augmentation
+                assert len(factored) <= augmentation.cols // ring.degree
                 factored.clear()
 
     def test_a_delta_scaled_by_two_is_not_exact(self):
         # The composites stay zero, but the image of 2 delta_k is a proper
-        # sublattice of ker delta_(k-1) (or of the cover's kernel).
-        for m, res in self._resolutions(163):
-            for stage in (0, 1):
+        # sublattice of ker delta_(k-1) (or of the cover's kernel).  Every
+        # stored map is doubled in turn, on resolutions whose four are nonzero.
+        for m, res in self._resolutions(163, nonzero=4):
+            for stage in range(4):
                 doubled = self._replaced(res, stage, res.deltas[stage].scale(2))
                 assert not doubled.verify_exact(m)
+
+    def test_a_fault_seen_only_at_f4_is_caught(self):
+        # delta_3 re-based by a shear A of F_4's Z-basis keeps its image, so
+        # the pairs at F_0, ..., F_3 stay exact (the greedy record of the
+        # same five stages checks just those), but at F_4 the composite
+        # delta_3 A delta_4 = delta_3 A delta_2 is no longer zero.
+        rng = random.Random(173)
+        caught = 0
+        while caught < 6:
+            m = random_rmodule(rng, QuotientRing(rng.choice(SELFTEST_RINGS)))
+            res = free_resolution_over_r(m)
+            d2, d3 = res.deltas[2:]
+            n = d3.cols
+            shears = (IntMatrix.from_rows([[int(r == c or (r, c) == (i, j)) for c in range(n)]
+                                           for r in range(n)])
+                      for i in range(n) for j in range(n) if i != j)
+            a = next((a for a in shears if not (d3 @ a @ d2).is_zero()), None)
+            if a is None:
+                continue
+            bad = self._replaced(res, 3, d3 @ a)
+            first_stages = GreedyResolution(bad.ring, tuple(bad.rank(k) for k in range(5)),
+                                            bad.augmentation, tuple(bad.delta(k) for k in range(4)))
+            assert first_stages.verify_exact(m)
+            assert not bad.verify_exact(m)
+            caught += 1
+
+    def test_an_augmentation_not_onto_m_is_not_exact(self):
+        # The resolution of Z mapped into Z + Z/2 (t = 1 on both) is exact
+        # at every F_k, but misses the Z/2 summand of M.
+        z = z_trivial()
+        m = RModule(ORDER2, IntMatrix.from_rows([[0], [2]]), IntMatrix.identity(2))
+        res = free_resolution_over_r(z)
+        assert res.verify_exact(z)
+        into_m = IntMatrix.from_rows([list(res.augmentation.data[0]), [0] * res.augmentation.cols])
+        assert not type(res)(res.ring, res.ranks, into_m, res.deltas).verify_exact(m)
 
     def test_verify_exact_solves_no_system_twice(self, monkeypatch):
         # One composite test and one lift per stage: no decomposition is
@@ -249,7 +301,7 @@ class TestFreeResolution:
 
         for _ in range(20):
             m = random_rmodule(rng, ORDER2)
-            res = free_resolution_over_r(m, 6)
+            res = free_resolution_over_r(m)
             monkeypatch.setattr(SmithDecomposition, "solve", counted)
             assert res.verify_exact(m)
             monkeypatch.undo()
@@ -272,27 +324,28 @@ class TestPeriodicResolution:
 
     def test_matches_greedy_oracle(self, monkeypatch):
         # 60 random pairs, 12 per ring: the periodic resolution and the
-        # greedy iterated-kernel one give the same Ext/Tor in degrees 0-5.
+        # greedy iterated-kernel one give the same Ext/Tor in degrees 0-9,
+        # across the maps' repeat from degree 5 on.
         rng = random.Random(307)
         compared = 0
         for ring in self.RINGS:
             for _ in range(12):
                 m, n = random_rmodule(rng, ring), random_rmodule(rng, ring)
-                periodic = free_resolution_over_r(m, 12)
+                periodic = free_resolution_over_r(m)
                 assert periodic.verify_exact(m)
-                assert len(set(periodic.ranks[2:])) == 1
-                greedy = greedy_free_resolution(m, 6)
+                assert len({periodic.rank(k) for k in range(2, 13)}) == 1
+                greedy = greedy_free_resolution(m, 10)
                 # Unit cancellation keeps the periodic ranks down to the
                 # greedy builder's on this stream (rank_Z(M1) alone is up
                 # to deg p times more).
-                assert periodic.ranks[1] <= greedy.ranks[1]
-                assert periodic.ranks[2] <= min(greedy.ranks[2:])
+                assert periodic.rank(1) <= greedy.rank(1)
+                assert periodic.rank(2) <= min(greedy.ranks[2:])
                 values = []
-                for res in (free_resolution_over_r(m, 6), greedy):
+                for res in (periodic, greedy):
                     monkeypatch.setattr(repmod, "free_resolution_over_r",
-                                        lambda module, length, res=res: res)
+                                        lambda module, res=res: res)
                     values.append([(ext_over_r(m, n, k).canonical,
-                                    tor_over_r(m, n, k).canonical) for k in range(6)])
+                                    tor_over_r(m, n, k).canonical) for k in range(10)])
                     monkeypatch.undo()
                 assert values[0] == values[1], (ring, m.presentation, n.presentation)
                 compared += 1
@@ -304,16 +357,16 @@ class TestPeriodicResolution:
         # stage, like the classical (t - 1, norm element) resolution.
         for n in range(2, 7):
             m = z_trivial(cyclic_ring(n))
-            res = free_resolution_over_r(m, 6)
-            assert res.ranks == (1,) * 7
+            res = free_resolution_over_r(m)
+            assert [res.rank(k) for k in range(7)] == [1] * 7
             assert res.verify_exact(m)
 
     def test_free_syzygy_leaves_after_stage_one(self):
         # R/2R over Z[C_2] has the resolution 0 -> R --2--> R -> R/2R: its
         # first syzygy 2R is free, so every later rank is zero.
         m = RModule(ORDER2, IntMatrix.identity(2).scale(2), ORDER2.companion_matrix())
-        res = free_resolution_over_r(m, 5)
-        assert res.ranks == (1, 1, 0, 0, 0, 0)
+        res = free_resolution_over_r(m)
+        assert [res.rank(k) for k in range(6)] == [1, 1, 0, 0, 0, 0]
         assert res.verify_exact(m)
 
     def test_one_z_block_per_distinct_entry(self, monkeypatch):
@@ -367,7 +420,7 @@ class TestPeriodicResolution:
         monkeypatch.setattr(repmod, "_cancel_units", counted)
         for ring in self.RINGS:
             for _ in range(6):
-                free_resolution_over_r(random_rmodule(rng, ring), 2)
+                free_resolution_over_r(random_rmodule(rng, ring))
         assert any(len(entries) > 1 for entries in calls)
         assert all(len(set(entries)) == len(entries) for entries in calls)
 
@@ -375,28 +428,30 @@ class TestPeriodicResolution:
         rng = random.Random(311)
         for ring in self.RINGS:
             m = random_rmodule(rng, ring)
-            res = free_resolution_over_r(m, 8)
-            assert res.deltas[2:] == (res.deltas[2], res.deltas[3]) * 3
+            res = free_resolution_over_r(m)
+            assert [res.delta(k) for k in range(2, 8)] == [res.deltas[2], res.deltas[3]] * 3
+            assert (res.delta(10**18), res.delta(10**18 + 1)) == res.deltas[2:]
             # (t - T1) q(t, T1) = 0 over R, both ways round.
             assert (res.deltas[2] @ res.deltas[3]).is_zero()
             assert (res.deltas[3] @ res.deltas[2]).is_zero()
 
     def test_high_degrees_fold_onto_three_and_four(self):
-        # Ext^n and Tor_n for n >= 5 are read off degree 3 or 4; they must be
-        # the very groups (presentation and basis) that the resolution of
-        # length n + 1 gives directly.
+        # From degree 5 on, Ext^n and Tor_n read the same ranks and maps as
+        # degree n - 2, so they are the very groups (presentation and basis)
+        # of degree 3 or 4; `ext_over_r` and `tor_over_r` give those groups,
+        # at degree 10**18 too.
         rng = random.Random(313)
         for ring in self.RINGS:
             for _ in range(3):
                 m, n = random_rmodule(rng, ring), random_rmodule(rng, ring)
-                res = free_resolution_over_r(m, 9)
-                for degree in range(5, 9):
-                    ext = repmod._r_homology(res, n, degree, hom_side=True)
-                    tor = repmod._r_homology(res, n, degree, hom_side=False)
-                    for direct, folded in ((ext, ext_over_r(m, n, degree)),
-                                           (tor, tor_over_r(m, n, degree))):
-                        assert (folded.presentation, folded.basis) == \
-                            (direct.presentation, direct.basis), (ring, degree)
+                res = free_resolution_over_r(m)
+                for hom_side, functor in ((True, ext_over_r), (False, tor_over_r)):
+                    for degree in [*range(5, 13), 10**18]:
+                        folded, *same = [repmod._r_homology(res, n, k, hom_side)
+                                         for k in (3 + (degree - 3) % 2, degree - 2, degree)]
+                        for direct in same + [functor(m, n, degree)]:
+                            assert (direct.presentation, direct.basis) == \
+                                (folded.presentation, folded.basis), (ring, degree)
 
 
 class TestExtTorQuotient:
@@ -419,7 +474,8 @@ class TestExtTorQuotient:
         rng = random.Random(331)
         for ring in (ORDER2, cyclic_ring(3), QuotientRing((2, 0, 1))):
             m, n = random_rmodule(rng, ring), random_rmodule(rng, ring)
-            ranks = (0,) + free_resolution_over_r(m, 5).ranks
+            res = free_resolution_over_r(m)
+            ranks = [res.rank(k) for k in range(-1, 6)]
             for degree in range(5):
                 for functor in (ext_over_r, tor_over_r):
                     built.clear()
@@ -503,8 +559,8 @@ class TestExtTorQuotient:
             for _ in range(3):
                 m = random_rmodule(rng, ring)
                 n = random_rmodule(rng, ring)
-                res = free_resolution_over_r(m, 0)
-                t_block = IntMatrix.identity(res.ranks[0]).kron(ring.companion_matrix())
+                res = free_resolution_over_r(m)
+                t_block = IntMatrix.identity(res.rank(0)).kron(ring.companion_matrix())
                 basis = preimage_gens(res.augmentation, m.presentation)
                 t_k = solve_matrix(basis, t_block @ basis)
                 syzygy = RModule(ring, IntMatrix.zero(basis.cols, 0), t_k)
