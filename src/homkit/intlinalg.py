@@ -24,10 +24,12 @@ dropped only for the rows a row operation changes; it stops once the
 remaining block is zero.  A matrix already in Smith form costs one scan and
 comes back with no operations, as the pivot loop would return it.  The
 pivot rule (minimal |value|, lowest (i, j) on ties) is frozen.  A
-decomposition keeps S and the row and column operations that made it:
-`solve` replays them on the rows of b, and dense U and V are built only
-when read.  A decomposition answers what its factored matrix does; those
-derived from one (of a lattice, kernel or reduced basis) are built by
+decomposition keeps its diagonal and the row and column operations that
+made it: `solve` replays them on the rows of b, a kernel or image basis
+replays V's on the identity columns it keeps, and dense U, S and V are
+built only when read, which no package path but `homkit snf` and selftest
+does.  A decomposition answers what its factored matrix does; those derived
+from one (of a lattice, kernel or reduced basis) are built by
 `Subquotient`'s three constructors, which alone read the operations.
 
 The constructor checks a matrix's shape, as do `from_rows` and
@@ -347,65 +349,65 @@ def _replay(ops, rows: list) -> list:
     return rows
 
 
-def _identity_rows(n: int) -> list[list[int]]:
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        row[i] = 1
-        rows.append(row)
-    return rows
-
-
 @_record
 class SmithDecomposition:
-    """Unimodular U, V and diagonal S with U @ A @ V = S, kept as the
-    elimination steps that made them.
+    """Unimodular U, V and diagonal S with U @ A @ V = S for a `rows` x
+    `cols` matrix A, kept as S's diagonal and the steps that made U and V.
 
-    Diagonal entries are nonnegative, each divides the next, zeros trail.
-    `row_ops` are the row operations that took A to S, in order, so U is
-    their product; `col_ops` are the column operations, and V is theirs.
-    Each is a line operation as `_replay` reads it; a column operation
-    (i, j, c) adds c times column j to column i, swaps them, or negates
-    column i (`snf` never negates a column).  Solving replays the steps;
-    dense `u` and `v` are built from them only when read.
+    `diagonal` holds S's min(rows, cols) entries: nonnegative, each divides
+    the next, zeros trail.  `row_ops` are the row operations that took A to
+    S, in order, so U is their product; `col_ops` are the column
+    operations, and V is theirs.  Each is a line operation as `_replay`
+    reads it; a column operation (i, j, c) adds c times column j to column
+    i, swaps them, or negates column i (`snf` never negates a column).
+    Solving and the kernel and image bases replay the steps; dense `s`, `u`
+    and `v` are built from them only when read.
     """
 
-    s: IntMatrix
+    rows: int
+    cols: int
+    diagonal: Vector
     row_ops: tuple[Op, ...]
     col_ops: tuple[Op, ...]
 
     @cached_property
+    def s(self) -> IntMatrix:
+        return IntMatrix.diagonal(self.diagonal, self.rows, self.cols)
+
+    @cached_property
     def u(self) -> IntMatrix:
-        n = self.s.rows
-        return _matrix(n, n, tuple(map(tuple, _replay(self.row_ops, _identity_rows(n)))))
+        n = self.rows
+        return _matrix(n, n, tuple(map(tuple, _replay(self.row_ops, [*IntMatrix.identity(n).data]))))
 
     @cached_property
     def v(self) -> IntMatrix:
-        # Column operations on V are row operations on its transpose.
-        n = self.s.cols
-        return _matrix(n, n, tuple(zip(*_replay(self.col_ops, _identity_rows(n)))))
+        return self._v_times([*IntMatrix.identity(self.cols).data], self.cols)
 
-    @cached_property
-    def diagonal(self) -> Vector:
-        n = min(self.s.rows, self.s.cols)
-        return tuple(self.s.data[i][i] for i in range(n))
-
-    @cached_property
+    @property
     def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d != 0)
+        return len(self.diagonal) - self.diagonal.count(0)  # the zeros trail
 
     @property
     def cokernel_invariants(self) -> tuple[int, tuple[int, ...]]:
         """Canonical form of coker(A): (free rank, invariant factors >= 2)."""
-        return self.s.rows - self.rank, tuple(d for d in self.diagonal if d >= 2)
+        return self.rows - self.rank, tuple(d for d in self.diagonal if d >= 2)
+
+    def _v_times(self, y: list, width: int) -> IntMatrix:
+        """V Y for Y `width` columns wide, given its first rows `y` (the
+        rest are zero): the column operations, last first, each as the row
+        operation it is on Y, so no n x n matrix is formed."""
+        y += [(0,) * width] * (self.cols - len(y))
+        y = _replay(((j, i, c) for i, j, c in reversed(self.col_ops)), y)
+        return _matrix(self.cols, width, tuple(map(tuple, y)))
 
     def kernel_basis(self) -> IntMatrix:
         """The columns of V past the rank: a basis of ker(A), which is saturated."""
-        return self.v[:, self.rank:]
+        r, w = self.rank, self.cols - self.rank
+        return self._v_times([(0,) * w] * r + [*IntMatrix.identity(w).data], w)
 
     def image_witness(self) -> IntMatrix:
         """The first `rank` columns T of V: A @ T is a basis of A's column lattice."""
-        return self.v[:, :self.rank]
+        return self._v_times([*IntMatrix.identity(self.rank).data], self.rank)
 
     def preimage_basis(self, ncols: int) -> IntMatrix:
         """For A = [a | t], a with `ncols` columns: a basis of the lattice
@@ -422,9 +424,8 @@ class SmithDecomposition:
         U b at or past the rank must be zero, and a row before it is divided
         by its diagonal entry (unless that is 1) with no remainder; then
         X = V Y.  U b replays the row operations on the rows of b, and V Y
-        the column operations, last first, each as the row operation it is
-        on Y, so no n x n matrix is formed."""
-        if b.rows != self.s.rows:
+        the column operations."""
+        if b.rows != self.rows:
             raise InputError("solve: right-hand side has wrong row count")
         r = self.rank  # the nonzero diagonal entries come first
         ub = _replay(self.row_ops, list(b.data))
@@ -437,9 +438,7 @@ class SmithDecomposition:
                     return None
                 row = [x // d for x in row]
             y.append(row)
-        y += [(0,) * b.cols] * (self.s.cols - r)
-        y = _replay(((j, i, c) for i, j, c in reversed(self.col_ops)), y)
-        return _matrix(self.s.cols, b.cols, tuple(map(tuple, y)))
+        return self._v_times(y, b.cols)
 
 
 def _least_abs(row: list[int]) -> int:
@@ -447,18 +446,18 @@ def _least_abs(row: list[int]) -> int:
     return min(map(abs, filter(None, row))) if any(row) else 0
 
 
-def _in_smith_form(a: IntMatrix) -> bool:
-    """True iff `a` is diagonal, its diagonal is nonnegative, each nonzero
-    entry divides the next and zeros trail: a scan, stopping at the first
-    row that fails."""
+def _smith_diagonal(a: IntMatrix) -> Optional[Vector]:
+    """`a`'s diagonal if `a` is diagonal, its diagonal is nonnegative, each
+    nonzero entry divides the next and zeros trail, else None: a scan,
+    stopping at the first row that fails."""
     cols = a.cols
     last = 1
     for i, row in enumerate(a.data):
         d = row[i] if i < cols else 0
         if d < 0 or row.count(0) != cols - (d != 0) or (d % last if last else d):
-            return False
+            return None
         last = d
-    return True
+    return tuple(a.data[i][i] for i in range(min(a.rows, cols)))
 
 
 def snf(a: IntMatrix) -> SmithDecomposition:
@@ -467,18 +466,19 @@ def snf(a: IntMatrix) -> SmithDecomposition:
     Pivots are chosen by minimal absolute value with lowest-index tie-break
     (the first such entry of s[k:, k:] in row-major order), so the returned
     decomposition is deterministic.  A matrix already in Smith form is one
-    on which that rule makes no operation, so it is returned as S with no
-    operations after a scan.  Otherwise rows k and below are zero left of
+    on which that rule makes no operation, so its diagonal is returned with
+    no operations after a scan.  Otherwise rows k and below are zero left of
     column k, so the search reads a list holding each row's least nonzero
     |entry|, refreshed only for the rows an operation changes.  The
     divisibility test reads each row's gcd the same way: computed when the
     test first reads the row, and dropped only when a row operation changes
     it (a column operation keeps every row's gcd).  The factorization stops
-    once the remaining block is zero.  S is kept dense; U and V are kept as
-    the row and column operations done.
+    once the remaining block is zero.  S is kept as its diagonal; U and V
+    as the row and column operations done.
     """
-    if _in_smith_form(a):
-        return SmithDecomposition(a, (), ())
+    diagonal = _smith_diagonal(a)
+    if diagonal is not None:
+        return SmithDecomposition(a.rows, a.cols, diagonal, (), ())
     rows, cols = a.rows, a.cols
     s = [list(r) for r in a.data]
     row_ops: list[Op] = []
@@ -551,11 +551,11 @@ def snf(a: IntMatrix) -> SmithDecomposition:
                 break
         if not p:
             break  # the remaining block is zero
-        if s[k][k] < 0:
-            s[k] = [-x for x in s[k]]
+        if s[k][k] < 0:  # row k of S is p e_k
+            s[k][k] = -s[k][k]
             row_ops.append((k, k, -1))
 
-    return SmithDecomposition(_matrix(rows, cols, tuple(map(tuple, s))),
+    return SmithDecomposition(rows, cols, tuple(s[k][k] for k in range(min(rows, cols))),
                               tuple(row_ops), tuple(col_ops))
 
 
@@ -707,25 +707,24 @@ class Subquotient:
         whose invariant factor is not 1, for its decomposition `dec`:
         U M V = S, with t unit factors.  The basis is B U^-1's columns past
         t, undone from the row operations with no dense U; the presentation
-        is S's block past t.  The columns before t lie in Q and join D, so
-        [D | B] becomes [D | B] W' for W' = diag(I, U^-1), and
-        U_b ([D | B] W') (W'^-1 V_b) = S_b keeps S_b and its row operations:
-        U's row operations, last first, come before V_b's as the column
-        operations they are (adding c times row j to row i is, on the right,
-        adding c times column i to column j)."""
-        t = dec.diagonal.count(1)  # the unit factors come first
-        n = dec.s.rows
+        is S's block past t, built from its diagonal.  The columns before t
+        lie in Q and join D, so [D | B] becomes [D | B] W' for
+        W' = diag(I, U^-1), and U_b ([D | B] W') (W'^-1 V_b) = S_b keeps S_b
+        and its row operations: U's row operations, last first, come before
+        V_b's as the column operations they are (adding c times row j to row
+        i is, on the right, adding c times column i to column j)."""
+        t, r, n = dec.diagonal.count(1), dec.rank, dec.rows  # the unit factors come first
         # Columns t.. of U^-1: (i, j, -c) undoes (i, j, c); a swap or a
         # negation undoes itself.
         w = _replay(((i, j, -c) for i, j, c in reversed(dec.row_ops)),
                     [[int(i - t == j) for j in range(n - t)] for i in range(n)])
         b = self.basis_smith
-        offset = b.s.cols - self.ngens
+        offset = b.cols - self.ngens
         ops = tuple((j + offset, i + offset, c) if c and i != j else (i + offset, j + offset, c)
                     for i, j, c in reversed(dec.row_ops))
         return Subquotient(self.basis @ _matrix(n, n - t, tuple(map(tuple, w))),
-                           dec.s[t:, t:dec.rank],
-                           SmithDecomposition(b.s, b.row_ops, ops + b.col_ops))
+                           IntMatrix.diagonal(dec.diagonal[t:r], n - t, r - t),
+                           SmithDecomposition(b.rows, b.cols, b.diagonal, b.row_ops, ops + b.col_ops))
 
 
 def _quotient_over(basis: IntMatrix, dec: SmithDecomposition, q_gens: IntMatrix,
@@ -745,8 +744,8 @@ def lattice_quotient(p_gens: IntMatrix, q_gens: IntMatrix) -> Subquotient:
     if p_gens.rows != q_gens.rows:
         raise InputError("lattice_quotient: ambient dimensions differ")
     dec = snf(p_gens)
-    return _quotient_over(p_gens @ dec.image_witness(),
-                          SmithDecomposition(dec.s[:, :dec.rank], dec.row_ops, ()), q_gens,
+    basis = SmithDecomposition(dec.rows, dec.rank, dec.diagonal[:dec.rank], dec.row_ops, ())
+    return _quotient_over(p_gens @ dec.image_witness(), basis, q_gens,
                           "denominator lattice is not contained in the numerator")
 
 
@@ -757,17 +756,17 @@ def subquotient(l: IntMatrix, n: IntMatrix) -> Subquotient:
     l is factored: with U l V = S of rank r, the basis K is V's columns
     past r, and V^-1 K is I below r zero rows, so K's U is V^-1 (the column
     operations undone in order, as row operations) with rows r.. moved
-    first, its S is [I; 0] and its V is I.
+    first, its S is [I; 0] (m - r ones down the diagonal) and its V is I.
     """
     if l.cols != n.rows:
         raise InputError("subquotient: shapes are incompatible")
     dec = snf(l)
-    m, r = dec.s.cols, dec.rank
+    m, r = dec.cols, dec.rank
     ops = tuple((j, i, -c) if c else (i, j, 0) for i, j, c in dec.col_ops)
     if r:
         ops += tuple((i, r + i, 0) for i in range(m - r))
     # The kernel is saturated, so N's columns lie in its lattice exactly
     # when l @ n = 0: solving N in K's coordinates is the subcomplex check.
     return _quotient_over(dec.kernel_basis(),
-                          SmithDecomposition(IntMatrix.diagonal((1,) * (m - r), rows=m), ops, ()),
+                          SmithDecomposition(m, m - r, (1,) * (m - r), ops, ()),
                           n, "not a subcomplex: L @ N is nonzero")

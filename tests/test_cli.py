@@ -648,7 +648,8 @@ class TestSelftestUnderOptimize:
             "from homkit.intlinalg import SmithDecomposition, snf\n"
             "def broken(m):\n"
             "    dec = snf(m)\n"
-            "    return SmithDecomposition(dec.s.scale(2), dec.row_ops, dec.col_ops)\n"
+            "    return SmithDecomposition(dec.rows, dec.cols, tuple(2 * d for d in dec.diagonal),\n"
+            "                              dec.row_ops, dec.col_ops)\n"
             "cli.snf = broken\n"
             "sys.exit(cli.main(['selftest', '--seed', '0']))\n")
         env = dict(os.environ)

@@ -1,3 +1,7 @@
+import contextlib
+import hashlib
+import io
+import json
 import math
 import os
 import random
@@ -9,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from homkit import intlinalg, percomplex
+from homkit import cli, intlinalg, percomplex
 from homkit.errors import InputError
 from homkit.abgroups import FgAbGroup, GroupElement
 from homkit.intlinalg import (
@@ -56,6 +60,7 @@ from .oracles import (
     transpose_reference,
     vstack_reference,
 )
+from .test_expected_documents import _GENERATE
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -274,15 +279,77 @@ class TestSnf:
                 outcomes["none" if x is None else "solved"] += 1
         assert min(outcomes.values()) >= 200, outcomes
 
-    def test_solve_rank_and_invariants_build_no_dense_u_or_v(self):
-        # A decomposition keeps its operations; only reading u or v builds them.
+    def test_solve_rank_and_invariants_build_no_dense_u_or_v(self, monkeypatch):
+        # A decomposition keeps its diagonal and its operations.  Solving,
+        # the rank, the invariants, the kernel, image and preimage bases and
+        # the three Subquotient constructors build no dense U, S or V on any
+        # decomposition they make or read; only reading u, s or v builds it.
+        made = []
+
+        def recording(a):
+            made.append(snf_original(a))
+            return made[-1]
+
+        snf_original = intlinalg.snf
+        monkeypatch.setattr(intlinalg, "snf", recording)
         rng = random.Random(19)
         for a in early_stop_and_gcd_cases(rng)[:40]:
-            dec = snf(a)
+            made.clear()
+            dec = intlinalg.snf(a)
             dec.rank, dec.cokernel_invariants
             dec.solve(a @ IntMatrix.identity(a.cols))
-            assert "u" not in vars(dec) and "v" not in vars(dec)
+            dec.image_witness(), dec.preimage_basis(a.cols // 2)
+            sq = subquotient(a, dec.kernel_basis())
+            lq = lattice_quotient(a, a.scale(2))
+            reduced = lq.reduced(intlinalg.snf(lq.presentation))
+            for q in (sq, lq, reduced):
+                q.to_coords(q.basis)
+            decs = made + [q.basis_smith for q in (sq, lq, reduced)]
+            assert len(made) >= 4 and not any({"u", "s", "v"} & set(vars(d)) for d in decs), a
             assert dec.u.rows == a.rows and "u" in vars(dec)
+            assert dec.s.cols == a.cols and "s" in vars(dec) and "v" not in vars(dec)
+
+    def test_kernel_and_image_bases_are_the_columns_of_the_dense_v(self, monkeypatch):
+        # The bases replay V's operations on the identity columns they keep,
+        # with no dense V, and are those columns of V built whole.
+        mats = (homotopy_class_systems(monkeypatch, 6, 1_500)
+                + early_stop_and_gcd_cases(random.Random(77)))
+        both = 0
+        for a in mats:
+            dec = snf(a)
+            k, t = dec.kernel_basis(), dec.image_witness()
+            assert "v" not in vars(dec)
+            assert k == dec.v[:, dec.rank:] and t == dec.v[:, :dec.rank], a
+            both += 0 < dec.rank < a.cols and bool(dec.col_ops)
+        assert both >= 60, both
+
+    def test_cli_jobs_build_no_dense_u_s_or_v(self, tmp_path, monkeypatch):
+        # Only `homkit snf` and selftest read a decomposition's dense
+        # factors: the first seed-0 small-jobs, snf aside, run in this
+        # process with the getters raising and give their recorded documents.
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run([sys.executable, "-B", "-c", _GENERATE, str(ROOT / "bench"),
+                               "small-jobs", "45", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=170)
+        assert proc.returncode == 0, proc.stderr
+        expected = json.loads((ROOT / "bench" / "expected" / "small-jobs.json")
+                              .read_text(encoding="utf-8"))
+
+        def dense(self):
+            raise AssertionError("a dense factor was built")
+
+        for name in ("u", "s", "v"):
+            monkeypatch.setattr(SmithDecomposition, name, property(dense))
+        ran = []
+        for index, argv in enumerate(json.loads(proc.stdout)):
+            if argv[0] != "snf":
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli.main(argv)
+                digest = hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+                assert code == 0 and digest == expected[index], (index, argv[0], out.getvalue())
+                ran.append(argv[0])
+        assert {"uct", "kappa", "pv", "ring-ext"} <= set(ran), ran
 
 
 
@@ -746,7 +813,7 @@ class TestRecord:
         assert a != a.transpose() and len({a, b, a.transpose()}) == 2
         assert a != (2, 2, ((1, 2), (3, 4)))  # another type never compares equal
         dec = snf(a)
-        again = SmithDecomposition(dec.s, dec.row_ops, dec.col_ops)
+        again = SmithDecomposition(dec.rows, dec.cols, dec.diagonal, dec.row_ops, dec.col_ops)
         assert again == dec and hash(again) == hash(dec)
         assert QuotientRing((-1, 0, 1)) == QuotientRing((-1, 0, 1))
         assert hash(QuotientRing((-1, 0, 1))) == hash(QuotientRing((-1, 0, 1)))
@@ -754,9 +821,9 @@ class TestRecord:
     def test_subquotient_compares_all_three_fields(self):
         sq = lattice_quotient(IntMatrix.from_rows([[2, 1], [4, 3]]),
                               IntMatrix.from_rows([[4], [8]]))
+        b = sq.basis_smith
         again = Subquotient(sq.basis, sq.presentation,
-                            SmithDecomposition(sq.basis_smith.s, sq.basis_smith.row_ops,
-                                               sq.basis_smith.col_ops))
+                            SmithDecomposition(b.rows, b.cols, b.diagonal, b.row_ops, b.col_ops))
         assert again == sq and hash(again) == hash(sq)
         other = Subquotient(sq.basis, sq.presentation, snf(sq.basis.scale(3)))
         assert other.basis_smith != sq.basis_smith and other != sq
