@@ -33,6 +33,7 @@ from .intlinalg import (
     _record,
     block_diag,
     hstack,
+    lattice_basis,
     lattice_quotient,
     snf,
     subquotient,
@@ -124,7 +125,13 @@ class FgAbGroup:
         return GroupElement(self, coords)
 
     def coords_are_zero(self, coords: Sequence[int]) -> bool:
-        return self.relation_coords(IntMatrix.column_vector(coords)) is not None
+        return self.columns_are_zero(IntMatrix.column_vector(coords))
+
+    def columns_are_zero(self, columns: IntMatrix) -> bool:
+        """True if every column of generator coordinates is zero in the
+        group, i.e. lies in the relation lattice: a membership test on the
+        presentation's decomposition, which builds no Y."""
+        return columns.cols == 0 or self.smith.contains(columns)
 
     def relation_coords(self, columns: IntMatrix) -> Optional[IntMatrix]:
         """Y with presentation @ Y = columns, or None if some column of
@@ -209,14 +216,18 @@ class GroupHom:
 
     Every map is checked when built: a matrix that does not map relations
     into relations is rejected, so exactness needs only the composite test
-    and one lift (`is_exact_pair`).
+    and one membership test of a kernel span (`is_exact_pair`).
 
     `image_gens()` presents the cokernel, and the map keeps one cokernel
-    group, built on first use; the kernel, surjectivity and `lift` read
-    that group's Smith decomposition.  The map has one kernel basis and one
-    kernel group, built on first use, so a second kernel or exactness test
-    factors nothing.  Injectivity reads the kernel basis only: it solves
-    against the source's relations and builds no kernel group.
+    group, built on first use; the kernel, surjectivity, `lift` and
+    exactness tests read that group's Smith decomposition.  The map reads
+    one kernel basis of [matrix | target relations] off it, and keeps that
+    basis's projection to the source coordinates, which spans the preimage
+    of the kernel.  Injectivity and exactness test that span for
+    membership and build no kernel basis; `kernel_gens` makes it a basis
+    (a second Smith form when the target has relations), and the kernel
+    group is built on it, each on first use, so a second kernel or
+    exactness test factors nothing.
     """
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix):
@@ -225,7 +236,7 @@ class GroupHom:
         self.source = source
         self.target = target
         self.matrix = matrix
-        if target.relation_coords(matrix @ source.presentation) is None:
+        if not target.columns_are_zero(matrix @ source.presentation):
             raise InputError("matrix does not map relations into relations")
 
     @classmethod
@@ -248,7 +259,7 @@ class GroupHom:
         return self + GroupHom(other.source, other.target, -other.matrix)
 
     def is_zero(self) -> bool:
-        return self.target.relation_coords(self.matrix) is not None
+        return self.target.columns_are_zero(self.matrix)
 
     def image_gens(self) -> IntMatrix:
         """Generators of the preimage in Z^{target gens} of the image subgroup."""
@@ -259,10 +270,20 @@ class GroupHom:
         return FgAbGroup(self.image_gens())
 
     @cached_property
+    def _kernel_span(self) -> IntMatrix:
+        """Columns spanning the preimage in Z^{source gens} of the kernel
+        subgroup: the map's one kernel basis of [matrix | target relations],
+        projected to its first source-ngens coordinates."""
+        return self._cokernel.smith.kernel_basis()[:self.source.ngens, :]
+
+    @cached_property
     def kernel_gens(self) -> IntMatrix:
         """Basis of the preimage in Z^{source gens} of the kernel subgroup:
-        as `intlinalg.preimage_gens(matrix, target relations)`."""
-        return self._cokernel.smith.preimage_basis(self.source.ngens)
+        as `intlinalg.preimage_gens(matrix, target relations)`.  With no
+        target relations the projection drops nothing and is that basis;
+        otherwise it is factored once more."""
+        span = self._kernel_span
+        return span if self.target.presentation.cols == 0 else lattice_basis(span)
 
     @cached_property
     def _kernel(self) -> SubquotientGroup:
@@ -281,9 +302,10 @@ class GroupHom:
         return self._cokernel.is_trivial()
 
     def is_injective(self) -> bool:
-        """The kernel is trivial exactly when its preimage basis lies in the
-        source's relations: one solve, and no kernel group is built."""
-        return self.source.relation_coords(self.kernel_gens) is not None
+        """The kernel is trivial exactly when its preimage lies in the
+        source's relations: one membership test of the kernel span, with
+        no kernel basis or kernel group built."""
+        return self.source.columns_are_zero(self._kernel_span)
 
     def is_isomorphism(self) -> bool:
         return self.is_surjective() and self.is_injective()
@@ -312,13 +334,14 @@ def is_exact_pair(f: GroupHom, g: GroupHom) -> bool:
     """Exactness of source --f--> middle --g--> target at the middle group.
 
     Requires g o f = 0, so im f lies in ker g (both maps respect relations,
-    checked when built); ker g lies in im f when f lifts g's kernel basis.
+    checked when built); ker g lies in im f when g's kernel span is zero in
+    f's cokernel: two membership tests, and no kernel basis is built.
     """
     if not _same_coords(f.target, g.source):
         raise InputError("is_exact_pair: maps are not consecutive")
-    if g.target.relation_coords(g.matrix @ f.matrix) is None:
+    if not g.target.columns_are_zero(g.matrix @ f.matrix):
         raise InputError("is_exact_pair: composite is not zero")
-    return f.lift(g.kernel_gens) is not None
+    return f._cokernel.columns_are_zero(g._kernel_span)
 
 
 class DirectSum(FgAbGroup):
@@ -488,6 +511,6 @@ def homology_of_pair(f: GroupHom, g: GroupHom) -> SubquotientGroup:
     its basis columns are coordinates over the middle group's generators."""
     if not _same_coords(f.target, g.source):
         raise InputError("homomorphisms are not composable")
-    if g.target.relation_coords(g.matrix @ f.matrix) is None:
+    if not g.target.columns_are_zero(g.matrix @ f.matrix):
         raise InputError("homology_of_pair: composite is not zero")
     return SubquotientGroup(lattice_quotient(g.kernel_gens, f.image_gens()))

@@ -7,15 +7,18 @@ Orientation convention used throughout homkit: a presentation matrix has one
 ROW per generator and one COLUMN per relation, and matrices act on column
 vectors.  A vector is a plain tuple of ints.
 
-Every lattice system goes through `SmithDecomposition.solve`, which divides
-S out of the rows of U b; `kernel_basis`, `preimage_basis` and `image_witness` read lattice
-bases off V.  The functions `solve` (one column), `solve_matrix`,
+Every lattice system goes through one divide step, which divides S out of
+the rows of U b: `SmithDecomposition.contains` stops there, for a yes/no
+membership question, and `SmithDecomposition.solve` goes on to X = V Y.
+`kernel_basis`, `preimage_basis` and `image_witness` read lattice bases off
+V.  The functions `solve` (one column), `solve_matrix`, `lattice_contains`,
 `kernel_basis`, `lattice_basis` and `preimage_gens` factor once and call
 them.  Objects that answer many questions about one matrix keep its
 decomposition, so it is factored once: a `Subquotient` is built with its
 basis's, and `abgroups.FgAbGroup` (and only it) factors a presentation.
 An `abgroups.GroupHom`'s image generators are its cokernel's presentation,
-so its kernel, surjectivity and lifts read that group's decomposition.
+so its kernel, surjectivity, lifts and exactness tests read that group's
+decomposition.
 
 `snf` keeps dense rows and rescans nothing: it reads each pivot off a list
 of the rows' least nonzero |entries|, refreshed only for the rows an
@@ -25,12 +28,13 @@ remaining block is zero.  A matrix already in Smith form costs one scan and
 comes back with no operations, as the pivot loop would return it.  The
 pivot rule (minimal |value|, lowest (i, j) on ties) is frozen.  A
 decomposition keeps its diagonal and the row and column operations that
-made it: `solve` replays them on the rows of b, a kernel or image basis
-replays V's on the identity columns it keeps, and dense U, S and V are
-built only when read, which no package path but `homkit snf` and selftest
-does.  A decomposition answers what its factored matrix does; those derived
-from one (of a lattice, kernel or reduced basis) are built by
-`Subquotient`'s three constructors, which alone read the operations.
+made it: `contains` replays the row operations on the rows of b, `solve`
+both kinds, a kernel or image basis replays V's on the identity columns it
+keeps, and dense U, S and V are built only when read, which no package
+path but `homkit snf` and selftest does.  A decomposition answers what its
+factored matrix does; those derived from one (of a lattice, kernel or
+reduced basis) are built by `Subquotient`'s three constructors, which
+alone read the operations.
 
 The constructor checks a matrix's shape, as do `from_rows` and
 `from_columns`; matrices built here from matrices that passed it
@@ -360,8 +364,8 @@ class SmithDecomposition:
     operations, and V is theirs.  Each is a line operation as `_replay`
     reads it; a column operation (i, j, c) adds c times column j to column
     i, swaps them, or negates column i (`snf` never negates a column).
-    Solving and the kernel and image bases replay the steps; dense `s`, `u`
-    and `v` are built from them only when read.
+    Membership tests, solving and the kernel and image bases replay the
+    steps; dense `s`, `u` and `v` are built from them only when read.
     """
 
     rows: int
@@ -418,13 +422,13 @@ class SmithDecomposition:
             return k
         return lattice_basis(k[:ncols, :])
 
-    def solve(self, b: IntMatrix) -> Optional[IntMatrix]:
-        """X with A @ X = b for the factored A, or None if some column of b
-        has no integer solution.  S Y = U b is solved row by row: a row of
-        U b at or past the rank must be zero, and a row before it is divided
-        by its diagonal entry (unless that is 1) with no remainder; then
-        X = V Y.  U b replays the row operations on the rows of b, and V Y
-        the column operations."""
+    def _divided(self, b: IntMatrix) -> Optional[list]:
+        """The first `rank` rows of Y with S Y = U b (the rest are zero), or
+        None if some column of b has no integer solution: the divide step
+        of `solve` and `contains`.  U b replays the row operations on the
+        rows of b; a row of U b at or past the rank must be zero, and a row
+        before it is divided by its diagonal entry (unless that is 1) with
+        no remainder."""
         if b.rows != self.rows:
             raise InputError("solve: right-hand side has wrong row count")
         r = self.rank  # the nonzero diagonal entries come first
@@ -438,7 +442,19 @@ class SmithDecomposition:
                     return None
                 row = [x // d for x in row]
             y.append(row)
-        return self._v_times(y, b.cols)
+        return y
+
+    def contains(self, b: IntMatrix) -> bool:
+        """True if every column of b lies in the column lattice of the
+        factored A: `solve`'s divide step, with no V replay."""
+        return self._divided(b) is not None
+
+    def solve(self, b: IntMatrix) -> Optional[IntMatrix]:
+        """X with A @ X = b for the factored A, or None if some column of b
+        has no integer solution: the divide step, then X = V Y, which
+        replays the column operations on the rows of Y."""
+        y = self._divided(b)
+        return None if y is None else self._v_times(y, b.cols)
 
 
 def _least_abs(row: list[int]) -> int:
@@ -658,7 +674,9 @@ def lll_reduce(basis: IntMatrix) -> IntMatrix:
 
 def lattice_contains(outer: IntMatrix, inner: IntMatrix) -> bool:
     """True if every column of `inner` lies in the column lattice of `outer`."""
-    return solve_matrix(outer, inner) is not None
+    if outer.rows != inner.rows:
+        raise InputError("lattice_contains: row counts differ")
+    return inner.cols == 0 or snf(outer).contains(inner)
 
 
 def preimage_gens(a: IntMatrix, target_gens: IntMatrix) -> IntMatrix:

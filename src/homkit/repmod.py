@@ -177,7 +177,7 @@ class RModule(FgAbGroup):
         self._t_hom = GroupHom(self, self, t_action)  # checks relations
         if isinstance(ring, QuotientRing):
             pt = ring.evaluate(t_action)
-            if self.relation_coords(pt) is None:
+            if not self.columns_are_zero(pt):
                 raise InputError("p(t) does not annihilate the module")
         else:
             if not self._t_hom.is_isomorphism():
@@ -222,7 +222,8 @@ class FreeResolutionR:
         test is the only one (a nonzero composite makes the resolution
         inexact, not the input invalid), and the augmentation is onto M, by
         the cokernel its kernel factored.  Each stage is its own GroupHom, so
-        equal matrices at two stages solve no system twice."""
+        equal matrices at two stages ask no decomposition the same system
+        twice."""
         free = [FgAbGroup.free(self.ring.degree * self.rank(k)) for k in range(6)]
         maps = [GroupHom(free[0], module, self.augmentation)]
         maps += [GroupHom(free[k + 1], free[k], self.delta(k)) for k in range(5)]

@@ -31,7 +31,10 @@ block diagonal assembled from a grid of zero blocks, as the package did
 before it padded each row.  `ring_inverse_by_lattice_solve` decides unit-ness
 in Z[t]/(p) by the lattice solve x y = 1 on the multiplication matrix that
 the ring's own polynomial product gives, as the package did before the
-norm decided it.
+norm decided it.  `injective_by_solve` and `exact_by_lift` are the kernel
+tests as the package made them before membership tests: a solve of the
+map's kernel basis against the source's relations, and a lift of the
+second map's kernel basis through the first.
 """
 
 from __future__ import annotations
@@ -549,6 +552,18 @@ def cone_triangle_is_exact(f: ChainMap) -> bool:
     """Exactness of the 6-periodic homology sequence of f's cone triangle."""
     maps = triangle_homology_maps(f)
     return all(is_exact_pair(maps[i - 1], maps[i]) for i in range(6))
+
+
+def injective_by_solve(f: GroupHom) -> bool:
+    """f is injective when its kernel basis solves against the source's
+    relations, i.e. every kernel element is zero in the source."""
+    return f.source.relation_coords(f.kernel_gens) is not None
+
+
+def exact_by_lift(f: GroupHom, g: GroupHom) -> bool:
+    """source --f--> middle --g--> target is exact at the middle when f
+    lifts g's kernel basis; g o f = 0 is taken as given."""
+    return f.lift(g.kernel_gens) is not None
 
 
 # Frozen comprehension definitions of the IntMatrix plumbing, compared

@@ -40,6 +40,8 @@ from homkit.intlinalg import (
 )
 from homkit.randgen import random_automorphism, random_group, random_matrix
 
+from .oracles import exact_by_lift, injective_by_solve
+
 Z = FgAbGroup.free(1)
 Z2 = FgAbGroup.cyclic(2)
 Z3 = FgAbGroup.cyclic(3)
@@ -73,6 +75,30 @@ def redundant_presentation(rng, group):
     cols += [(0,) * n] * rng.randint(0, 2)
     rng.shuffle(cols)
     return FgAbGroup(IntMatrix.from_columns(cols, rows=n))
+
+
+def seeded_hom(rng, i, redundant=False):
+    """(source, target, matrix) of a homomorphism of kind i % 4: a random
+    class of Hom, a random automorphism, a map out of a free group, or a
+    zero map out of or into a group with no generators.  With `redundant`,
+    the first and third kinds map into a redundant presentation."""
+    empty = (FgAbGroup.trivial(), FgAbGroup(IntMatrix.zero(0, 2)))
+    a, b = random_group(rng), random_group(rng)
+    kind = i % 4
+    if redundant and kind in (0, 2) and b.ngens:
+        b = redundant_presentation(rng, b)
+    if kind == 0:
+        h = hom(a, b)
+        x = h.to_matrix(h.element([rng.randint(-3, 3) for _ in range(h.ngens)]))
+    elif kind == 1:
+        b, x = a, random_automorphism(rng, a)
+    elif kind == 2:
+        a = FgAbGroup.free(rng.randint(0, 2))
+        x = random_matrix(rng, b.ngens, a.ngens)
+    else:
+        a, b = (rng.choice(empty), b) if i % 8 == 3 else (a, rng.choice(empty))
+        x = IntMatrix.zero(b.ngens, a.ngens)
+    return a, b, x
 
 
 class TestCanonicalForms:
@@ -315,22 +341,9 @@ class TestGroupHom:
         # out of and into groups with no generators too, and builds no
         # kernel group.
         rng = random.Random(139)
-        empty = (FgAbGroup.trivial(), FgAbGroup(IntMatrix.zero(0, 2)))
         outcomes = set()
         for i in range(120):
-            a, b = random_group(rng), random_group(rng)
-            kind = i % 4
-            if kind == 0:
-                h = hom(a, b)
-                x = h.to_matrix(h.element([rng.randint(-3, 3) for _ in range(h.ngens)]))
-            elif kind == 1:
-                b, x = a, random_automorphism(rng, a)
-            elif kind == 2:
-                a = FgAbGroup.free(rng.randint(0, 2))
-                x = random_matrix(rng, b.ngens, a.ngens)
-            else:
-                a, b = (rng.choice(empty), b) if i % 8 == 3 else (a, rng.choice(empty))
-                x = IntMatrix.zero(b.ngens, a.ngens)
+            a, b, x = seeded_hom(rng, i)
             f = GroupHom(a, b, x)
             injective = f.is_injective()
             assert "_kernel" not in vars(f)
@@ -500,6 +513,66 @@ class TestGroupHom:
             assert exact == homology_of_pair(f, g).is_trivial()
             answers.add(exact)
         assert answers == {True, False}
+
+    def test_kernel_tests_match_the_solve_and_lift_oracles(self):
+        # is_injective and is_exact_pair test the kernel span for membership;
+        # the oracles solve the kernel basis against the source's relations
+        # and lift it through the first map.  Seeded maps, some into a
+        # redundant presentation of their target, and PV-style pairs
+        # K --c1 (alpha - 1)--> K -> coker(c2 (alpha - 1)) with c2 | c1.
+        rng = random.Random(151)
+        injective = set()
+        for i in range(200):
+            a, b, x = seeded_hom(rng, i, redundant=i % 8 < 4)
+            f = GroupHom(a, b, x)
+            assert f.is_injective() == injective_by_solve(GroupHom(a, b, x)), (a, b, x)
+            injective.add(f.is_injective())
+        exact = set()
+        for _ in range(120):
+            k = random_group(rng)
+            d = (GroupHom(k, k, random_automorphism(rng, k)) - GroupHom.identity(k)).matrix
+            c2 = rng.choice((1, 1, 2))
+            c1 = c2 * rng.choice((1, 1, 2))
+            coker = FgAbGroup(hstack(d.scale(c2), k.presentation))
+            pair = (k, k, d.scale(c1)), (k, coker, IntMatrix.identity(k.ngens))
+            f, g = (GroupHom(*m) for m in pair)
+            answer = is_exact_pair(f, g)
+            assert answer == exact_by_lift(*(GroupHom(*m) for m in pair)), pair
+            exact.add(answer)
+        assert injective == exact == {True, False}
+
+    def test_injectivity_factors_only_the_cokernel(self, monkeypatch):
+        # On a fresh map whose target has relations (its source's canonical
+        # form already read), is_injective factors the map's image
+        # generators and nothing else: it builds no kernel basis, so no
+        # second Smith form through lattice_basis.
+        snfs, bases = [], []
+        real_snf, real_basis = intlinalg.snf, intlinalg.lattice_basis
+
+        def counted_snf(a):
+            snfs.append(a)
+            return real_snf(a)
+
+        def counted_basis(gens):
+            bases.append(gens)
+            return real_basis(gens)
+
+        for module in (intlinalg, abgroups):
+            monkeypatch.setattr(module, "snf", counted_snf)
+            monkeypatch.setattr(module, "lattice_basis", counted_basis)
+        rng = random.Random(157)
+        answers, tested = set(), 0
+        for i in range(400):
+            a, b, x = seeded_hom(rng, i, redundant=i % 8 < 4)
+            if not b.presentation.cols:
+                continue
+            a.canonical
+            f = GroupHom(a, b, x)
+            snfs.clear()
+            answers.add(f.is_injective())
+            assert snfs == [f.image_gens()] and bases == [], (a, b, x)
+            tested += 1
+        assert tested >= 100 and answers == {True, False}
 
     def test_shared_decomposition_matches_standalone_routines(self):
         # kernel_gens, cokernel_group and lift read the map's one decomposition

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
@@ -140,6 +141,19 @@ def early_stop_and_gcd_cases(rng) -> list[IntMatrix]:
     return out
 
 
+def right_hand_sides(rng, a: IntMatrix) -> list[IntMatrix]:
+    """Systems for `a`: two columns a @ x, and, if `a` has rows, the first
+    with one entry moved, alone and beside the second."""
+    cols = [a.apply([rng.randint(-3, 3) for _ in range(a.cols)]) for _ in range(2)]
+    bs = [IntMatrix.from_columns(cols, rows=a.rows)]
+    if a.rows:
+        moved = list(cols[0])
+        moved[rng.randrange(a.rows)] += rng.choice((-1, 1, 2))
+        bs += [IntMatrix.from_columns([tuple(moved)], rows=a.rows),
+               IntMatrix.from_columns([cols[1], tuple(moved)], rows=a.rows)]
+    return bs
+
+
 class TestSnf:
     def test_worked_example(self):
         # Oracle: d1 = gcd of entries = 2, d1 d2 = |det| = 8, so diag = (2, 4).
@@ -265,19 +279,44 @@ class TestSnf:
                 + early_stop_and_gcd_cases(random.Random(77)))
         outcomes = {"solved": 0, "none": 0}
         for a in mats:
-            cols = [a.apply([rng.randint(-3, 3) for _ in range(a.cols)]) for _ in range(2)]
-            bs = [IntMatrix.from_columns(cols, rows=a.rows)]
-            if a.rows:
-                moved = list(cols[0])
-                moved[rng.randrange(a.rows)] += rng.choice((-1, 1, 2))
-                bs += [IntMatrix.from_columns([tuple(moved)], rows=a.rows),
-                       IntMatrix.from_columns([cols[1], tuple(moved)], rows=a.rows)]
+            bs = right_hand_sides(rng, a)
             dec = snf(a)
             got = [dec.solve(b) for b in bs]
             for b, x in zip(bs, got):
                 assert x == solve_dense(dec.u, dec.s, dec.v, b), a
                 outcomes["none" if x is None else "solved"] += 1
         assert min(outcomes.values()) >= 200, outcomes
+
+    def test_membership_answers_as_solve_does_without_replaying_v(self, monkeypatch):
+        # On the three reference-pivot ensembles, `contains` is the divide
+        # step of `solve` alone: it says yes exactly when `solve` finds a
+        # solution, rejects a wrong row count with the same error, and
+        # answers with V's replay patched to raise.
+        rng = random.Random(89)
+        mats = (reference_pivot_matrices(random.Random(2_024), 400)
+                + homotopy_class_systems(monkeypatch, 6, 1_500)
+                + early_stop_and_gcd_cases(random.Random(77)))
+        cases = []
+        for a in mats:
+            bs = right_hand_sides(rng, a)
+            dec = snf(a)
+            cases += [(dec, b, dec.solve(b) is not None) for b in bs]
+            wrong = IntMatrix.zero(a.rows + 1, 1)
+            with pytest.raises(InputError) as solved:
+                dec.solve(wrong)
+            with pytest.raises(InputError) as tested:
+                dec.contains(wrong)
+            assert str(tested.value) == str(solved.value)
+
+        def no_replay(self, y, width):
+            raise AssertionError("contains replayed V")
+
+        monkeypatch.setattr(SmithDecomposition, "_v_times", no_replay)
+        answers = Counter()
+        for dec, b, solvable in cases:
+            assert dec.contains(b) == solvable, (dec, b)
+            answers[solvable] += 1
+        assert min(answers.values()) >= 200, answers
 
     def test_solve_rank_and_invariants_build_no_dense_u_or_v(self, monkeypatch):
         # A decomposition keeps its diagonal and its operations.  Solving,

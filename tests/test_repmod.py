@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -40,6 +41,7 @@ from .oracles import (
     cyclic_group_homology_pin,
     cyclic_order2_ext_pin,
     cyclic_order2_tor_pin,
+    exact_by_lift,
     greedy_free_resolution,
     laurent_ext_by_generators,
     ring_inverse_by_lattice_solve,
@@ -289,23 +291,51 @@ class TestFreeResolution:
         assert not type(res)(res.ring, res.ranks, into_m, res.deltas).verify_exact(m)
 
     def test_verify_exact_solves_no_system_twice(self, monkeypatch):
-        # One composite test and one lift per stage: no decomposition is
-        # asked the same system twice.
+        # One composite test and one kernel-span membership test per stage:
+        # no decomposition is asked the same system twice, whether it
+        # solves it or only tests it for membership.
         rng = random.Random(137)
         systems = []
-        real_solve = SmithDecomposition.solve
 
-        def counted(self, b):
-            systems.append((id(self), b))
-            return real_solve(self, b)
+        def counting(name):
+            real = getattr(SmithDecomposition, name)
+
+            def counted(self, b):
+                systems.append((id(self), b))
+                return real(self, b)
+            return counted
 
         for _ in range(20):
             m = random_rmodule(rng, ORDER2)
             res = free_resolution_over_r(m)
-            monkeypatch.setattr(SmithDecomposition, "solve", counted)
+            for name in ("solve", "contains"):
+                monkeypatch.setattr(SmithDecomposition, name, counting(name))
             assert res.verify_exact(m)
             monkeypatch.undo()
         assert systems and len(set(systems)) == len(systems)
+
+    def test_stage_exactness_matches_the_lift_oracle(self, monkeypatch):
+        # Every pair verify_exact tests, on resolutions and on their copies
+        # with one stored map doubled: is_exact_pair, which tests the second
+        # map's kernel span for membership in the first map's image, answers
+        # as lifting that map's kernel basis through the first does.
+        answers = Counter()
+        real = repmod.is_exact_pair
+
+        def checked(f, g):
+            answer = real(f, g)
+            fresh = (GroupHom(h.source, h.target, h.matrix) for h in (f, g))
+            assert answer == exact_by_lift(*fresh), (f.matrix, g.matrix)
+            answers[answer] += 1
+            return answer
+
+        monkeypatch.setattr(repmod, "is_exact_pair", checked)
+        for m, res in self._resolutions(179, nonzero=4):
+            if isinstance(res, GreedyResolution):
+                continue
+            for stage in range(4):
+                self._replaced(res, stage, res.deltas[stage].scale(2)).verify_exact(m)
+        assert min(answers[True], answers[False]) >= 12, answers
 
     def test_a_nonzero_composite_is_not_exact_and_raises_nothing(self):
         # delta_1 replaced by a map whose first column is a nonzero column j

@@ -345,3 +345,53 @@ def test_only_intlinalg_reads_smith_operations():
         offenders += [f"{path.name}:{node.lineno} {node.attr}" for node in ast.walk(tree)
                       if isinstance(node, ast.Attribute) and node.attr in _SMITH_INTERNALS]
     assert SRC.is_dir() and not offenders, offenders
+
+
+# Calls that build a solution, or None when there is none.
+_SOLVING = {"relation_coords", "solve", "solve_matrix"}
+
+
+def _is_none_test(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Compare) and len(node.ops) == 1
+            and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+            and isinstance(node.comparators[0], ast.Constant)
+            and node.comparators[0].value is None)
+
+
+def _is_solving_call(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (func.attr if isinstance(func, ast.Attribute) else
+            func.id if isinstance(func, ast.Name) else None) in _SOLVING
+
+
+def _solutions_only_tested_for_none(tree: ast.Module) -> list[int]:
+    """Lines where a solve's result is only compared with None: the call
+    itself, or a name bound to it that every later read compares with None."""
+    found = [node.lineno for node in ast.walk(tree)
+             if _is_none_test(node) and _is_solving_call(node.left)]
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound = {node.targets[0].id: node.lineno for node in ast.walk(func)
+                 if isinstance(node, ast.Assign) and len(node.targets) == 1
+                 and isinstance(node.targets[0], ast.Name) and _is_solving_call(node.value)}
+        tested = {id(node.left) for node in ast.walk(func) if _is_none_test(node)}
+        for name, line in bound.items():
+            reads = [node for node in ast.walk(func) if isinstance(node, ast.Name)
+                     and node.id == name and isinstance(node.ctx, ast.Load)]
+            if all(id(node) in tested for node in reads):
+                found.append(line)
+    return found
+
+
+def test_yes_no_lattice_questions_build_no_solution():
+    # Whether a system is solvable is the divide step of the Smith form
+    # alone (`SmithDecomposition.contains`, `FgAbGroup.columns_are_zero`);
+    # building X = V Y only to compare it with None replays V for nothing.
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{path.name}:{line}" for line in _solutions_only_tested_for_none(tree)]
+    assert SRC.is_dir() and not offenders, offenders
